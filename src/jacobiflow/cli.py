@@ -15,6 +15,7 @@ are still written), 2 bad configuration or usage.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -38,7 +39,7 @@ from .groups import (
     vfr_convert,
 )
 from .systems import BUILTIN_SYSTEMS, builtin_system
-from .dynamics import integrate_flow, make_rho, write_csv
+from .dynamics import integrate_flow, make_rho, step_count, write_csv
 from .verify import (
     box_probes,
     check_flow_jacobians,
@@ -63,6 +64,8 @@ _FLOAT_KEYS = {
 _STR_KEYS = {"mode", "system", "method", "map"}
 _PARAM_KEYS = ("mass", "frequency", "amplitude", "drive_frequency", "g")
 _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
+# hamilton_residual takes interior differences, which need 5 samples
+_MIN_FLOW_STEPS = 4
 
 _DEFAULTS = {
     "mode": "flow",
@@ -135,6 +138,9 @@ def validate_config(cfg, present):
         raise ConfigError(f"method must be 'rk4' or 'leapfrog', got {cfg['method']!r}")
     if cfg["n"] < 1:
         raise ConfigError(f"n must be >= 1, got {cfg['n']}")
+    for key in ("t_end", "dt"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if not cfg["dt"] > 0:
         raise ConfigError(f"dt must be positive, got {cfg['dt']}")
     if cfg["probes"] < 1:
@@ -155,8 +161,21 @@ def validate_config(cfg, present):
         cfg["z0"] = [1.0] * cfg["n"] + [0.0] * cfg["n"] + [0.0, 0.0]
     elif len(cfg["z0"]) != d:
         raise ConfigError(f"z0 must have {d} entries (q1..qn p1..pn eps t), got {len(cfg['z0'])}")
-    if cfg["mode"] == "flow" and not cfg["t_end"] > cfg["z0"][-1]:
-        raise ConfigError(f"t_end ({cfg['t_end']}) must exceed the initial time ({cfg['z0'][-1]})")
+    elif not all(math.isfinite(x) for x in cfg["z0"]):
+        raise ConfigError(f"z0 must be finite, got {cfg['z0']}")
+    if cfg["mode"] == "flow":
+        t0 = cfg["z0"][-1]
+        if not cfg["t_end"] > t0:
+            raise ConfigError(f"t_end ({cfg['t_end']}) must exceed the initial time ({t0})")
+        try:
+            steps = step_count(t0, cfg["t_end"], cfg["dt"])
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        if steps < _MIN_FLOW_STEPS:
+            raise ConfigError(
+                f"the flow needs at least {_MIN_FLOW_STEPS} steps, got {steps}"
+                f" (t_end {cfg['t_end']}, initial time {t0}, dt {cfg['dt']})"
+            )
     return cfg
 
 
@@ -604,6 +623,9 @@ def main(argv=None):
     if args.selftest:
         if args.n < 1:
             print("error: --n must be >= 1", file=sys.stderr)
+            return 2
+        if args.seed is not None and args.seed < 0:
+            print(f"config error: seed must be >= 0, got {args.seed}", file=sys.stderr)
             return 2
         return run_selftest(
             seed=args.seed if args.seed is not None else 0,

@@ -7,14 +7,16 @@ never integrated numerically: the t component of every stored state is
 computed as t0 + k*dt, which keeps the time metric invariant by
 construction.
 
-`integrate_flow` optionally co-integrates the variational Jacobian
-J' = A(z(tau)) J alongside the state with the same one-step method, where
-A is the Jacobian of the field.  A's time row is identically zero and its
-energy column is identically zero, so J keeps an exact (0, ..., 0, 1) time
-row and e_eps energy column; the certification layer factors these J into
-the matrix group.
+`integrate_flow` optionally stores the variational Jacobian: the tangent of
+the step the method actually took, built from the field Jacobian A at the
+step's own stages (RK4 applies its stages to J' = A J; leapfrog multiplies
+the tangents of its kick, drift and kick).  A's time row is identically zero
+and its energy column is identically zero, so J keeps an exact
+(0, ..., 0, 1) time row and e_eps energy column; the certification layer
+factors these J into the matrix group.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,19 +39,21 @@ def _split(z):
     return z[0:k:2], z[1:k:2], z[-2], z[-1]
 
 
+def _field(sys, z):
+    """Field (v, f, r, 1) at a state vector that is already validated."""
+    k = len(z) - 2
+    q, p, t = z[0:k:2], z[1:k:2], z[-1]
+    X = np.empty(k + 2)
+    X[0:k:2] = sys.grad_p(q, p, t)
+    np.negative(sys.grad_q(q, p, t), out=X[1:k:2])
+    X[-2] = sys.d_t(q, p, t)
+    X[-1] = 1.0
+    return X
+
+
 def extended_vector_field(sys, z):
     """Field (v, f, r, 1) at z, in canonical ordering."""
-    z = _as_state(z)
-    q, p, _, t = _split(z)
-    v = np.asarray(sys.grad_p(q, p, t), dtype=float)
-    f = -np.asarray(sys.grad_q(q, p, t), dtype=float)
-    r = float(sys.d_t(q, p, t))
-    X = np.empty(len(z))
-    k = len(z) - 2
-    X[0:k:2] = v
-    X[1:k:2] = f
-    X[-2] = r
-    X[-1] = 1.0
+    X = _field(sys, _as_state(z))
     if not np.all(np.isfinite(X)):
         raise ValueError("Hamiltonian gradients evaluated to non-finite values")
     return X
@@ -69,12 +73,15 @@ def reduced_vector_field(sys, y):
     return Y
 
 
-def field_jacobian(sys, z):
-    """Jacobian A = dX/dz of the extended field: analytic if the system has one."""
-    z = _as_state(z)
+def _jacobian(sys, z):
     if sys.vf_jacobian is not None:
         return np.asarray(sys.vf_jacobian(z), dtype=float)
     return _fd_field_jacobian(sys, z)
+
+
+def field_jacobian(sys, z):
+    """Jacobian A = dX/dz of the extended field: analytic if the system has one."""
+    return _jacobian(sys, _as_state(z))
 
 
 def _fd_field_jacobian(sys, z):
@@ -129,55 +136,12 @@ class Trajectory:
         return PhasePoint.from_array(self.z[k])
 
 
-def _rk4_step(sys, z, t0, k, dt, J, with_var):
-    K1 = extended_vector_field(sys, z)
-    z2 = z + (0.5 * dt) * K1
-    K2 = extended_vector_field(sys, z2)
-    z3 = z + (0.5 * dt) * K2
-    K3 = extended_vector_field(sys, z3)
-    z4 = z + dt * K3
-    K4 = extended_vector_field(sys, z4)
-    zn = z + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    zn[-1] = t0 + (k + 1) * dt
-    Jn = None
-    if with_var:
-        A1 = field_jacobian(sys, z)
-        A2 = field_jacobian(sys, z2)
-        A3 = field_jacobian(sys, z3)
-        A4 = field_jacobian(sys, z4)
-        L1 = A1 @ J
-        L2 = A2 @ (J + (0.5 * dt) * L1)
-        L3 = A3 @ (J + (0.5 * dt) * L2)
-        L4 = A4 @ (J + dt * L3)
-        Jn = J + (dt / 6.0) * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
-    return zn, Jn
-
-
-def _leapfrog_step(sys, z, t0, k, dt, J, with_var):
-    kred = len(z) - 2
-    q, p, eps, t = z[0:kred:2].copy(), z[1:kred:2].copy(), z[-2], z[-1]
-    t1 = t0 + (k + 1) * dt
-    # half kick on (p, eps) from the potential at the old endpoint
-    p_h = p - (0.5 * dt) * np.asarray(sys.grad_q(q, p, t), dtype=float)
-    eps_h = eps + (0.5 * dt) * float(sys.d_t(q, p, t))
-    # full drift from the kinetic part
-    q1 = q + dt * np.asarray(sys.grad_p(q, p_h, t), dtype=float)
-    # closing half kick at the new endpoint
-    p1 = p_h - (0.5 * dt) * np.asarray(sys.grad_q(q1, p_h, t1), dtype=float)
-    eps1 = eps_h + (0.5 * dt) * float(sys.d_t(q1, p_h, t1))
-    zn = np.empty_like(z)
-    zn[0:kred:2] = q1
-    zn[1:kred:2] = p1
-    zn[-2] = eps1
-    zn[-1] = t1
-    Jn = None
-    if with_var:
-        # trapezoidal (Heun) update of the matrix equation, order matched
-        A0 = field_jacobian(sys, z)
-        A1 = field_jacobian(sys, zn)
-        L0 = A0 @ J
-        Jn = J + (0.5 * dt) * (L0 + A1 @ (J + dt * L0))
-    return zn, Jn
+def step_count(t0, t_end, dt):
+    """Number of steps `integrate_flow` takes: round((t_end - t0)/dt), at least 1."""
+    ratio = (t_end - t0) / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"step count (t_end - t0)/dt = {ratio} is not finite")
+    return max(1, round(ratio))
 
 
 def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
@@ -187,23 +151,28 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
     ----------
     sys : HamiltonianSystem
     z0 : PhasePoint or array
-        Initial state; its time component is the start time.
+        Initial state, finite; its time component is the start time.
     t_end : float
-        Final time; the step count is round((t_end - t0)/dt) and the actual
-        step is (t_end - t0)/n_steps (recorded on the trajectory).
+        Final time; the step count is `step_count(t0, t_end, dt)` and the
+        actual step is (t_end - t0)/n_steps (recorded on the trajectory).
     dt : float
         Requested step, > 0.
     method : {"rk4", "leapfrog"}
         Leapfrog requires a separable system.
     with_variational : bool
-        Also propagate the Jacobian J of the flow map (J0 = identity) with
-        the same one-step method.
+        Also store the Jacobian J of the flow map (J0 = identity): the
+        tangent of each step the method took.
 
     Returns
     -------
     Trajectory
+
+    Raises ValueError on bad input, and on a non-finite state or field
+    sample along the flow.
     """
     z = _as_state(z0)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"initial state must be finite, got {z.tolist()}")
     t0 = z[-1]
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -217,42 +186,91 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
     if 2 * sys.n.n + 2 != len(z):
         raise ValueError(f"state length {len(z)} does not match system n={sys.n.n}")
 
-    n_steps = max(1, round((t_end - t0) / dt))
+    n_steps = step_count(t0, t_end, dt)
     dt = (t_end - t0) / n_steps
     d = len(z)
-    nn = sys.n.n
+    k = d - 2
+    X = _field(sys, z)
+    if not np.isfinite(X).all():
+        raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
     Z = np.empty((n_steps + 1, d))
-    V = np.empty((n_steps + 1, nn))
-    F = np.empty((n_steps + 1, nn))
-    R = np.empty(n_steps + 1)
+    XS = np.empty((n_steps + 1, d))  # field samples (v, f, r, 1) at each Z row
     Z[0] = z
+    XS[0] = X
     J = np.eye(d) if with_variational else None
     Js = np.empty((n_steps + 1, d, d)) if with_variational else None
     if with_variational:
         Js[0] = J
-    step = _rk4_step if method == "rk4" else _leapfrog_step
-    for k in range(n_steps):
-        X = extended_vector_field(sys, Z[k])
-        V[k] = X[0 : 2 * nn : 2]
-        F[k] = X[1 : 2 * nn : 2]
-        R[k] = X[-2]
-        zn, Jn = step(sys, Z[k], t0, k, dt, J, with_variational)
-        if not np.all(np.isfinite(zn)):
-            raise ValueError(f"flow blew up: non-finite state at step {k + 1} (last valid step {k})")
-        Z[k + 1] = zn
+    h = 0.5 * dt
+    w = dt / 6.0
+    if method == "leapfrog" and with_variational:
+        # the tangent of kick-drift-kick is K2 D K1 with K = I + h A on the
+        # (p, eps) rows and D = I + dt A on the q rows
+        kick_rows = np.zeros((d, 1))
+        kick_rows[1:k:2] = h
+        kick_rows[k] = h
+        drift_rows = np.zeros((d, 1))
+        drift_rows[0:k:2] = dt
+        A = _jacobian(sys, z)
+    for i in range(n_steps):
+        z = Z[i]
+        t1 = t0 + (i + 1) * dt
+        if method == "rk4":
+            # X, the field at z, is both the stored sample and K1
+            z2 = z + h * X
+            K2 = _field(sys, z2)
+            z3 = z + h * K2
+            K3 = _field(sys, z3)
+            z4 = z + dt * K3
+            K4 = _field(sys, z4)
+            zn = z + w * (X + 2.0 * K2 + 2.0 * K3 + K4)
+            zn[-1] = t1
+            if with_variational:
+                L1 = _jacobian(sys, z) @ J
+                L2 = _jacobian(sys, z2) @ (J + h * L1)
+                L3 = _jacobian(sys, z3) @ (J + h * L2)
+                L4 = _jacobian(sys, z4) @ (J + dt * L3)
+                J = J + w * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
+            X = _field(sys, zn)
+        else:
+            # separable: grad_q and d_t ignore p, so the force and power of the
+            # stored sample at z give the opening half kick, and those of the
+            # closing half kick give the sample at the new state
+            p_h = z[1:k:2] + h * X[1:k:2]
+            eps_h = z[-2] + h * X[-2]
+            zn = np.empty(d)
+            X = np.empty(d)
+            zn[0:k:2] = z[0:k:2] + dt * np.asarray(sys.grad_p(z[0:k:2], p_h, z[-1]), dtype=float)
+            q1 = zn[0:k:2]
+            np.negative(sys.grad_q(q1, p_h, t1), out=X[1:k:2])
+            X[-2] = sys.d_t(q1, p_h, t1)
+            zn[1:k:2] = p_h + h * X[1:k:2]
+            zn[-2] = eps_h + h * X[-2]
+            zn[-1] = t1
+            X[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
+            X[-1] = 1.0
+            if with_variational:
+                # A at (q1, p_h, t1) gives D, the closing kick and the next opening kick
+                zh = zn.copy()
+                zh[1:k:2] = p_h
+                A_open, A = A, _jacobian(sys, zh)
+                J = J + kick_rows * (A_open @ J)
+                J = J + drift_rows * (A @ J)
+                J = J + kick_rows * (A @ J)
+        if not (np.isfinite(zn).all() and np.isfinite(X).all()):
+            raise ValueError(
+                f"flow blew up: non-finite state or field at step {i + 1} (last valid step {i})"
+            )
+        Z[i + 1] = zn
+        XS[i + 1] = X
         if with_variational:
-            J = Jn
-            Js[k + 1] = J
-    X = extended_vector_field(sys, Z[-1])
-    V[-1] = X[0 : 2 * nn : 2]
-    F[-1] = X[1 : 2 * nn : 2]
-    R[-1] = X[-2]
+            Js[i + 1] = J
     return Trajectory(
         tau=Z[:, -1].copy(),
         z=Z,
-        v=V,
-        f=F,
-        r=R,
+        v=XS[:, 0:k:2].copy(),
+        f=XS[:, 1:k:2].copy(),
+        r=XS[:, -2].copy(),
         dt=dt,
         method=method,
         n=sys.n,

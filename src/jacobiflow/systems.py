@@ -18,11 +18,13 @@ class HamiltonianSystem:
     """Evaluable H(q, p, t) with gradients and structure flags.
 
     value, grad_q, grad_p, d_t all take (q, p, t) with q, p arrays of
-    length n.  separable means H = T(p) + V(q, t); autonomous means
-    d_t == 0 identically.  vf_jacobian, when supplied, evaluates the
-    (2n+2)-dimensional Jacobian of the extended vector field at a flat
-    state vector; the integrator falls back to central differences
-    without it.
+    length n, and must not modify them.  separable means H = T(p) + V(q, t),
+    so grad_q and d_t ignore p and grad_p ignores q and t; leapfrog relies
+    on this to reuse one half kick's force and power for the next.
+    autonomous means d_t == 0 identically.  vf_jacobian, when supplied,
+    evaluates the (2n+2)-dimensional Jacobian of the extended vector field
+    at a flat state vector; the integrator falls back to central
+    differences without it.
     """
 
     n: Dimension
@@ -50,15 +52,20 @@ def _require(params, allowed, name):
     return out
 
 
+def _quadratic_jacobian(n, m, om=0.0):
+    """Field Jacobian of |p|^2/2m + m om^2 |q|^2/2, the constant part of every builtin's."""
+    k = n.reduced
+    A = np.zeros((k + 2, k + 2))
+    A[0:k:2, 1:k:2] = np.eye(n.n) / m
+    if om:
+        A[1:k:2, 0:k:2] = -m * om * om * np.eye(n.n)
+    return A
+
+
 def _free_particle(n, **params):
     p_ = _require(params, {"mass": 1.0}, "free_particle")
     m = p_["mass"]
-    k = n.reduced
-
-    def vf_jac(z):
-        A = np.zeros((k + 2, k + 2))
-        A[0:k:2, 1:k:2] = np.eye(n.n) / m
-        return A
+    A = _quadratic_jacobian(n, m)
 
     return HamiltonianSystem(
         n=n,
@@ -68,7 +75,7 @@ def _free_particle(n, **params):
         d_t=lambda q, p, t: 0.0,
         separable=True,
         autonomous=True,
-        vf_jacobian=vf_jac,
+        vf_jacobian=lambda z: A.copy(),
         name="free_particle",
         params=p_,
     )
@@ -77,13 +84,7 @@ def _free_particle(n, **params):
 def _harmonic_oscillator(n, **params):
     p_ = _require(params, {"mass": 1.0, "frequency": 1.0}, "harmonic_oscillator")
     m, om = p_["mass"], p_["frequency"]
-    k = n.reduced
-
-    def vf_jac(z):
-        A = np.zeros((k + 2, k + 2))
-        A[0:k:2, 1:k:2] = np.eye(n.n) / m
-        A[1:k:2, 0:k:2] = -m * om * om * np.eye(n.n)
-        return A
+    A = _quadratic_jacobian(n, m, om)
 
     return HamiltonianSystem(
         n=n,
@@ -93,7 +94,7 @@ def _harmonic_oscillator(n, **params):
         d_t=lambda q, p, t: 0.0,
         separable=True,
         autonomous=True,
-        vf_jacobian=vf_jac,
+        vf_jacobian=lambda z: A.copy(),
         name="harmonic_oscillator",
         params=p_,
     )
@@ -102,22 +103,17 @@ def _harmonic_oscillator(n, **params):
 def _constant_force(n, **params):
     p_ = _require(params, {"mass": 1.0, "g": 1.0}, "constant_force")
     m, g = p_["mass"], p_["g"]
-    k = n.reduced
-
-    def vf_jac(z):
-        A = np.zeros((k + 2, k + 2))
-        A[0:k:2, 1:k:2] = np.eye(n.n) / m
-        return A
+    A = _quadratic_jacobian(n, m)
 
     return HamiltonianSystem(
         n=n,
-        value=lambda q, p, t: 0.5 * float(p @ p) / m + g * float(np.sum(q)),
+        value=lambda q, p, t: 0.5 * float(p @ p) / m + g * float(q.sum()),
         grad_q=lambda q, p, t: g * np.ones(n.n),
         grad_p=lambda q, p, t: p / m,
         d_t=lambda q, p, t: 0.0,
         separable=True,
         autonomous=True,
-        vf_jacobian=vf_jac,
+        vf_jacobian=lambda z: A.copy(),
         name="constant_force",
         params=p_,
     )
@@ -131,30 +127,29 @@ def _driven_oscillator(n, **params):
     )
     m, om, amp, wd = p_["mass"], p_["frequency"], p_["amplitude"], p_["drive_frequency"]
     k = n.reduced
+    A0 = _quadratic_jacobian(n, m, om)
 
     def value(q, p, t):
         return (
             0.5 * float(p @ p) / m
             + 0.5 * m * om * om * float(q @ q)
-            + amp * float(np.sum(q)) * np.cos(wd * t)
+            + amp * float(q.sum()) * np.cos(wd * t)
         )
 
     def vf_jac(z):
         t = z[-1]
-        A = np.zeros((k + 2, k + 2))
-        A[0:k:2, 1:k:2] = np.eye(n.n) / m
-        A[1:k:2, 0:k:2] = -m * om * om * np.eye(n.n)
+        A = A0.copy()
         A[1:k:2, -1] = amp * wd * np.sin(wd * t)
         A[k, 0:k:2] = -amp * wd * np.sin(wd * t)
-        A[k, -1] = -amp * wd * wd * float(np.sum(z[0:k:2])) * np.cos(wd * t)
+        A[k, -1] = -amp * wd * wd * float(z[0:k:2].sum()) * np.cos(wd * t)
         return A
 
     return HamiltonianSystem(
         n=n,
         value=value,
-        grad_q=lambda q, p, t: m * om * om * q + amp * np.cos(wd * t) * np.ones(n.n),
+        grad_q=lambda q, p, t: m * om * om * q + amp * np.cos(wd * t),
         grad_p=lambda q, p, t: p / m,
-        d_t=lambda q, p, t: -amp * wd * float(np.sum(q)) * np.sin(wd * t),
+        d_t=lambda q, p, t: -amp * wd * float(q.sum()) * np.sin(wd * t),
         separable=True,
         autonomous=False,
         vf_jacobian=vf_jac,

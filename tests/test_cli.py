@@ -152,12 +152,24 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "mode = map\nmap = teleport\n",
         "t_end = 0.0\n",
         "mode = flow\n\njust words\n",
+        "t_end = inf\n",
+        "dt = nan\n",
+        "dt = 1e-320\n",
+        "t_end = 0.001\n",
+        "t_end = 0.003\n",
+        "z0 = 1 0 inf 0\n",
+        "--selftest --seed -1",
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
-    code, _ = _run(tmp_path, text)
+    # a case starting with "--" is a command line instead of a config file
+    if text.startswith("--"):
+        code = main([*text.split(), "--out", str(tmp_path / "out")])
+    else:
+        code, _ = _run(tmp_path, text)
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from jacobiflow import (
     Dimension,
     HamiltonianSystem,
     builtin_system,
+    canonical_zeta,
     extended_vector_field,
     field_jacobian,
+    form_residual,
     integrate_flow,
     make_rho,
     numeric_jacobian,
@@ -137,6 +141,10 @@ def test_integrate_flow_validation():
         integrate_flow(sys, z0, 1.0, 0.1, method="euler")
     with pytest.raises(ValueError):
         integrate_flow(sys, np.zeros(6), 1.0, 0.1)  # wrong state length
+    with pytest.raises(ValueError):
+        integrate_flow(sys, np.array([np.nan, 0.0, 0.0, 0.0]), 1.0, 0.1)
+    with pytest.raises(ValueError):
+        integrate_flow(sys, z0, np.inf, 0.1)
 
 
 def test_leapfrog_requires_separable():
@@ -193,19 +201,19 @@ def test_variational_matches_closed_form_rotation():
     assert np.max(np.abs(traj.jac[-1] - expected)) < 1e-10
 
 
-def test_variational_matches_flow_differentiation():
-    # J should agree with finite differences of the time-T flow map
+def _variational_vs_flow_differentiation(method):
+    # J against finite differences of the time-T flow map
     sys = builtin_system("driven_oscillator")
     z0 = np.array([0.5, 0.2, 0.0, 0.0])
     T, dt = 1.0, 1e-3
-    traj = integrate_flow(sys, z0, T, dt, with_variational=True)
+    traj = integrate_flow(sys, z0, T, dt, method=method, with_variational=True)
 
     def flow_map(z):
         # fixed step count so the map is smooth in the initial state
         zt = z.copy()
         if zt[-1] != z0[-1]:
             raise ValueError("probe must keep the start time")
-        return integrate_flow(sys, zt, T, dt).z[-1]
+        return integrate_flow(sys, zt, T, dt, method=method).z[-1]
 
     h = 1e-6
     J_fd = np.empty((4, 4))
@@ -213,7 +221,61 @@ def test_variational_matches_flow_differentiation():
         e = np.zeros(4)
         e[c] = h
         J_fd[:, c] = (flow_map(z0 + e) - flow_map(z0 - e)) / (2.0 * h)
-    assert np.max(np.abs(traj.jac[-1][:, :3] - J_fd[:, :3])) < 1e-6
+    return np.max(np.abs(traj.jac[-1][:, :3] - J_fd[:, :3]))
+
+
+def test_variational_matches_flow_differentiation():
+    assert _variational_vs_flow_differentiation("rk4") < 1e-6
+
+
+def test_leapfrog_variational_matches_flow_differentiation():
+    # the exact tangent of the discrete map leaves only the differencing error
+    assert _variational_vs_flow_differentiation("leapfrog") < 1e-8
+
+
+@pytest.mark.parametrize("name", ["harmonic_oscillator", "driven_oscillator"])
+def test_leapfrog_jacobian_is_symplectic(name):
+    # the tangent of a symplectic step is symplectic to round-off
+    sys = builtin_system(name)
+    traj = integrate_flow(
+        sys, np.array([0.5, 0.2, 0.0, 0.0]), 50.0, 1e-2, method="leapfrog", with_variational=True
+    )
+    zeta = canonical_zeta(sys.n)
+    assert max(form_residual(J, zeta) for J in traj.jac) <= 1e-12
+
+
+def _counting(sys):
+    calls = dict.fromkeys(("grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
+
+    def counted(name):
+        fn = getattr(sys, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    return dataclasses.replace(sys, **{name: counted(name) for name in calls}), calls
+
+
+@pytest.mark.parametrize(
+    "method, expected",
+    [
+        # 4 field and 4 Jacobian evaluations per step; the field at each new
+        # state is both the stored sample and the next step's first stage
+        ("rk4", {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
+        # per step a drift, the sample's v, one half kick shared with the next
+        # step and one Jacobian; plus the opening sample and Jacobian
+        ("leapfrog", {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
+    ],
+)
+def test_evaluations_per_100_steps(method, expected):
+    sys, calls = _counting(builtin_system("driven_oscillator", n=2))
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.5, 0.1, 0.0, 0.0]), 0.1, 1e-3,
+                          method=method, with_variational=True)
+    assert traj.n_samples == 101
+    assert calls == expected
 
 
 def test_trajectory_accessors():
