@@ -244,11 +244,12 @@ def run_flow(cfg, params, out_dir):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
+    try:
+        probes = trajectory_probes(traj, cfg["probes"], np.random.default_rng(cfg["seed"]))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     write_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-    rng = np.random.default_rng(cfg["seed"])
     rho = make_rho(traj, system)
-    margin = min(25, max(1, (traj.n_samples - 3) // 3))
-    probes = trajectory_probes(traj, cfg["probes"], rng, margin=margin)
     rho_rep = check_invariance(
         rho.as_map(), probes, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
     )

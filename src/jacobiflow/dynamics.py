@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .forms import Dimension, PhasePoint, MapHandle, default_step
 
@@ -303,51 +302,67 @@ def write_csv(traj, path):
 class RhoTransform:
     """Shift transform built from one reference trajectory.
 
-    Maps (q, p, eps, t) to (q + xi(t), p + pi(t), eps + H(q, p, t), t) with
-    xi, pi cubic-spline interpolants of the reference position/momentum
-    shifts.  Defined for t inside the tabulated range only.
+    Maps (q, p, eps, t) to (q + xi(t), p + pi(t), eps + H(q, p, t), t), where
+    (xi, pi) is the reference trajectory's displacement from its initial
+    (q, p).  The displacement is the cubic Hermite interpolant of the stored
+    samples: at every sample time it equals the stored (q, p) and its rate
+    (xi_dot, pi_dot) equals the stored field (v, f), so the transform is exact
+    at the samples up to both ends of the table.  Defined for t inside the
+    tabulated range only.
     """
 
     sys: object
-    t0: float
-    t1: float
-    q0: np.ndarray
-    p0: np.ndarray
-    _sq: object
-    _sp: object
+    tk: np.ndarray  # sample times, increasing
+    table: np.ndarray  # (samples, 2, 2n): interleaved (q, p) and its rate (v, f)
     n: Dimension = dc_field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.sys.n)
 
     def _check_t(self, t):
-        if not (self.t0 <= t <= self.t1):
-            raise ValueError(f"t={t} outside the tabulated range [{self.t0}, {self.t1}]")
+        t0, t1 = self.tk[0], self.tk[-1]
+        if not (t0 <= t <= t1):
+            raise ValueError(f"t={t} outside the tabulated range [{t0}, {t1}]")
+
+    def _shift(self, t):
+        """Interleaved (xi, pi) at t."""
+        return self._hermite(t, 0) - self.table[0, 0]
+
+    def _hermite(self, t, order):
+        """Interleaved (q, p) of the table (order 0) or its rate (order 1) at t."""
+        # the basis weights are written so that at s = 0 and s = 1 every weight
+        # but one is an exact zero: the nodes reproduce the table bitwise
+        self._check_t(t)
+        tk = self.tk
+        i = min(max(int(np.searchsorted(tk, t, side="right")) - 1, 0), len(tk) - 2)
+        h = tk[i + 1] - tk[i]
+        s = (t - tk[i]) / h
+        if order == 0:
+            w = ((2.0 * s - 3.0) * s * s + 1.0, h * ((s - 2.0) * s + 1.0) * s,
+                 (3.0 - 2.0 * s) * s * s, h * (s - 1.0) * s * s)
+        else:
+            w = (6.0 * (s - 1.0) * s / h, (3.0 * s - 4.0) * s + 1.0,
+                 6.0 * (1.0 - s) * s / h, (3.0 * s - 2.0) * s)
+        return np.dot(w, self.table[i : i + 2].reshape(4, -1))
 
     def xi(self, t):
-        self._check_t(t)
-        return self._sq(t) - self.q0
+        return self._shift(t)[0::2]
 
     def pi(self, t):
-        self._check_t(t)
-        return self._sp(t) - self.p0
+        return self._shift(t)[1::2]
 
     def xi_dot(self, t):
-        self._check_t(t)
-        return self._sq(t, 1)
+        return self._hermite(t, 1)[0::2]
 
     def pi_dot(self, t):
-        self._check_t(t)
-        return self._sp(t, 1)
+        return self._hermite(t, 1)[1::2]
 
     def __call__(self, z):
         z = _as_state(z)
         q, p, eps, t = _split(z)
-        self._check_t(t)
         zt = z.copy()
         k = len(z) - 2
-        zt[0:k:2] = q + (self._sq(t) - self.q0)
-        zt[1:k:2] = p + (self._sp(t) - self.p0)
+        zt[:k] = z[:k] + self._shift(t)
         zt[-2] = eps + float(self.sys.value(q, p, t))
         return zt
 
@@ -355,12 +370,10 @@ class RhoTransform:
         """Analytic Jacobian: identity block, gradient row, shift-rate column."""
         z = _as_state(z)
         q, p, _, t = _split(z)
-        self._check_t(t)
         d = len(z)
         k = d - 2
         J = np.eye(d)
-        J[0:k:2, -1] = self._sq(t, 1)
-        J[1:k:2, -1] = self._sp(t, 1)
+        J[:k, -1] = self._hermite(t, 1)
         J[k, 0:k:2] = np.asarray(self.sys.grad_q(q, p, t), dtype=float)
         J[k, 1:k:2] = np.asarray(self.sys.grad_p(q, p, t), dtype=float)
         J[k, -1] = float(self.sys.d_t(q, p, t))
@@ -375,20 +388,16 @@ class RhoTransform:
 def make_rho(traj, sys):
     """Build the shift transform from a trajectory of sys.
 
-    xi(t) and pi(t) are natural cubic splines through the sampled position
-    and momentum shifts relative to the initial state.
+    The interpolation table is the trajectory's own interleaved (q, p)
+    samples with the stored field (v, f) as their rates; nothing is fitted.
     """
-    t = traj.t
     if traj.n_samples < 4:
-        raise ValueError("need at least 4 samples to build the spline tables")
-    sq = CubicSpline(t, traj.q, axis=0, bc_type="natural")
-    sp = CubicSpline(t, traj.p, axis=0, bc_type="natural")
-    return RhoTransform(
-        sys=sys,
-        t0=float(t[0]),
-        t1=float(t[-1]),
-        q0=traj.q[0].copy(),
-        p0=traj.p[0].copy(),
-        _sq=sq,
-        _sp=sp,
-    )
+        raise ValueError(
+            f"need at least 4 samples to build the shift transform, got {traj.n_samples}"
+        )
+    k = traj.n.reduced
+    table = np.empty((traj.n_samples, 2, k))
+    table[:, 0] = traj.z[:, :k]
+    table[:, 1, 0::2] = traj.v
+    table[:, 1, 1::2] = traj.f
+    return RhoTransform(sys=sys, tk=traj.t.copy(), table=table)

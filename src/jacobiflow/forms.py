@@ -211,9 +211,10 @@ def block_to_interleaved(z):
 
 
 def default_step(z):
-    """Finite-difference step h = 1e-5 * max(1, |z|_inf)."""
+    """Finite-difference step h = 1e-5 * max(1, |z|_inf); one step per row of a 2-d z."""
     z = np.asarray(z, dtype=float)
-    return 1e-5 * max(1.0, float(np.max(np.abs(z))) if z.size else 1.0)
+    h = 1e-5 * np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))
+    return float(h) if h.ndim == 0 else h
 
 
 def numeric_jacobian(f, z, h=None):

@@ -21,6 +21,7 @@ from .forms import (
     as_dimension,
     canonical_eta,
     canonical_zeta,
+    default_step,
     form_residual,
     numeric_jacobian,
 )
@@ -190,20 +191,28 @@ def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10, factor_every=10
     )
 
 
-def trajectory_probes(traj, count, rng, margin=25):
-    """Probe points on a stored trajectory, away from the tabulation ends.
+def trajectory_probes(traj, count, rng):
+    """Probe points on a stored trajectory.
 
-    Sample times are drawn from the interior sample indices (the spline
-    tables lose accuracy in a boundary layer at the ends); the energy
-    coordinate is randomized, since no certified quantity depends on it.
+    Each probe is a stored sample with its energy coordinate redrawn from
+    [-2, 2], since no certified quantity depends on it.  Only samples whose
+    finite-difference stencil stays inside the table are drawn: t0 + h <= t_k
+    <= t1 - h, where h is the `default_step` of the probe for any drawn
+    energy.  Raises ValueError when no sample qualifies.
     """
-    lo, hi = margin, traj.n_samples - 1 - margin
-    if hi <= lo:
-        raise ValueError("trajectory too short for the requested margin")
+    widest = traj.z.copy()
+    widest[:, -2] = 2.0  # the draw with the largest default_step
+    h = default_step(widest)
+    t = traj.t
+    room = np.flatnonzero((t - t[0] >= h) & (t[-1] - t >= h))
+    if not room.size:
+        raise ValueError(
+            f"no trajectory sample leaves room for the probe difference step"
+            f" h >= {h.min():.3g} inside the span [{float(t[0])}, {float(t[-1])}]"
+        )
     out = []
     for _ in range(count):
-        k = int(rng.integers(lo, hi + 1))
-        z = traj.z[k].copy()
+        z = traj.z[room[rng.integers(room.size)]].copy()
         z[-2] = rng.uniform(-2.0, 2.0)
         out.append(PhasePoint.from_array(z))
     return out

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -158,6 +162,7 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "t_end = 0.001\n",
         "t_end = 0.003\n",
         "z0 = 1 0 inf 0\n",
+        "z0 = 0 0 0 100000\nt_end = 100001.5\ndt = 0.1\n",
         "--selftest --seed -1",
     ],
 )
@@ -170,6 +175,30 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_late_start_flow_keeps_probes_inside_the_table(tmp_path, capsys):
+    # at t0 = 1e5 the probe difference step is about 1.0, so the stencil of a
+    # probe near either end would leave the tabulated range
+    code, out = _run(tmp_path, "z0 = 0.5 0.1 0.0 100000\nt_end = 100005\n")
+    assert code in (0, 1)
+    assert capsys.readouterr().err == ""
+    inv = json.loads((out / "invariance.json").read_text())
+    assert inv["rho_transform"]["n_probes"] == 20
+    assert inv["flow_jacobians"]["classification"] == "Jacobimorphism"
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, jacobiflow, jacobiflow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_config_file(tmp_path, capsys):

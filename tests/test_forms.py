@@ -149,6 +149,7 @@ def test_numeric_jacobian_nonfinite_map():
 def test_default_step_scales_with_state():
     assert default_step(np.zeros(4)) == 1e-5
     assert default_step(np.array([0.0, 100.0, 0.0, 0.0])) == 1e-3
+    assert np.array_equal(default_step(np.array([[0.0, 0.0], [0.0, -100.0]])), [1e-5, 1e-3])
 
 
 def test_dimension():

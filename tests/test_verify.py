@@ -19,6 +19,7 @@ from jacobiflow import (
     noncommutativity_check,
     trajectory_probes,
 )
+from jacobiflow.forms import default_step
 
 
 def _probes(n=1, count=8, seed=7):
@@ -269,14 +270,20 @@ def test_trajectory_probes_interior():
     probes = trajectory_probes(traj, 50, rng)
     assert len(probes) == 50
     for pt in probes:
-        assert traj.t[25] <= pt.t <= traj.t[-26]
+        h = default_step(pt.to_array())
+        assert traj.t[0] + h <= pt.t <= traj.t[-1] - h
         assert -2.0 <= pt.eps <= 2.0
+    # every sample but the two ends leaves room for the difference stencil
+    short = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 0.5, 0.1)
+    drawn = {pt.t for pt in trajectory_probes(short, 200, np.random.default_rng(0))}
+    assert drawn == set(short.t[1:-1])
 
 
 def test_trajectory_probes_need_room():
-    traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 0.5, 0.1)
-    with pytest.raises(ValueError):
-        trajectory_probes(traj, 5, np.random.default_rng(0), margin=25)
+    # at t0 = 1e5 the probe step is about 1.0, wider than half of the 1.5 span
+    traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 1e5]), 1e5 + 1.5, 0.1)
+    with pytest.raises(ValueError, match=r"h >= 1 inside the span \[100000.0, 100001.5\]"):
+        trajectory_probes(traj, 5, np.random.default_rng(0))
 
 
 def test_box_probes_shape_and_range():
@@ -297,3 +304,30 @@ def test_rho_certifies_on_trajectory():
     assert report.classification == "Jacobimorphism"
     assert report.omega_residual_max <= 1e-5
     assert report.lambda_residual_max <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("name", ["harmonic_oscillator", "driven_oscillator"])
+def test_rho_exact_at_table_ends(name, method):
+    sys = builtin_system(name)
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 5.0, 1e-3, method=method)
+    rho = make_rho(traj, sys)
+    N = traj.n_samples
+    ends = [traj.z[k] for k in (*range(5), *range(N - 5, N))]
+    analytic = MapHandle(rho, traj.n, jacobian=rho.jacobian, name="rho")
+    assert check_invariance(analytic, ends, tol_omega=1e-5).omega_residual_max <= 1e-14
+    near_ends = [traj.z[k] for k in (1, 2, N - 3, N - 2)]
+    report = check_invariance(rho.as_map(), near_ends, tol_omega=1e-5, tol_lambda=1e-8)
+    assert report.classification == "Jacobimorphism"
+
+
+def test_rho_reproduces_the_table_at_the_nodes():
+    sys = builtin_system("driven_oscillator", n=2)
+    traj = integrate_flow(sys, np.array([1.0, 0.2, -0.5, 0.1, 0.0, 0.0]), 2.0, 1e-2)
+    rho = make_rho(traj, sys)
+    q0, p0 = traj.q[0], traj.p[0]
+    for k, t in enumerate(traj.t):
+        assert np.array_equal(rho.xi(t), traj.q[k] - q0)
+        assert np.array_equal(rho.pi(t), traj.p[k] - p0)
+        assert np.array_equal(rho.xi_dot(t), traj.v[k])
+        assert np.array_equal(rho.pi_dot(t), traj.f[k])
