@@ -66,6 +66,9 @@ _PARAM_KEYS = ("mass", "frequency", "amplitude", "drive_frequency", "g")
 _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
 # hamilton_residual takes interior differences, which need 5 samples
 _MIN_FLOW_STEPS = 4
+# a flow stores (steps + 1) Jacobians of (2n+2)^2 floats; larger requests
+# are rejected before anything is allocated
+_MAX_JACOBIAN_BYTES = 2**30
 
 _DEFAULTS = {
     "mode": "flow",
@@ -175,6 +178,11 @@ def validate_config(cfg, present):
             raise ConfigError(
                 f"the flow needs at least {_MIN_FLOW_STEPS} steps, got {steps}"
                 f" (t_end {cfg['t_end']}, initial time {t0}, dt {cfg['dt']})"
+            )
+        if (steps + 1) * d * d * 8 > _MAX_JACOBIAN_BYTES:
+            raise ConfigError(
+                f"the flow's {steps + 1:.3g} Jacobians of {d} x {d} floats exceed the"
+                f" {_MAX_JACOBIAN_BYTES}-byte limit on the Jacobian stack"
             )
     return cfg
 

@@ -292,10 +292,10 @@ def write_csv(traj, path):
     body = np.column_stack(
         [traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r]
     )
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in body:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        fh.writelines(row % tuple(values) for values in body.tolist())
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ the map's Jacobian.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,28 @@ class MapHandle:
         return np.asarray(self.func(np.asarray(z, dtype=float)), dtype=float)
 
 
+@lru_cache(maxsize=None)
+def _canonical(n):
+    # (zeta, eta, zeta°) for n degrees of freedom: built once per n, read-only
+    # and shared by every caller, so the group ops pay a cache lookup only
+    n = as_dimension(n)
+    m = np.zeros((n.extended, n.extended))
+    for k in range(n.n + 1):
+        m[2 * k, 2 * k + 1] = 1.0
+        m[2 * k + 1, 2 * k] = -1.0
+    e = np.zeros((n.extended, n.extended))
+    e[-1, -1] = 1.0
+    return (
+        BilinearForm(kind=FormKind.SYMPLECTIC, matrix=m, n=n),
+        BilinearForm(kind=FormKind.DEGENERATE_ORTHOGONAL, matrix=e, n=n),
+        _freeze(m[: n.reduced, : n.reduced]),
+    )
+
+
+def _key(n):
+    return n.n if isinstance(n, Dimension) else n
+
+
 def canonical_zeta(n):
     """Canonical symplectic matrix on R^(2n+2).
 
@@ -135,28 +158,20 @@ def canonical_zeta(n):
     BilinearForm
         (2n+2)-dimensional matrix of n+1 diagonal blocks [[0, 1], [-1, 0]];
         the final block acts on (eps, t) and the top-left 2n x 2n block is
-        the reduced symplectic matrix zeta°.
+        the reduced symplectic matrix zeta°.  Built once per n; the matrix
+        is read-only and shared.
     """
-    n = as_dimension(n)
-    m = np.zeros((n.extended, n.extended))
-    for k in range(n.n + 1):
-        m[2 * k, 2 * k + 1] = 1.0
-        m[2 * k + 1, 2 * k] = -1.0
-    return BilinearForm(kind=FormKind.SYMPLECTIC, matrix=m, n=n)
+    return _canonical(_key(n))[0]
 
 
 def canonical_eta(n):
-    """Degenerate time metric on R^(2n+2): zeros except eta[t, t] = 1."""
-    n = as_dimension(n)
-    m = np.zeros((n.extended, n.extended))
-    m[-1, -1] = 1.0
-    return BilinearForm(kind=FormKind.DEGENERATE_ORTHOGONAL, matrix=m, n=n)
+    """Degenerate time metric on R^(2n+2): zeros except eta[t, t] = 1 (shared, read-only)."""
+    return _canonical(_key(n))[1]
 
 
 def zeta_reduced(n):
-    """Reduced symplectic matrix zeta° on R^(2n) (interleaved pairs)."""
-    n = as_dimension(n)
-    return canonical_zeta(n).matrix[: n.reduced, : n.reduced].copy()
+    """Reduced symplectic matrix zeta° on R^(2n) (interleaved pairs; shared, read-only)."""
+    return _canonical(_key(n))[2]
 
 
 def form_matrix(F):
@@ -174,6 +189,28 @@ def form_residual(M, F):
     if M.shape != F.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"shape mismatch: M {M.shape} vs form {F.shape}")
     return float(np.max(np.abs(M.T @ F @ M - F)))
+
+
+def zeta_residual(J):
+    """Symplectic residual of a (d, d) matrix, or of each matrix of a (..., d, d) stack.
+
+    Bitwise equal to `form_residual(J, canonical_zeta(n))` per matrix, with
+    no input checks: J must be a float array with d = 2n + 2 >= 4.
+    """
+    zeta = canonical_zeta((J.shape[-1] - 2) // 2).matrix
+    return abs(J.swapaxes(-1, -2) @ zeta @ J - zeta).max(axis=(-2, -1))
+
+
+def eta_residual(J):
+    """Time-metric residual of a (d, d) matrix, or of each matrix of a (..., d, d) stack.
+
+    J^T eta J is the outer product of J's last row with itself, so this is
+    bitwise equal to `form_residual(J, canonical_eta(n))` per matrix for
+    finite J, without the two matrix products; no input checks.
+    """
+    eta = canonical_eta((J.shape[-1] - 2) // 2).matrix
+    last = J[..., -1, :]
+    return abs(last[..., :, None] * last[..., None, :] - eta).max(axis=(-2, -1))
 
 
 def block_permutation(n):

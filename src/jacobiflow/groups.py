@@ -20,19 +20,28 @@ parameters as (Sigma, w, r) -> (Sigma, tr*w, r), and the Delta factors are
 collected on the right.  The matrix realization multiplies like the group
 exactly when the left factor has tr = +1; Delta(-1) itself preserves only
 the time metric, not the symplectic form.
+
+Validation happens where elements enter: the class constructors check
+shapes and signs, and `SymplecticBlock` (hence `JacobiElement.from_parts`,
+`from_dict` and `identity`) checks the symplectic residual against its
+`tol`.  Results that are members by construction (products, inverses,
+conjugates, the `vfr_convert`/`heisenberg_from_vfr` conversions, and the
+output of `jacobi_factor` once its own checks pass) are built by
+`_trusted`, which neither re-checks nor copies.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .forms import (
     Dimension,
     as_dimension,
-    canonical_eta,
-    canonical_zeta,
+    eta_residual,
     form_residual,
     zeta_reduced,
+    zeta_residual,
     TOL_EXACT,
     _freeze,
 )
@@ -56,6 +65,27 @@ class PatternViolation(FactorError):
 
 class NotARotation(FactorError):
     pass
+
+
+def _trusted(cls, **fields):
+    # An element whose fields hold by construction: products, inverses,
+    # factors and conversions of valid elements.  Skips __post_init__: no
+    # checks and no copies, so every array field must be passed through
+    # `_owned` or already belong to a valid element.
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _owned(a):
+    # a fresh float array that becomes an element's read-only storage
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _identity(k):
+    return _owned(np.eye(k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +116,7 @@ class HeisenbergElement:
         return heisenberg_inv(self)
 
     def matrix(self):
-        return jacobi_matrix(JacobiElement.from_parts(np.eye(self.n.reduced), self.w, self.r))
+        return _realize(_identity(self.n.reduced), self.w, self.r, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +188,8 @@ class JacobiElement:
         """JSON-ready dict {n, sigma (row-major), w, r, eps}."""
         return {
             "n": self.n.n,
-            "sigma": [float(x) for x in self.sigma.sigma.ravel()],
-            "w": [float(x) for x in self.w],
+            "sigma": self.sigma.sigma.ravel().tolist(),
+            "w": self.w.tolist(),
             "r": float(self.r),
             "eps": int(self.tr),
         }
@@ -236,13 +266,15 @@ def heisenberg_mul(a, b):
     (w_a, r_a) (w_b, r_b) = (w_a + w_b, r_a + r_b + 1/2 w_a^T zeta° w_b).
     """
     _check_same_n(a, b)
-    z0 = zeta_reduced(a.n)
-    return HeisenbergElement(w=a.w + b.w, r=a.r + b.r + 0.5 * float(a.w @ z0 @ b.w))
+    z0 = zeta_reduced(a.n.n)
+    return _trusted(
+        HeisenbergElement, w=_owned(a.w + b.w), r=a.r + b.r + 0.5 * float(a.w @ z0 @ b.w), n=a.n
+    )
 
 
 def heisenberg_inv(a):
     """Inverse (-w, -r)."""
-    return HeisenbergElement(w=-a.w, r=-a.r)
+    return _trusted(HeisenbergElement, w=_owned(-a.w), r=-a.r, n=a.n)
 
 
 def heisenberg_generators(n):
@@ -273,21 +305,23 @@ def heisenberg_generators(n):
 def conjugate_by_sp(s, a):
     """Sigma Upsilon(w, r) Sigma^{-1} = Upsilon(Sigma w, r); r is untouched."""
     _check_same_n(s, a)
-    return HeisenbergElement(w=s.sigma @ a.w, r=a.r)
+    return _trusted(HeisenbergElement, w=_owned(s.sigma @ a.w), r=a.r, n=a.n)
 
 
 def jacobi_matrix(g):
     """Matrix realization Gamma°(Sigma, w, r) . Delta(tr) in canonical ordering."""
-    d = g.n.extended
-    k = g.n.reduced
-    z0 = zeta_reduced(g.n)
-    M = np.zeros((d, d))
-    M[:k, :k] = g.sigma.sigma
-    M[:k, -1] = g.tr * g.w
-    M[k, :k] = (g.w @ z0) @ g.sigma.sigma
+    return _realize(g.sigma.sigma, g.w, g.r, g.tr)
+
+
+def _realize(sigma, w, r, tr):
+    k = len(w)
+    M = np.zeros((k + 2, k + 2))
+    M[:k, :k] = sigma
+    M[:k, -1] = tr * w
+    M[k, :k] = (w @ zeta_reduced(k // 2)) @ sigma
     M[k, k] = 1.0
-    M[k, -1] = g.tr * 2.0 * g.r
-    M[-1, -1] = g.tr
+    M[k, -1] = tr * 2.0 * r
+    M[-1, -1] = tr
     return M
 
 
@@ -300,27 +334,30 @@ def jacobi_mul(a, b):
     conjugation acting on parameters), and the signs multiply.
     """
     _check_same_n(a, b)
-    z0 = zeta_reduced(a.n)
-    wb = a.tr * b.w
-    shift = a.sigma.sigma @ wb
-    return JacobiElement(
-        sigma=SymplecticBlock(a.sigma.sigma @ b.sigma.sigma, tol=np.inf),
-        w=a.w + shift,
+    z0 = zeta_reduced(a.n.n)
+    shift = a.sigma.sigma @ (a.tr * b.w)
+    return _trusted(
+        JacobiElement,
+        sigma=_trusted(SymplecticBlock, sigma=_owned(a.sigma.sigma @ b.sigma.sigma), n=a.n),
+        w=_owned(a.w + shift),
         r=a.r + b.r + 0.5 * float(a.w @ z0 @ shift),
         tr=a.tr * b.tr,
+        n=a.n,
     )
 
 
 def jacobi_inv(a):
     """Inverse (Sigma^{-1}, -tr * Sigma^{-1} w, -r, tr)."""
-    z0 = zeta_reduced(a.n)
+    z0 = zeta_reduced(a.n.n)
     # symplectic inverse without a linear solve: Sigma^{-1} = zeta°^{-1} Sigma^T zeta°
     sig_inv = -z0 @ a.sigma.sigma.T @ z0
-    return JacobiElement(
-        sigma=SymplecticBlock(sig_inv, tol=np.inf),
-        w=-a.tr * (sig_inv @ a.w),
+    return _trusted(
+        JacobiElement,
+        sigma=_trusted(SymplecticBlock, sigma=_owned(sig_inv), n=a.n),
+        w=_owned(-a.tr * (sig_inv @ a.w)),
         r=-a.r,
         tr=a.tr,
+        n=a.n,
     )
 
 
@@ -342,7 +379,7 @@ def jacobi_factor(M, tol=TOL_EXACT):
         raise ValueError(f"expected a square matrix of even dimension >= 4, got {M.shape}")
     n = as_dimension((M.shape[0] - 2) // 2)
     k = n.reduced
-    res_eta = form_residual(M, canonical_eta(n))
+    res_eta = eta_residual(M)
     if res_eta > tol:
         raise NotTimePreserving(f"time-metric residual {res_eta:.3e} > {tol:.1e}")
     s = 1 if M[-1, -1] > 0 else -1
@@ -352,18 +389,25 @@ def jacobi_factor(M, tol=TOL_EXACT):
     w = G[:k, -1].copy()
     r = 0.5 * G[k, -1]
     bad = max(
-        np.max(np.abs(G[-1, :-1])),
+        abs(G[-1, :-1]).max(),
         abs(G[-1, -1] - 1.0),
-        np.max(np.abs(G[:k, k])),
+        abs(G[:k, k]).max(),
         abs(G[k, k] - 1.0),
-        np.max(np.abs(G[k, :k] - (w @ zeta_reduced(n)) @ sigma)),
+        abs(G[k, :k] - (w @ zeta_reduced(n.n)) @ sigma).max(),
     )
     if bad > tol:
         raise PatternViolation(f"block pattern deviates by {bad:.3e} > {tol:.1e}")
-    res_zeta = form_residual(G, canonical_zeta(n))
+    res_zeta = zeta_residual(G)
     if res_zeta > tol:
         raise NotSymplectic(f"symplectic residual {res_zeta:.3e} > {tol:.1e}")
-    return JacobiElement(sigma=SymplecticBlock(sigma, tol=np.inf), w=w, r=r, tr=s)
+    return _trusted(
+        JacobiElement,
+        sigma=_trusted(SymplecticBlock, sigma=_owned(sigma.copy()), n=n),
+        w=_owned(w),
+        r=float(r),
+        tr=s,
+        n=n,
+    )
 
 
 def igl_factor(L, tol=TOL_EXACT):
@@ -376,8 +420,7 @@ def igl_factor(L, tol=TOL_EXACT):
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 4 or L.shape[0] % 2:
         raise ValueError(f"expected a square matrix of even dimension >= 4, got {L.shape}")
-    n = as_dimension((L.shape[0] - 2) // 2)
-    res_eta = form_residual(L, canonical_eta(n))
+    res_eta = eta_residual(L)
     if res_eta > tol:
         raise NotTimePreserving(
             f"bottom row must be (0, ..., 0, +-1): time-metric residual {res_eta:.3e} > {tol:.1e}"
@@ -417,7 +460,8 @@ def vfr_convert(a):
     normalization r_phys = 2r; lossless round-trip with
     `heisenberg_from_vfr`.
     """
-    return VfrView(v=a.w[0::2].copy(), f=a.w[1::2].copy(), r_phys=2.0 * a.r)
+    v, f = _owned(a.w.reshape(-1, 2).T.copy())
+    return _trusted(VfrView, v=v, f=f, r_phys=2.0 * a.r, n=a.n)
 
 
 def heisenberg_from_vfr(view):
@@ -425,7 +469,7 @@ def heisenberg_from_vfr(view):
     w = np.empty(view.n.reduced)
     w[0::2] = view.v
     w[1::2] = view.f
-    return HeisenbergElement(w=w, r=0.5 * view.r_phys)
+    return _trusted(HeisenbergElement, w=_owned(w), r=0.5 * view.r_phys, n=view.n)
 
 
 def random_symplectic(n, rng, factors=4):

@@ -19,11 +19,11 @@ from .forms import (
     MapHandle,
     PhasePoint,
     as_dimension,
-    canonical_eta,
-    canonical_zeta,
     default_step,
-    form_residual,
+    eta_residual,
+    form_residual,  # noqa: F401  (unused here; perfbench/tracing.py wraps verify.form_residual)
     numeric_jacobian,
+    zeta_residual,
 )
 from .groups import (
     FactorError,
@@ -36,6 +36,10 @@ from .groups import (
 )
 
 CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", "Neither")
+
+# Jacobians per residual pass: bounds the pass's temporaries to a few
+# (chunk, d, d) arrays however long the trajectory is
+_RESIDUAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -98,31 +102,41 @@ def _probe_array(probe):
     return probe.to_array() if isinstance(probe, PhasePoint) else np.asarray(probe, dtype=float)
 
 
-def _report_from_jacobians(jacobians, probes, tol_omega, tol_lambda, n):
-    zeta = canonical_zeta(n)
-    eta = canonical_eta(n)
-    res_o = [form_residual(J, zeta) for J in jacobians]
-    res_l = [form_residual(J, eta) for J in jacobians]
-    omega_ok = max(res_o) <= tol_omega
-    lambda_ok = max(res_l) <= tol_lambda
+def _report_from_jacobians(jacobians, probes, tol_omega, tol_lambda, n, idx):
+    """Report on a (m, d, d) Jacobian stack.
+
+    The residual maxima run over every matrix; the matrices at the indices
+    `idx` are the ones factored and whose residuals are listed.
+    """
+    d = as_dimension(n).extended
+    if jacobians.ndim != 3 or jacobians.shape[1:] != (d, d):
+        raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {jacobians.shape}")
+    res_o = np.empty(len(jacobians))
+    res_l = np.empty(len(jacobians))
+    for s in range(0, len(jacobians), _RESIDUAL_CHUNK):
+        part = jacobians[s : s + _RESIDUAL_CHUNK]
+        res_o[s : s + _RESIDUAL_CHUNK] = zeta_residual(part)
+        res_l[s : s + _RESIDUAL_CHUNK] = eta_residual(part)
+    omega_ok = res_o.max() <= tol_omega
+    lambda_ok = res_l.max() <= tol_lambda
     factors = None
     factored = False
     if omega_ok and lambda_ok:
         tol_factor = max(tol_omega, tol_lambda)
         try:
-            factors = tuple(jacobi_factor(J, tol=tol_factor) for J in jacobians)
+            factors = tuple(jacobi_factor(jacobians[k], tol=tol_factor) for k in idx)
             factored = True
         except FactorError:
             factors = None
     cls = _classify(omega_ok, lambda_ok, factored)
     return InvarianceReport(
-        omega_residual_max=float(max(res_o)),
-        lambda_residual_max=float(max(res_l)),
+        omega_residual_max=float(res_o.max()),
+        lambda_residual_max=float(res_l.max()),
         probes=tuple(probes),
         classification=cls,
         factorization=factors if cls == "Jacobimorphism" else None,
-        omega_residuals=tuple(float(x) for x in res_o),
-        lambda_residuals=tuple(float(x) for x in res_l),
+        omega_residuals=tuple(res_o[idx].tolist()),
+        lambda_residuals=tuple(res_l[idx].tolist()),
         tol_omega=tol_omega,
         tol_lambda=tol_lambda,
     )
@@ -148,7 +162,9 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     arrays = [_probe_array(pr) for pr in probes]
     n = (len(arrays[0]) - 2) // 2
     jacobians = [np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z) for z in arrays]
-    return _report_from_jacobians(jacobians, probes, tol_omega, tol_lambda, n)
+    return _report_from_jacobians(
+        np.array(jacobians), probes, tol_omega, tol_lambda, n, range(len(jacobians))
+    )
 
 
 def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10, factor_every=10):
@@ -162,33 +178,8 @@ def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10, factor_every=10
     idx = list(range(0, traj.n_samples, factor_every))
     if idx[-1] != traj.n_samples - 1:
         idx.append(traj.n_samples - 1)
-    zeta = canonical_zeta(traj.n)
-    eta = canonical_eta(traj.n)
-    res_o = [form_residual(J, zeta) for J in traj.jac]
-    res_l = [form_residual(J, eta) for J in traj.jac]
-    omega_ok = max(res_o) <= tol_omega
-    lambda_ok = max(res_l) <= tol_lambda
-    factors = None
-    factored = False
-    if omega_ok and lambda_ok:
-        tol_factor = max(tol_omega, tol_lambda)
-        try:
-            factors = tuple(jacobi_factor(traj.jac[k], tol=tol_factor) for k in idx)
-            factored = True
-        except FactorError:
-            factors = None
-    cls = _classify(omega_ok, lambda_ok, factored)
-    return InvarianceReport(
-        omega_residual_max=float(max(res_o)),
-        lambda_residual_max=float(max(res_l)),
-        probes=tuple(traj.point(k) for k in idx),
-        classification=cls,
-        factorization=factors if cls == "Jacobimorphism" else None,
-        omega_residuals=tuple(float(res_o[k]) for k in idx),
-        lambda_residuals=tuple(float(res_l[k]) for k in idx),
-        tol_omega=tol_omega,
-        tol_lambda=tol_lambda,
-    )
+    probes = [traj.point(k) for k in idx]
+    return _report_from_jacobians(traj.jac, probes, tol_omega, tol_lambda, traj.n, idx)
 
 
 def trajectory_probes(traj, count, rng):
@@ -285,10 +276,13 @@ def noncommutativity_check(a, b):
         raise ValueError(f"dimension mismatch: n={a.n.n} vs n={b.n.n}")
     ha = heisenberg_from_vfr(a)
     hb = heisenberg_from_vfr(b)
-    left = vfr_convert(heisenberg_mul(ha, hb))
-    right = vfr_convert(heisenberg_mul(hb, ha))
-    if not (np.array_equal(left.v, right.v) and np.array_equal(left.f, right.f)):
+    hab = heisenberg_mul(ha, hb)
+    hba = heisenberg_mul(hb, ha)
+    # w interleaves (v, f)
+    if not (hab.w == hba.w).all():
         raise RuntimeError("(v, f) parts of the two orderings disagree")
+    left = vfr_convert(hab)
+    right = vfr_convert(hba)
     commutator_r = left.r_phys - right.r_phys
     Ma = ha.matrix()
     Mb = hb.matrix()

@@ -163,6 +163,9 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "t_end = 0.003\n",
         "z0 = 1 0 inf 0\n",
         "z0 = 0 0 0 100000\nt_end = 100001.5\ndt = 0.1\n",
+        # Jacobian stacks over the byte limit, rejected before allocating
+        "t_end = 1e300\n",
+        "n = 16\nt_end = 200\n",
         "--selftest --seed -1",
     ],
 )

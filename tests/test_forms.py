@@ -13,7 +13,7 @@ from jacobiflow import (
     interleaved_to_block,
     numeric_jacobian,
 )
-from jacobiflow.forms import as_dimension, default_step, zeta_reduced
+from jacobiflow.forms import as_dimension, default_step, eta_residual, zeta_reduced, zeta_residual
 
 
 def test_zeta_n1_matrix():
@@ -64,6 +64,24 @@ def test_form_residual_identity_zero():
 def test_form_residual_accepts_plain_matrix():
     z = canonical_zeta(1).matrix
     assert form_residual(np.eye(4), z) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_stacked_residuals_match_form_residual(n):
+    # per matrix and over a stack, bit for bit; some last rows are exactly
+    # the time metric's, where the residual's zero must come out exactly
+    rng = np.random.default_rng(n)
+    d = 2 * n + 2
+    Js = rng.normal(size=(40, d, d)) * rng.uniform(0.0, 10.0, (40, 1, 1))
+    Js[::3, -1] = 0.0
+    Js[::3, -1, -1] = 1.0
+    want_o = [form_residual(J, canonical_zeta(n)) for J in Js]
+    want_l = [form_residual(J, canonical_eta(n)) for J in Js]
+    assert zeta_residual(Js).tolist() == want_o
+    assert eta_residual(Js).tolist() == want_l
+    assert [float(zeta_residual(J)) for J in Js] == want_o
+    assert [float(eta_residual(J)) for J in Js] == want_l
+    assert want_l[0] == 0.0
 
 
 def test_form_residual_shape_mismatch():
