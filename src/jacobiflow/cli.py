@@ -1,4 +1,4 @@
-"""Batch front-end: scenario runs, map checks, and group self-test suites.
+"""Batch front-end: argument parsing, config validation, and the report files.
 
 Scenarios come from a flat "key = value" config file ('#' starts a comment,
 unknown and duplicate keys are rejected).  Two modes:
@@ -8,9 +8,11 @@ unknown and duplicate keys are rejected).  Two modes:
   transform, and write the invariance and ledger reports;
 * mode = map: certify one of the builtin catalog maps at random probes.
 
---selftest runs the group-law suites with a fixed seed and writes a JSON
-summary.  Exit codes: 0 all checks pass, 1 a verification failed (reports
-are still written), 2 bad configuration or usage.
+--selftest runs the group-law suites of `selftest` from the seed and writes
+their checks to selftest.json.  Every config value and flag is checked
+before any work starts.  Exit codes: 0 all checks pass, 1 a verification
+failed (reports are still written), 2 bad configuration or usage (one
+"config error:" line on stderr for a rejected value).
 """
 
 import argparse
@@ -22,22 +24,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .forms import MapHandle, PhasePoint, as_dimension, block_to_interleaved
-from .groups import (
-    FactorError,
-    HeisenbergElement,
-    JacobiElement,
-    IglElement,
-    PatternViolation,
-    VfrView,
-    conjugate_by_sp,
-    euclidean_element,
-    heisenberg_generators,
-    igl_factor,
-    jacobi_factor,
-    random_jacobi,
-    vfr_convert,
-)
+from .forms import MapHandle, as_dimension, block_to_interleaved
+from .selftest import FACTOR_TOL, run_checks
 from .systems import BUILTIN_SYSTEMS, builtin_system
 from .dynamics import integrate_flow, make_rho, step_count, write_csv
 from .verify import (
@@ -46,7 +34,6 @@ from .verify import (
     check_invariance,
     energy_ledger,
     hamilton_residual,
-    noncommutativity_check,
     trajectory_probes,
 )
 
@@ -69,6 +56,10 @@ _MIN_FLOW_STEPS = 4
 # a flow stores (steps + 1) Jacobians of (2n+2)^2 floats; larger requests
 # are rejected before anything is allocated
 _MAX_JACOBIAN_BYTES = 2**30
+# each probe costs a finite-difference Jacobian and a factorization
+_MAX_PROBES = 10_000
+# the Lie-algebra suite's cost grows as --n cubed; --n 16 takes about 1.2 s
+_MAX_SELFTEST_N = 16
 
 _DEFAULTS = {
     "mode": "flow",
@@ -146,13 +137,13 @@ def validate_config(cfg, present):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if not cfg["dt"] > 0:
         raise ConfigError(f"dt must be positive, got {cfg['dt']}")
-    if cfg["probes"] < 1:
-        raise ConfigError(f"probes must be >= 1, got {cfg['probes']}")
+    if not 1 <= cfg["probes"] <= _MAX_PROBES:
+        raise ConfigError(f"probes must lie in 1..{_MAX_PROBES}, got {cfg['probes']}")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     for key in ("tol_omega", "tol_lambda", "tol_hamilton", "tol_ledger"):
-        if not cfg[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+        if not 0 < cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
     if cfg["map"] not in _MAP_NAMES:
         raise ConfigError(f"map must be one of {_MAP_NAMES}, got {cfg['map']!r}")
     if cfg["system"] not in BUILTIN_SYSTEMS:
@@ -345,249 +336,18 @@ def run_scenario(cfg, present, out_dir):
     return run_flow(cfg, params, out_dir)
 
 
-# selftest suites
-
-
-def _check(name, residual, threshold, count):
-    return {
-        "name": name,
-        "passed": bool(residual <= threshold),
-        "residual": float(residual),
-        "threshold": float(threshold),
-        "count": int(count),
-    }
-
-
-def _rand_heis(n, rng):
-    return HeisenbergElement(w=rng.uniform(-2.0, 2.0, 2 * n), r=float(rng.uniform(-2.0, 2.0)))
-
-
-def _elem_dist(a, b):
-    return max(
-        float(np.max(np.abs(a.sigma.sigma - b.sigma.sigma))),
-        float(np.max(np.abs(a.w - b.w))),
-        abs(a.r - b.r),
-        float(abs(a.tr - b.tr)),
-    )
-
-
-def _heis_dist(a, b):
-    return max(float(np.max(np.abs(a.w - b.w))), abs(a.r - b.r))
-
-
-def _check_heisenberg_axioms(rng, reps=200):
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        e = HeisenbergElement.identity(n)
-        for _ in range(reps):
-            a, b, c = (_rand_heis(n, rng) for _ in range(3))
-            worst = max(worst, _heis_dist((a * b) * c, a * (b * c)))
-            worst = max(worst, _heis_dist(a * e, a), _heis_dist(e * a, a))
-            worst = max(worst, _heis_dist(a * a.inv(), e), _heis_dist(a.inv() * a, e))
-            count += 1
-    return _check("heisenberg_axioms", worst, 1e-12, count)
-
-
-def _check_jacobi_axioms(rng, reps=200):
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        e = JacobiElement.identity(n)
-        for _ in range(reps):
-            a, b, c = (random_jacobi(n, rng) for _ in range(3))
-            worst = max(worst, _elem_dist((a * b) * c, a * (b * c)))
-            worst = max(worst, _elem_dist(a * a.inv(), e), _elem_dist(a.inv() * a, e))
-            count += 1
-    return _check("jacobi_axioms", worst, 1e-10, count)
-
-
-def _check_matrix_homomorphism(rng, reps=200):
-    # the matrix realization multiplies like the group when the left
-    # factor keeps time direction
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        for _ in range(reps):
-            a = random_jacobi(n, rng, tr=1)
-            b = random_jacobi(n, rng)
-            worst = max(worst, float(np.max(np.abs((a * b).matrix() - a.matrix() @ b.matrix()))))
-            count += 1
-    return _check("matrix_homomorphism", worst, 1e-10, count)
-
-
-def _check_matrix_inverse(rng, reps=200):
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        for _ in range(reps):
-            a = random_jacobi(n, rng, tr=1)
-            worst = max(
-                worst, float(np.max(np.abs(a.inv().matrix() - np.linalg.inv(a.matrix()))))
-            )
-            count += 1
-    return _check("matrix_inverse", worst, 1e-10, count)
-
-
-def _check_sp_conjugation(rng, reps=100):
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        for _ in range(reps):
-            g = random_jacobi(n, rng, tr=1)
-            s = JacobiElement(sigma=g.sigma, w=np.zeros(2 * n), r=0.0)
-            a = _rand_heis(n, rng)
-            lhs = conjugate_by_sp(g.sigma, a).matrix()
-            rhs = s.matrix() @ a.matrix() @ s.inv().matrix()
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-            count += 1
-    return _check("sp_conjugation", worst, 1e-10, count)
-
-
-def _check_factor_roundtrip(rng, reps=200):
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        for _ in range(reps):
-            g = random_jacobi(n, rng)
-            worst = max(worst, _elem_dist(jacobi_factor(g.matrix(), tol=1e-9), g))
-            count += 1
-    return _check("factor_roundtrip", worst, 1e-10, count)
-
-
-def _check_igl_roundtrip(rng, reps=200):
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        for _ in range(reps):
-            m = 2 * n + 1
-            omega = rng.uniform(-1.0, 1.0, (m, m)) + 2.0 * np.eye(m)
-            el = IglElement(omega=omega, u=rng.uniform(-2.0, 2.0, m), eps=int(rng.choice([-1, 1])))
-            back = igl_factor(el.matrix(), tol=1e-9)
-            worst = max(
-                worst,
-                float(np.max(np.abs(back.omega - el.omega))),
-                float(np.max(np.abs(back.u - el.u))),
-                float(abs(back.eps - el.eps)),
-            )
-            count += 1
-    return _check("igl_roundtrip", worst, 1e-12, count)
-
-
-def _check_lie_algebra(n_max):
-    worst, count = 0, 0
-    for n in range(1, n_max + 1):
-        gens = heisenberg_generators(n)
-        W, R = gens[:-1], gens[-1]
-        z0 = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        for k in range(n):
-            z0[2 * k, 2 * k + 1] = 1
-            z0[2 * k + 1, 2 * k] = -1
-        for a in range(2 * n):
-            for b in range(2 * n):
-                comm = W[a] @ W[b] - W[b] @ W[a]
-                worst = max(worst, int(np.max(np.abs(comm - z0[a, b] * R))))
-                count += 1
-            commR = W[a] @ R - R @ W[a]
-            worst = max(worst, int(np.max(np.abs(commR))))
-            count += 1
-    return _check("lie_algebra", worst, 0, count)
-
-
-def _check_delta_automorphism(rng, reps=100):
-    # conjugating a translation by the time-reversal element flips w,
-    # keeps r; exact in the parameter composition
-    worst, count = 0.0, 0
-    for n in (1, 2, 3):
-        d = JacobiElement.from_parts(np.eye(2 * n), np.zeros(2 * n), 0.0, tr=-1)
-        for _ in range(reps):
-            h = _rand_heis(n, rng)
-            g = JacobiElement.from_parts(np.eye(2 * n), h.w, h.r)
-            conj = d * g * d.inv()
-            expect = JacobiElement.from_parts(np.eye(2 * n), -h.w, h.r)
-            worst = max(worst, _elem_dist(conj, expect))
-            count += 1
-    return _check("delta_automorphism", worst, 0, count)
-
-
-def _check_commutators(rng, reps=100):
-    worst, count = 0.0, 0
-    for _ in range(reps):
-        n = int(rng.integers(1, 4))
-        a = VfrView(
-            v=rng.integers(-3, 4, n).astype(float),
-            f=rng.integers(-3, 4, n).astype(float),
-            r_phys=float(rng.integers(-3, 4)),
-        )
-        b = VfrView(
-            v=rng.integers(-3, 4, n).astype(float),
-            f=rng.integers(-3, 4, n).astype(float),
-            r_phys=float(rng.integers(-3, 4)),
-        )
-        left, right, comm = noncommutativity_check(a, b)
-        expect = 2.0 * (float(a.v @ b.f) - float(a.f @ b.v))
-        worst = max(worst, abs(comm - expect))
-        inert_a = VfrView(v=a.v, f=np.zeros(n), r_phys=0.0)
-        inert_b = VfrView(v=b.v, f=np.zeros(n), r_phys=0.0)
-        worst = max(worst, abs(noncommutativity_check(inert_a, inert_b)[2]))
-        count += 1
-    return _check("commutators", worst, 0, count)
-
-
-def _random_rotation(m, rng):
-    Q, R = np.linalg.qr(rng.normal(size=(m, m)))
-    Q = Q * np.sign(np.diag(R))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def _check_euclidean(rng, reps=50):
-    worst, count = 0.0, 0
-    for n in (2, 3):
-        for _ in range(reps):
-            a = euclidean_element(_random_rotation(n, rng), rng.uniform(-2.0, 2.0, n))
-            b = euclidean_element(_random_rotation(n, rng), rng.uniform(-2.0, 2.0, n))
-            ga = jacobi_factor(a.matrix(), tol=1e-9)
-            if np.max(np.abs(a.w)) > 0 and not np.max(np.abs(ga.w)) > 0:
-                worst = np.inf  # a moving frame must not factor as canonical
-            c = a * b
-            view = vfr_convert(c.heisenberg_part())
-            worst = max(worst, float(np.max(np.abs(view.f))), abs(c.r))
-            count += 1
-    return _check("euclidean_subgroup", worst, 1e-12, count)
-
-
-def _check_fuzz(rng, magnitude):
-    g = random_jacobi(2, rng, tr=1)
-    M = g.matrix()
-    M[0, 4] += magnitude  # a structural zero of the normal form
-    try:
-        jacobi_factor(M, tol=1e-9)
-        passed = False
-    except PatternViolation:
-        passed = True
-    except FactorError:
-        passed = False
-    return {
-        "name": "fuzz_pattern_violation",
-        "passed": passed,
-        "residual": float(magnitude),
-        "threshold": 1e-9,
-        "count": 1,
-    }
+def validate_selftest(seed, n_max, fuzz):
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not 1 <= n_max <= _MAX_SELFTEST_N:
+        raise ConfigError(f"--n must lie in 1..{_MAX_SELFTEST_N}, got {n_max}")
+    # a perturbation no larger than the factorization tolerance cannot be detected
+    if fuzz is not None and not (math.isfinite(fuzz) and abs(fuzz) > FACTOR_TOL):
+        raise ConfigError(f"--fuzz must be finite with |MAG| > {FACTOR_TOL:g}, got {fuzz}")
 
 
 def run_selftest(seed, n_max, fuzz, out_dir):
-    rng = np.random.default_rng(seed)
-    checks = [
-        _check_heisenberg_axioms(rng),
-        _check_jacobi_axioms(rng),
-        _check_matrix_homomorphism(rng),
-        _check_matrix_inverse(rng),
-        _check_sp_conjugation(rng),
-        _check_factor_roundtrip(rng),
-        _check_igl_roundtrip(rng),
-        _check_lie_algebra(n_max),
-        _check_delta_automorphism(rng),
-        _check_commutators(rng),
-        _check_euclidean(rng),
-    ]
-    if fuzz is not None:
-        checks.append(_check_fuzz(rng, fuzz))
+    checks = run_checks(seed, n_max, fuzz)
     ok = all(c["passed"] for c in checks)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(
@@ -629,23 +389,14 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    if args.selftest:
-        if args.n < 1:
-            print("error: --n must be >= 1", file=sys.stderr)
-            return 2
-        if args.seed is not None and args.seed < 0:
-            print(f"config error: seed must be >= 0, got {args.seed}", file=sys.stderr)
-            return 2
-        return run_selftest(
-            seed=args.seed if args.seed is not None else 0,
-            n_max=args.n,
-            fuzz=args.fuzz,
-            out_dir=args.out,
-        )
-    if not args.config:
+    if not (args.selftest or args.config):
         print("error: either --config or --selftest is required", file=sys.stderr)
         return 2
     try:
+        if args.selftest:
+            seed = 0 if args.seed is None else args.seed
+            validate_selftest(seed, args.n, args.fuzz)
+            return run_selftest(seed, args.n, args.fuzz, args.out)
         cfg, present = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -361,22 +361,32 @@ def jacobi_inv(a):
     )
 
 
+def _factor_input(M):
+    # a NaN passes every "residual > tol" check, so non-finite input is rejected first
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 4 or M.shape[0] % 2:
+        raise ValueError(f"expected a square matrix of even dimension >= 4, got {M.shape}")
+    if not np.isfinite(M).all():
+        bad = np.argwhere(~np.isfinite(M)).tolist()
+        raise FactorError(f"{len(bad)} of {M.size} entries are not finite: (row, column) {bad[:6]}")
+    return M
+
+
 def jacobi_factor(M, tol=TOL_EXACT):
     """Factor a matrix into (Sigma, w, r, tr), verifying membership.
 
-    Checks, in order: the time-metric residual (NotTimePreserving), the
-    block pattern of the normal form after stripping Delta(tr)
-    (PatternViolation), and the symplectic residual of the stripped factor
-    (NotSymplectic).  The pattern check runs before the symplectic one so
-    that a structural violation is reported as such even though it also
-    breaks the symplectic residual.
+    Checks, in order: that every entry is finite (FactorError), the
+    time-metric residual (NotTimePreserving), the block pattern of the
+    normal form after stripping Delta(tr) (PatternViolation), and the
+    symplectic residual of the stripped factor (NotSymplectic).  The
+    pattern check runs before the symplectic one so that a structural
+    violation is reported as such even though it also breaks the
+    symplectic residual.
 
     Parameters are read as tr = sign M[t, t], w = tr * (top 2n entries of
     the last column), 2r = tr * M[eps, t].
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 4 or M.shape[0] % 2:
-        raise ValueError(f"expected a square matrix of even dimension >= 4, got {M.shape}")
+    M = _factor_input(M)
     n = as_dimension((M.shape[0] - 2) // 2)
     k = n.reduced
     res_eta = eta_residual(M)
@@ -415,11 +425,9 @@ def igl_factor(L, tol=TOL_EXACT):
 
     Invariance of the time metric forces the bottom row to (0, ..., 0, eps)
     with eps = +-1; then Omega is the top-left block and u = eps * (top
-    entries of the last column).
+    entries of the last column).  A non-finite entry raises FactorError.
     """
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 4 or L.shape[0] % 2:
-        raise ValueError(f"expected a square matrix of even dimension >= 4, got {L.shape}")
+    L = _factor_input(L)
     res_eta = eta_residual(L)
     if res_eta > tol:
         raise NotTimePreserving(

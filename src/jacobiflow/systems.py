@@ -6,6 +6,7 @@ time derivative; the built-in catalog covers the standard test systems
 each with an analytic field Jacobian for the variational flow.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -45,10 +46,19 @@ def _require(params, allowed, name):
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     out = dict(allowed)
     out.update(params)
-    if out.get("mass", 1.0) <= 0:
-        raise ValueError(f"mass must be positive, got {out['mass']}")
-    if out.get("frequency", 1.0) <= 0:
-        raise ValueError(f"frequency must be positive, got {out['frequency']}")
+    for key, val in out.items():
+        if not math.isfinite(val):
+            raise ValueError(f"{key} must be finite, got {val}")
+    m, om = out.get("mass", 1.0), out.get("frequency", 1.0)
+    if not m > 0:
+        raise ValueError(f"mass must be positive, got {m}")
+    if not om > 0:
+        raise ValueError(f"frequency must be positive, got {om}")
+    # the field and its Jacobian scale with 1/m and m om^2
+    if not math.isfinite(1.0 / m):
+        raise ValueError(f"1/mass overflows, mass {m}")
+    if not math.isfinite(m * om * om):
+        raise ValueError(f"mass * frequency^2 overflows, mass {m}, frequency {om}")
     return out
 
 

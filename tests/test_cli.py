@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from jacobiflow.cli import ConfigError, main, parse_config, validate_config
+from jacobiflow.selftest import run_checks
 
 
 def _write(tmp_path, text, name="scenario.cfg"):
@@ -130,6 +131,32 @@ def test_selftest_passes(tmp_path, capsys):
     assert "lie_algebra" in text
 
 
+def test_selftest_contract(tmp_path):
+    # names, thresholds and counts per check at the default --n; the
+    # residuals depend on the BLAS build, so they are not pinned here
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--selftest", "--seed", "0", "--out", str(a)]) == 0
+    assert main(["--selftest", "--seed", "0", "--out", str(b)]) == 0
+    raw = (a / "selftest.json").read_bytes()
+    assert raw == (b / "selftest.json").read_bytes()
+    checks = json.loads(raw)["checks"]
+    assert [(c["name"], c["threshold"], c["count"]) for c in checks] == [
+        ("heisenberg_axioms", 1e-12, 600),
+        ("jacobi_axioms", 1e-10, 600),
+        ("matrix_homomorphism", 1e-10, 600),
+        ("matrix_inverse", 1e-10, 600),
+        ("sp_conjugation", 1e-10, 300),
+        ("factor_roundtrip", 1e-10, 600),
+        ("igl_roundtrip", 1e-12, 600),
+        ("lie_algebra", 0.0, 68),
+        ("delta_automorphism", 0.0, 300),
+        ("commutators", 0.0, 100),
+        ("euclidean_subgroup", 1e-12, 100),
+    ]
+    # the file holds exactly the check dicts that the suites return
+    assert checks == run_checks(0, 3)
+
+
 def test_selftest_fuzz_detects_perturbation(tmp_path):
     out = tmp_path / "st"
     assert main(["--selftest", "--out", str(out), "--fuzz", "1e-3"]) == 0
@@ -166,7 +193,25 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         # Jacobian stacks over the byte limit, rejected before allocating
         "t_end = 1e300\n",
         "n = 16\nt_end = 200\n",
+        # parameters must be finite and give a finite 1/m and m om^2
+        "mass = nan\n",
+        "mass = inf\n",
+        "mass = 1e-320\n",
+        "frequency = 1e200\n",
+        "system = constant_force\ng = nan\n",
+        "system = driven_oscillator\namplitude = inf\n",
+        "system = driven_oscillator\ndrive_frequency = nan\n",
+        "tol_omega = inf\n",
+        "tol_ledger = inf\n",
+        "probes = 10001\n",
         "--selftest --seed -1",
+        "--selftest --n 0",
+        "--selftest --n 17",
+        "--selftest --fuzz nan",
+        "--selftest --fuzz inf",
+        "--selftest --fuzz=-inf",
+        "--selftest --fuzz 0",
+        "--selftest --fuzz=-1e-9",
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
@@ -178,6 +223,8 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    # rejected before any report or selftest.json is written
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_late_start_flow_keeps_probes_inside_the_table(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jacobiflow import (
+    FactorError,
     HeisenbergElement,
     IglElement,
     JacobiElement,
@@ -202,9 +203,34 @@ def test_factor_rejects_bad_shape():
         jacobi_factor(np.eye(5))
 
 
-def test_error_taxonomy_is_factor_error():
-    from jacobiflow import FactorError
+@pytest.mark.parametrize("factor", [jacobi_factor, igl_factor])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [(0, 0), (1, 0), (0, 5), (4, 5), (5, 0), (5, 5)],
+    ids=["sigma", "sigma_offdiag", "last_col", "last_col_r", "time_row", "time_corner"],
+)
+def test_factors_reject_non_finite_entries(factor, bad, entry):
+    # a NaN fails no "residual > tol" check, so only the finiteness check can stop it
+    M = random_jacobi(2, np.random.default_rng(7), tr=1).matrix()
+    M[entry] = bad
+    with pytest.raises(FactorError) as info:
+        factor(M, tol=1e-9)
+    assert type(info.value) is FactorError
+    assert str(info.value) == f"1 of 36 entries are not finite: (row, column) {[list(entry)]}"
 
+
+@pytest.mark.parametrize("factor", [jacobi_factor, igl_factor])
+def test_factors_reject_an_all_nan_matrix(factor):
+    with pytest.raises(FactorError) as info:
+        factor(np.full((4, 4), np.nan))
+    assert str(info.value) == (
+        "16 of 16 entries are not finite: (row, column)"
+        " [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [1, 1]]"
+    )
+
+
+def test_error_taxonomy_is_factor_error():
     for exc in (NotSymplectic, NotTimePreserving, PatternViolation, NotARotation):
         assert issubclass(exc, FactorError)
 
