@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -53,8 +54,10 @@ _PARAM_KEYS = ("mass", "frequency", "amplitude", "drive_frequency", "g")
 _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
 # hamilton_residual takes interior differences, which need 5 samples
 _MIN_FLOW_STEPS = 4
-# a flow stores (steps + 1) Jacobians of (2n+2)^2 floats; larger requests
-# are rejected before anything is allocated
+# size limit on a flow, (steps + 1) x (2n+2)^2 x 8 bytes: the size of the
+# full Jacobian stack, which is no longer stored (integrate_flow keeps every
+# 10th Jacobian).  It stays because the kept Jacobians, the CSV and the
+# factorization list of invariance.json still grow with the step count
 _MAX_JACOBIAN_BYTES = 2**30
 # each probe costs a finite-difference Jacobian and a factorization
 _MAX_PROBES = 10_000
@@ -172,8 +175,9 @@ def validate_config(cfg, present):
             )
         if (steps + 1) * d * d * 8 > _MAX_JACOBIAN_BYTES:
             raise ConfigError(
-                f"the flow's {steps + 1:.3g} Jacobians of {d} x {d} floats exceed the"
-                f" {_MAX_JACOBIAN_BYTES}-byte limit on the Jacobian stack"
+                f"the flow's {steps + 1:.3g} samples of {d} x {d} Jacobians exceed the size"
+                f" limit (steps + 1) x (2n+2)^2 x 8 <= {_MAX_JACOBIAN_BYTES} bytes, which"
+                f" bounds the kept Jacobians, the CSV and invariance.json"
             )
     return cfg
 
@@ -253,7 +257,7 @@ def run_flow(cfg, params, out_dir):
         rho.as_map(), probes, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
     )
     flow_rep = check_flow_jacobians(
-        traj, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"], factor_every=10
+        traj, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
     )
     h_res = hamilton_residual(traj, system)
     ledger = energy_ledger(traj, system)
@@ -373,6 +377,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="jacobiflow",
         description="Integrate extended Hamiltonian flows and certify invariance.",
+    )
+    # argparse takes an argument for an option unless it matches this private
+    # attribute, whose default pattern has no exponent, inf or nan: widen it
+    # so that "--fuzz -1e-3" reads -1e-3 as the value
+    parser._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
     )
     parser.add_argument("--config", metavar="PATH", help="scenario config file")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")

@@ -7,13 +7,16 @@ never integrated numerically: the t component of every stored state is
 computed as t0 + k*dt, which keeps the time metric invariant by
 construction.
 
-`integrate_flow` optionally stores the variational Jacobian: the tangent of
-the step the method actually took, built from the field Jacobian A at the
+`integrate_flow` optionally propagates the variational Jacobian: the tangent
+of the step the method actually took, built from the field Jacobian A at the
 step's own stages (RK4 applies its stages to J' = A J; leapfrog multiplies
 the tangents of its kick, drift and kick).  A's time row is identically zero
 and its energy column is identically zero, so J keeps an exact
-(0, ..., 0, 1) time row and e_eps energy column; the certification layer
-factors these J into the matrix group.
+(0, ..., 0, 1) time row and e_eps energy column.  The step loop takes the
+symplectic and time-metric residual of every J as it goes, in stacked passes
+over a buffer of `_RESIDUAL_CHUNK` Jacobians, and keeps only every
+`jac_every`-th J and the last one; the certification layer factors those
+into the matrix group.  The full (steps + 1, d, d) stack is never stored.
 """
 
 import math
@@ -21,7 +24,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forms import Dimension, PhasePoint, MapHandle, default_step
+from .forms import Dimension, PhasePoint, MapHandle, default_step, eta_residual, zeta_residual
+
+# Jacobians per stacked residual pass in the step loop: bounds the buffer and
+# the pass's temporaries to a few (chunk, d, d) arrays however long the flow
+_RESIDUAL_CHUNK = 256
 
 
 def _as_state(z):
@@ -99,6 +106,10 @@ class Trajectory:
     """Sampled flow with pointwise (v, f, r) and optional variational Jacobians.
 
     tau equals the time column of z bitwise (the flow parameter is time).
+    With the variational Jacobian, `jac` holds the kept Jacobians, those at
+    the sample indices `jac_steps` (every `jac_every`-th sample and the last
+    one), and `jac_omega`/`jac_lambda` hold the symplectic and time-metric
+    residual of the Jacobian at every sample.  Without it all four are None.
     """
 
     tau: np.ndarray
@@ -110,6 +121,9 @@ class Trajectory:
     method: str
     n: Dimension
     jac: np.ndarray = None
+    jac_steps: np.ndarray = None
+    jac_omega: np.ndarray = None
+    jac_lambda: np.ndarray = None
 
     @property
     def q(self):
@@ -143,7 +157,7 @@ def step_count(t0, t_end, dt):
     return max(1, round(ratio))
 
 
-def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
+def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac_every=10):
     """Integrate the extended flow from z0 up to t_end.
 
     Parameters
@@ -159,8 +173,14 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
     method : {"rk4", "leapfrog"}
         Leapfrog requires a separable system.
     with_variational : bool
-        Also store the Jacobian J of the flow map (J0 = identity): the
-        tangent of each step the method took.
+        Also propagate the Jacobian J of the flow map (J0 = identity): the
+        tangent of each step the method took.  The symplectic and
+        time-metric residual of J are recorded at every sample
+        (`jac_omega`, `jac_lambda`); J itself is kept at the samples
+        `jac_steps`.
+    jac_every : int
+        Keep J at samples 0, jac_every, 2 jac_every, ... and at the last
+        sample, >= 1.  jac_every=1 keeps every J.
 
     Returns
     -------
@@ -184,6 +204,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
         raise ValueError("leapfrog requires a separable system")
     if 2 * sys.n.n + 2 != len(z):
         raise ValueError(f"state length {len(z)} does not match system n={sys.n.n}")
+    if with_variational and not (isinstance(jac_every, (int, np.integer)) and jac_every >= 1):
+        raise ValueError(f"jac_every must be an integer >= 1, got {jac_every!r}")
 
     n_steps = step_count(t0, t_end, dt)
     dt = (t_end - t0) / n_steps
@@ -196,10 +218,28 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
     XS = np.empty((n_steps + 1, d))  # field samples (v, f, r, 1) at each Z row
     Z[0] = z
     XS[0] = X
-    J = np.eye(d) if with_variational else None
-    Js = np.empty((n_steps + 1, d, d)) if with_variational else None
+    J = jac_steps = Js = res_o = res_l = None
     if with_variational:
-        Js[0] = J
+        jac_steps = np.union1d(np.arange(0, n_steps + 1, jac_every), [n_steps])
+        Js = np.empty((len(jac_steps), d, d))
+        res_o = np.empty(n_steps + 1)
+        res_l = np.empty(n_steps + 1)
+        buf = np.empty((min(_RESIDUAL_CHUNK, n_steps + 1), d, d))
+
+        def record(s, J):
+            # J at sample s: buffered for the residual pass, kept if on the stride
+            b = s % _RESIDUAL_CHUNK
+            buf[b] = J
+            if s % jac_every == 0:
+                Js[s // jac_every] = J
+            elif s == n_steps:
+                Js[-1] = J
+            if b == _RESIDUAL_CHUNK - 1 or s == n_steps:
+                res_o[s - b : s + 1] = zeta_residual(buf[: b + 1])
+                res_l[s - b : s + 1] = eta_residual(buf[: b + 1])
+
+        J = np.eye(d)
+        record(0, J)
     h = 0.5 * dt
     w = dt / 6.0
     if method == "leapfrog" and with_variational:
@@ -263,7 +303,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
         Z[i + 1] = zn
         XS[i + 1] = X
         if with_variational:
-            Js[i + 1] = J
+            record(i + 1, J)
     return Trajectory(
         tau=Z[:, -1].copy(),
         z=Z,
@@ -274,6 +314,9 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False):
         method=method,
         n=sys.n,
         jac=Js,
+        jac_steps=jac_steps,
+        jac_omega=res_o,
+        jac_lambda=res_l,
     )
 
 

@@ -54,11 +54,18 @@ def _require(params, allowed, name):
         raise ValueError(f"mass must be positive, got {m}")
     if not om > 0:
         raise ValueError(f"frequency must be positive, got {om}")
-    # the field and its Jacobian scale with 1/m and m om^2
+    # the field and its Jacobian scale with 1/m and m om^2, and a drive's
+    # power and Jacobian with A om_d and A om_d^2
     if not math.isfinite(1.0 / m):
         raise ValueError(f"1/mass overflows, mass {m}")
     if not math.isfinite(m * om * om):
         raise ValueError(f"mass * frequency^2 overflows, mass {m}, frequency {om}")
+    amp, wd = out.get("amplitude", 0.0), out.get("drive_frequency", 0.0)
+    if not (math.isfinite(amp * wd) and math.isfinite(amp * wd * wd)):
+        raise ValueError(
+            f"amplitude * drive_frequency or its product with drive_frequency overflows,"
+            f" amplitude {amp}, drive_frequency {wd}"
+        )
     return out
 
 

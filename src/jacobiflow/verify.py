@@ -37,10 +37,6 @@ from .groups import (
 
 CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", "Neither")
 
-# Jacobians per residual pass: bounds the pass's temporaries to a few
-# (chunk, d, d) arrays however long the trajectory is
-_RESIDUAL_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -102,21 +98,12 @@ def _probe_array(probe):
     return probe.to_array() if isinstance(probe, PhasePoint) else np.asarray(probe, dtype=float)
 
 
-def _report_from_jacobians(jacobians, probes, tol_omega, tol_lambda, n, idx):
-    """Report on a (m, d, d) Jacobian stack.
+def _report(res_o, res_l, matrices, listed, probes, tol_omega, tol_lambda):
+    """Report from per-matrix residuals.
 
-    The residual maxima run over every matrix; the matrices at the indices
-    `idx` are the ones factored and whose residuals are listed.
+    The maxima run over every residual; `matrices` are the ones factored,
+    and the residuals at the indices `listed` are the ones reported with them.
     """
-    d = as_dimension(n).extended
-    if jacobians.ndim != 3 or jacobians.shape[1:] != (d, d):
-        raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {jacobians.shape}")
-    res_o = np.empty(len(jacobians))
-    res_l = np.empty(len(jacobians))
-    for s in range(0, len(jacobians), _RESIDUAL_CHUNK):
-        part = jacobians[s : s + _RESIDUAL_CHUNK]
-        res_o[s : s + _RESIDUAL_CHUNK] = zeta_residual(part)
-        res_l[s : s + _RESIDUAL_CHUNK] = eta_residual(part)
     omega_ok = res_o.max() <= tol_omega
     lambda_ok = res_l.max() <= tol_lambda
     factors = None
@@ -124,7 +111,7 @@ def _report_from_jacobians(jacobians, probes, tol_omega, tol_lambda, n, idx):
     if omega_ok and lambda_ok:
         tol_factor = max(tol_omega, tol_lambda)
         try:
-            factors = tuple(jacobi_factor(jacobians[k], tol=tol_factor) for k in idx)
+            factors = tuple(jacobi_factor(M, tol=tol_factor) for M in matrices)
             factored = True
         except FactorError:
             factors = None
@@ -135,8 +122,8 @@ def _report_from_jacobians(jacobians, probes, tol_omega, tol_lambda, n, idx):
         probes=tuple(probes),
         classification=cls,
         factorization=factors if cls == "Jacobimorphism" else None,
-        omega_residuals=tuple(res_o[idx].tolist()),
-        lambda_residuals=tuple(res_l[idx].tolist()),
+        omega_residuals=tuple(res_o[listed].tolist()),
+        lambda_residuals=tuple(res_l[listed].tolist()),
         tol_omega=tol_omega,
         tol_lambda=tol_lambda,
     )
@@ -160,26 +147,32 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
         raise ValueError("need at least one probe point")
     jac = f.jacobian if isinstance(f, MapHandle) and f.jacobian is not None else None
     arrays = [_probe_array(pr) for pr in probes]
-    n = (len(arrays[0]) - 2) // 2
-    jacobians = [np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z) for z in arrays]
-    return _report_from_jacobians(
-        np.array(jacobians), probes, tol_omega, tol_lambda, n, range(len(jacobians))
+    jacobians = np.array(
+        [np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z) for z in arrays]
+    )
+    d = as_dimension((len(arrays[0]) - 2) // 2).extended
+    if jacobians.ndim != 3 or jacobians.shape[1:] != (d, d):
+        raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {jacobians.shape}")
+    return _report(
+        zeta_residual(jacobians), eta_residual(jacobians), jacobians, slice(None),
+        probes, tol_omega, tol_lambda,
     )
 
 
-def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10, factor_every=10):
-    """Certify the variational Jacobians stored on a trajectory.
+def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
+    """Certify the variational Jacobians of a trajectory.
 
-    Residuals are measured at every step; factorization is attempted at
-    every `factor_every`-th step (and the final one).
+    The residual maxima run over the residuals that `integrate_flow`
+    recorded at every sample; the kept Jacobians, at the samples
+    `traj.jac_steps` (every 10th sample and the last one by default), are
+    factored and their residuals listed.
     """
     if traj.jac is None:
         raise ValueError("trajectory carries no variational Jacobians")
-    idx = list(range(0, traj.n_samples, factor_every))
-    if idx[-1] != traj.n_samples - 1:
-        idx.append(traj.n_samples - 1)
-    probes = [traj.point(k) for k in idx]
-    return _report_from_jacobians(traj.jac, probes, tol_omega, tol_lambda, traj.n, idx)
+    probes = [traj.point(k) for k in traj.jac_steps]
+    return _report(
+        traj.jac_omega, traj.jac_lambda, traj.jac, traj.jac_steps, probes, tol_omega, tol_lambda
+    )
 
 
 def trajectory_probes(traj, count, rng):

@@ -201,6 +201,9 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "system = constant_force\ng = nan\n",
         "system = driven_oscillator\namplitude = inf\n",
         "system = driven_oscillator\ndrive_frequency = nan\n",
+        # the drive's power and Jacobian scale with A om_d and A om_d^2
+        "system = driven_oscillator\namplitude = 1e200\ndrive_frequency = 1e200\nt_end = 0.01\n",
+        "system = driven_oscillator\namplitude = 1e100\ndrive_frequency = 1e150\nt_end = 0.01\n",
         "tol_omega = inf\n",
         "tol_ledger = inf\n",
         "probes = 10001\n",
@@ -225,6 +228,21 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     # rejected before any report or selftest.json is written
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):
+    # argparse alone reads "-1e-3" as an option and fails with a usage block
+    out = tmp_path / "st"
+    assert main(["--selftest", "--fuzz", "-1e-3", "--out", str(out)]) == 0
+    data = json.loads((out / "selftest.json").read_text())
+    assert data["config"]["fuzz"] == -1e-3
+    assert data["all_passed"] is True
+    capsys.readouterr()
+    code, out = _run(tmp_path, FLOW_CFG, "--tol-omega", "-1e-5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tol_omega") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_late_start_flow_keeps_probes_inside_the_table(tmp_path, capsys):

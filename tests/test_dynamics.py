@@ -182,6 +182,7 @@ def test_variational_initial_and_fixed_rows():
         2.0,
         1e-2,
         with_variational=True,
+        jac_every=1,
     )
     assert np.array_equal(traj.jac[0], np.eye(4))
     e_t = np.array([0.0, 0.0, 0.0, 1.0])
@@ -238,7 +239,8 @@ def test_leapfrog_jacobian_is_symplectic(name):
     # the tangent of a symplectic step is symplectic to round-off
     sys = builtin_system(name)
     traj = integrate_flow(
-        sys, np.array([0.5, 0.2, 0.0, 0.0]), 50.0, 1e-2, method="leapfrog", with_variational=True
+        sys, np.array([0.5, 0.2, 0.0, 0.0]), 50.0, 1e-2, method="leapfrog", with_variational=True,
+        jac_every=1,
     )
     zeta = canonical_zeta(sys.n)
     assert max(form_residual(J, zeta) for J in traj.jac) <= 1e-12
@@ -273,7 +275,7 @@ def _counting(sys):
 def test_evaluations_per_100_steps(method, expected):
     sys, calls = _counting(builtin_system("driven_oscillator", n=2))
     traj = integrate_flow(sys, np.array([1.0, 0.0, 0.5, 0.1, 0.0, 0.0]), 0.1, 1e-3,
-                          method=method, with_variational=True)
+                          method=method, with_variational=True, jac_every=1)
     assert traj.n_samples == 101
     assert calls == expected
 

@@ -68,7 +68,7 @@ def test_flow_matches_reference_bitwise(name, n, method):
     sys = builtin_system(name, n=n)
     rng = np.random.default_rng(11 * n + len(name))
     z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * n + 1), [0.25]])
-    traj = integrate_flow(sys, z0, 0.75, 0.01, method=method, with_variational=True)
+    traj = integrate_flow(sys, z0, 0.75, 0.01, method=method, with_variational=True, jac_every=1)
     z, v, f, r, Js = _reference_flow(sys, z0, 0.75, 0.01, method)
     assert np.array_equal(traj.z, z)
     assert np.array_equal(traj.v, v)
