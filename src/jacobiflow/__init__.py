@@ -11,9 +11,6 @@ __version__ = "0.1.0"
 
 from .forms import (
     Dimension,
-    FormKind,
-    BilinearForm,
-    PhasePoint,
     MapHandle,
     canonical_zeta,
     canonical_eta,
@@ -55,7 +52,6 @@ from .dynamics import (
     Trajectory,
     RhoTransform,
     extended_vector_field,
-    reduced_vector_field,
     field_jacobian,
     integrate_flow,
     make_rho,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forms import Dimension, PhasePoint, MapHandle, default_step, eta_residual, zeta_residual
+from .forms import Dimension, MapHandle, default_step, eta_residual, zeta_residual
 
 # Jacobians per stacked residual pass in the step loop: bounds the buffer and
 # the pass's temporaries to a few (chunk, d, d) arrays however long the flow
@@ -32,8 +32,6 @@ _RESIDUAL_CHUNK = 256
 
 
 def _as_state(z):
-    if isinstance(z, PhasePoint):
-        return z.to_array()
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or len(z) < 4 or len(z) % 2:
         raise ValueError(f"expected a state vector of even length >= 4, got shape {z.shape}")
@@ -63,20 +61,6 @@ def extended_vector_field(sys, z):
     if not np.all(np.isfinite(X)):
         raise ValueError("Hamiltonian gradients evaluated to non-finite values")
     return X
-
-
-def reduced_vector_field(sys, y):
-    """(q, p) block of the field for an autonomous system."""
-    if not sys.autonomous:
-        raise ValueError("reduced vector field is only defined for autonomous systems")
-    y = np.asarray(y, dtype=float)
-    q, p = y[0::2], y[1::2]
-    v = np.asarray(sys.grad_p(q, p, 0.0), dtype=float)
-    f = -np.asarray(sys.grad_q(q, p, 0.0), dtype=float)
-    Y = np.empty_like(y)
-    Y[0::2] = v
-    Y[1::2] = f
-    return Y
 
 
 def _jacobian(sys, z):
@@ -145,9 +129,6 @@ class Trajectory:
     def n_samples(self):
         return self.z.shape[0]
 
-    def point(self, k):
-        return PhasePoint.from_array(self.z[k])
-
 
 def step_count(t0, t_end, dt):
     """Number of steps `integrate_flow` takes: round((t_end - t0)/dt), at least 1."""
@@ -163,8 +144,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     Parameters
     ----------
     sys : HamiltonianSystem
-    z0 : PhasePoint or array
-        Initial state, finite; its time component is the start time.
+    z0 : array
+        Initial state vector, finite; its time component is the start time.
     t_end : float
         Final time; the step count is `step_count(t0, t_end, dt)` and the
         actual step is (t_end - t0)/n_steps (recorded on the trajectory).

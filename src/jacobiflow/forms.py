@@ -13,8 +13,7 @@ Invariance of either under a map is measured by `form_residual` applied to
 the map's Jacobian.
 """
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,63 +50,7 @@ class Dimension:
 
 
 def as_dimension(n):
-    return n if isinstance(n, Dimension) else Dimension(int(n))
-
-
-class FormKind(Enum):
-    SYMPLECTIC = "symplectic"
-    DEGENERATE_ORTHOGONAL = "degenerate_orthogonal"
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    kind: FormKind
-    matrix: np.ndarray
-    n: Dimension
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point z = (q, p, eps, t) of extended phase space."""
-
-    q: np.ndarray
-    p: np.ndarray
-    eps: float
-    t: float
-    n: Dimension = field(init=False)
-
-    def __post_init__(self):
-        q = _freeze(np.atleast_1d(self.q))
-        p = _freeze(np.atleast_1d(self.p))
-        if q.shape != p.shape or q.ndim != 1:
-            raise ValueError("q and p must be 1-d arrays of equal length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "n", Dimension(len(q)))
-        z = self.to_array()
-        if not np.all(np.isfinite(z)):
-            raise ValueError("phase point has non-finite entries")
-
-    def to_array(self):
-        """Canonical flattening (q1, p1, ..., qn, pn, eps, t)."""
-        z = np.empty(self.n.extended)
-        z[0 : 2 * self.n.n : 2] = self.q
-        z[1 : 2 * self.n.n : 2] = self.p
-        z[-2] = self.eps
-        z[-1] = self.t
-        return z
-
-    @classmethod
-    def from_array(cls, z):
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 1 or len(z) < 4 or len(z) % 2:
-            raise ValueError(f"expected a vector of even length >= 4, got shape {z.shape}")
-        return cls(q=z[0:-2:2], p=z[1:-2:2], eps=z[-2], t=z[-1])
+    return n if isinstance(n, Dimension) else Dimension(n)
 
 
 @dataclass(frozen=True)
@@ -134,11 +77,7 @@ def _canonical(n):
         m[2 * k + 1, 2 * k] = -1.0
     e = np.zeros((n.extended, n.extended))
     e[-1, -1] = 1.0
-    return (
-        BilinearForm(kind=FormKind.SYMPLECTIC, matrix=m, n=n),
-        BilinearForm(kind=FormKind.DEGENERATE_ORTHOGONAL, matrix=e, n=n),
-        _freeze(m[: n.reduced, : n.reduced]),
-    )
+    return _freeze(m), _freeze(e), _freeze(m[: n.reduced, : n.reduced])
 
 
 def _key(n):
@@ -155,11 +94,11 @@ def canonical_zeta(n):
 
     Returns
     -------
-    BilinearForm
+    ndarray
         (2n+2)-dimensional matrix of n+1 diagonal blocks [[0, 1], [-1, 0]];
         the final block acts on (eps, t) and the top-left 2n x 2n block is
-        the reduced symplectic matrix zeta°.  Built once per n; the matrix
-        is read-only and shared.
+        the reduced symplectic matrix zeta°.  Built once per n; read-only
+        and shared.
     """
     return _canonical(_key(n))[0]
 
@@ -174,18 +113,14 @@ def zeta_reduced(n):
     return _canonical(_key(n))[2]
 
 
-def form_matrix(F):
-    return F.matrix if isinstance(F, BilinearForm) else np.asarray(F, dtype=float)
-
-
 def form_residual(M, F):
     """Max-absolute-entry norm of M^T F M - F.
 
-    Membership in the invariance group of F is residual <= tol.  F may be a
-    BilinearForm or a plain matrix.
+    Membership in the invariance group of the form with matrix F is
+    residual <= tol.
     """
     M = np.asarray(M, dtype=float)
-    F = form_matrix(F)
+    F = np.asarray(F, dtype=float)
     if M.shape != F.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"shape mismatch: M {M.shape} vs form {F.shape}")
     return float(np.max(np.abs(M.T @ F @ M - F)))
@@ -197,7 +132,7 @@ def zeta_residual(J):
     Bitwise equal to `form_residual(J, canonical_zeta(n))` per matrix, with
     no input checks: J must be a float array with d = 2n + 2 >= 4.
     """
-    zeta = canonical_zeta((J.shape[-1] - 2) // 2).matrix
+    zeta = canonical_zeta((J.shape[-1] - 2) // 2)
     return abs(J.swapaxes(-1, -2) @ zeta @ J - zeta).max(axis=(-2, -1))
 
 
@@ -208,7 +143,7 @@ def eta_residual(J):
     bitwise equal to `form_residual(J, canonical_eta(n))` per matrix for
     finite J, without the two matrix products; no input checks.
     """
-    eta = canonical_eta((J.shape[-1] - 2) // 2).matrix
+    eta = canonical_eta((J.shape[-1] - 2) // 2)
     last = J[..., -1, :]
     return abs(last[..., :, None] * last[..., None, :] - eta).max(axis=(-2, -1))
 
@@ -261,8 +196,8 @@ def numeric_jacobian(f, z, h=None):
     ----------
     f : MapHandle or callable
         Map R^m -> R^m on flat state vectors.
-    z : PhasePoint or array
-        Evaluation point.
+    z : array
+        Evaluation point, a flat state vector.
     h : float, optional
         Step size; defaults to 1e-5 * max(1, |z|_inf).
 
@@ -272,7 +207,7 @@ def numeric_jacobian(f, z, h=None):
         Matrix with entry (a, d) = (f(z + h e_d)_a - f(z - h e_d)_a) / (2h).
     """
     func = f.func if isinstance(f, MapHandle) else f
-    z = z.to_array() if isinstance(z, PhasePoint) else np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
     if h is None:
         h = default_step(z)
     if h <= 0:

@@ -1,9 +1,11 @@
 """Hamiltonian systems H(q, p, t) with analytic gradients.
 
 A HamiltonianSystem bundles the scalar value with its gradients and the
-time derivative; the built-in catalog covers the standard test systems
-(free particle, harmonic oscillator, constant force, driven oscillator),
-each with an analytic field Jacobian for the variational flow.
+time derivative.  Every built-in system is one family,
+H = |p|^2/2m + m om^2 |q|^2/2 + (g + A cos om_d t) sum(q), with an analytic
+field Jacobian for the variational flow; the catalog names (free particle,
+harmonic oscillator, constant force, driven oscillator) are presets that
+switch its terms on and give their parameter defaults.
 """
 
 import math
@@ -69,117 +71,78 @@ def _require(params, allowed, name):
     return out
 
 
-def _quadratic_jacobian(n, m, om=0.0):
-    """Field Jacobian of |p|^2/2m + m om^2 |q|^2/2, the constant part of every builtin's."""
+def _family(name, n, params):
+    """H = |p|^2/2m + m om^2 |q|^2/2 + (g + A cos om_d t) sum(q), with only the present terms.
+
+    A term is present when its parameters are: the spring with `frequency`,
+    the constant force with `g`, the drive with `amplitude` and
+    `drive_frequency`.  An absent term is left out, not added as zero,
+    because a zero term still changes bits: a zero drive gives an undriven
+    system the power -0 om_d sum(q) sin(om_d t), often -0.0 where its power
+    is 0.0.  For the same reason each term keeps one evaluation order; the
+    drive's value is (A sum(q)) cos(om_d t), not (g + A cos(om_d t)) sum(q).
+    """
+    m = params["mass"]
+    om, g = params.get("frequency"), params.get("g")
+    amp, wd = params.get("amplitude"), params.get("drive_frequency")
     k = n.reduced
-    A = np.zeros((k + 2, k + 2))
-    A[0:k:2, 1:k:2] = np.eye(n.n) / m
-    if om:
-        A[1:k:2, 0:k:2] = -m * om * om * np.eye(n.n)
-    return A
-
-
-def _free_particle(n, **params):
-    p_ = _require(params, {"mass": 1.0}, "free_particle")
-    m = p_["mass"]
-    A = _quadratic_jacobian(n, m)
-
-    return HamiltonianSystem(
-        n=n,
-        value=lambda q, p, t: 0.5 * float(p @ p) / m,
-        grad_q=lambda q, p, t: np.zeros(n.n),
-        grad_p=lambda q, p, t: p / m,
-        d_t=lambda q, p, t: 0.0,
-        separable=True,
-        autonomous=True,
-        vf_jacobian=lambda z: A.copy(),
-        name="free_particle",
-        params=p_,
-    )
-
-
-def _harmonic_oscillator(n, **params):
-    p_ = _require(params, {"mass": 1.0, "frequency": 1.0}, "harmonic_oscillator")
-    m, om = p_["mass"], p_["frequency"]
-    A = _quadratic_jacobian(n, m, om)
-
-    return HamiltonianSystem(
-        n=n,
-        value=lambda q, p, t: 0.5 * float(p @ p) / m + 0.5 * m * om * om * float(q @ q),
-        grad_q=lambda q, p, t: m * om * om * q,
-        grad_p=lambda q, p, t: p / m,
-        d_t=lambda q, p, t: 0.0,
-        separable=True,
-        autonomous=True,
-        vf_jacobian=lambda z: A.copy(),
-        name="harmonic_oscillator",
-        params=p_,
-    )
-
-
-def _constant_force(n, **params):
-    p_ = _require(params, {"mass": 1.0, "g": 1.0}, "constant_force")
-    m, g = p_["mass"], p_["g"]
-    A = _quadratic_jacobian(n, m)
-
-    return HamiltonianSystem(
-        n=n,
-        value=lambda q, p, t: 0.5 * float(p @ p) / m + g * float(q.sum()),
-        grad_q=lambda q, p, t: g * np.ones(n.n),
-        grad_p=lambda q, p, t: p / m,
-        d_t=lambda q, p, t: 0.0,
-        separable=True,
-        autonomous=True,
-        vf_jacobian=lambda z: A.copy(),
-        name="constant_force",
-        params=p_,
-    )
-
-
-def _driven_oscillator(n, **params):
-    p_ = _require(
-        params,
-        {"mass": 1.0, "frequency": 1.0, "amplitude": 0.3, "drive_frequency": 2.0},
-        "driven_oscillator",
-    )
-    m, om, amp, wd = p_["mass"], p_["frequency"], p_["amplitude"], p_["drive_frequency"]
-    k = n.reduced
-    A0 = _quadratic_jacobian(n, m, om)
+    A0 = np.zeros((k + 2, k + 2))
+    A0[0:k:2, 1:k:2] = np.eye(n.n) / m
+    if om is not None:
+        spring = m * om * om
+        A0[1:k:2, 0:k:2] = -spring * np.eye(n.n)
 
     def value(q, p, t):
-        return (
-            0.5 * float(p @ p) / m
-            + 0.5 * m * om * om * float(q @ q)
-            + amp * float(q.sum()) * np.cos(wd * t)
-        )
+        h = 0.5 * float(p @ p) / m
+        if om is not None:
+            h = h + 0.5 * m * om * om * float(q @ q)
+        if g is not None:
+            h = h + g * float(q.sum())
+        if amp is not None:
+            h = h + amp * float(q.sum()) * np.cos(wd * t)
+        return h
 
-    def vf_jac(z):
-        t = z[-1]
+    def grad_q(q, p, t):
+        u = g  # the uniform force g + A cos(om_d t), None with neither term
+        if amp is not None:
+            drive = amp * np.cos(wd * t)
+            u = drive if u is None else u + drive
+        if om is None:
+            return np.zeros(n.n) if u is None else u * np.ones(n.n)
+        return spring * q if u is None else spring * q + u
+
+    def d_t(q, p, t):
+        return 0.0 if amp is None else -amp * wd * float(q.sum()) * np.sin(wd * t)
+
+    def vf_jacobian(z):
         A = A0.copy()
-        A[1:k:2, -1] = amp * wd * np.sin(wd * t)
-        A[k, 0:k:2] = -amp * wd * np.sin(wd * t)
-        A[k, -1] = -amp * wd * wd * float(z[0:k:2].sum()) * np.cos(wd * t)
+        if amp is not None:
+            t = z[-1]
+            A[1:k:2, -1] = amp * wd * np.sin(wd * t)
+            A[k, 0:k:2] = -amp * wd * np.sin(wd * t)
+            A[k, -1] = -amp * wd * wd * float(z[0:k:2].sum()) * np.cos(wd * t)
         return A
 
     return HamiltonianSystem(
         n=n,
         value=value,
-        grad_q=lambda q, p, t: m * om * om * q + amp * np.cos(wd * t),
+        grad_q=grad_q,
         grad_p=lambda q, p, t: p / m,
-        d_t=lambda q, p, t: -amp * wd * float(q.sum()) * np.sin(wd * t),
+        d_t=d_t,
         separable=True,
-        autonomous=False,
-        vf_jacobian=vf_jac,
-        name="driven_oscillator",
-        params=p_,
+        autonomous=amp is None,
+        vf_jacobian=vf_jacobian,
+        name=name,
+        params=params,
     )
 
 
+# catalog name -> the parameters the preset accepts, with their defaults
 BUILTIN_SYSTEMS = {
-    "free_particle": _free_particle,
-    "harmonic_oscillator": _harmonic_oscillator,
-    "constant_force": _constant_force,
-    "driven_oscillator": _driven_oscillator,
+    "free_particle": {"mass": 1.0},
+    "harmonic_oscillator": {"mass": 1.0, "frequency": 1.0},
+    "constant_force": {"mass": 1.0, "g": 1.0},
+    "driven_oscillator": {"mass": 1.0, "frequency": 1.0, "amplitude": 0.3, "drive_frequency": 2.0},
 }
 
 
@@ -190,13 +153,15 @@ def builtin_system(name, n=1, **params):
     ----------
     name : str
         One of free_particle, harmonic_oscillator, constant_force,
-        driven_oscillator.
+        driven_oscillator: presets of one Hamiltonian family,
+        |p|^2/2m + m om^2 |q|^2/2 + (g + A cos om_d t) sum(q), each with
+        only the terms whose parameters it takes.
     n : int or Dimension
         Degrees of freedom.
     **params
         System parameters (mass, frequency, amplitude, drive_frequency, g);
-        only the ones the named system actually has are accepted.
+        only the ones the named preset has are accepted.
     """
     if name not in BUILTIN_SYSTEMS:
         raise ValueError(f"unknown system {name!r}; available: {sorted(BUILTIN_SYSTEMS)}")
-    return BUILTIN_SYSTEMS[name](as_dimension(n), **params)
+    return _family(name, as_dimension(n), _require(params, BUILTIN_SYSTEMS[name], name))

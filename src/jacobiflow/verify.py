@@ -17,7 +17,6 @@ import numpy as np
 
 from .forms import (
     MapHandle,
-    PhasePoint,
     as_dimension,
     default_step,
     eta_residual,
@@ -94,10 +93,6 @@ def _classify(omega_ok, lambda_ok, factored):
     return "Neither"
 
 
-def _probe_array(probe):
-    return probe.to_array() if isinstance(probe, PhasePoint) else np.asarray(probe, dtype=float)
-
-
 def _report(res_o, res_l, matrices, listed, probes, tol_omega, tol_lambda):
     """Report from per-matrix residuals.
 
@@ -137,7 +132,7 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     f : MapHandle or callable
         The map; an analytic Jacobian on the handle is used when present,
         otherwise central differences.
-    probes : sequence of PhasePoint or state vectors
+    probes : sequence of state vectors, or an array with one per row
         At least one; classification is the AND over probes.
     tol_omega, tol_lambda : float
         Residual thresholds for the symplectic form and the time metric.
@@ -146,7 +141,7 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     if not probes:
         raise ValueError("need at least one probe point")
     jac = f.jacobian if isinstance(f, MapHandle) and f.jacobian is not None else None
-    arrays = [_probe_array(pr) for pr in probes]
+    arrays = [np.asarray(pr, dtype=float) for pr in probes]
     jacobians = np.array(
         [np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z) for z in arrays]
     )
@@ -169,14 +164,14 @@ def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
     """
     if traj.jac is None:
         raise ValueError("trajectory carries no variational Jacobians")
-    probes = [traj.point(k) for k in traj.jac_steps]
+    probes = [traj.z[k] for k in traj.jac_steps]  # views of the stored rows, no copy
     return _report(
         traj.jac_omega, traj.jac_lambda, traj.jac, traj.jac_steps, probes, tol_omega, tol_lambda
     )
 
 
 def trajectory_probes(traj, count, rng):
-    """Probe points on a stored trajectory.
+    """Probe points on a stored trajectory, one state vector per row.
 
     Each probe is a stored sample with its energy coordinate redrawn from
     [-2, 2], since no certified quantity depends on it.  Only samples whose
@@ -194,18 +189,16 @@ def trajectory_probes(traj, count, rng):
             f"no trajectory sample leaves room for the probe difference step"
             f" h >= {h.min():.3g} inside the span [{float(t[0])}, {float(t[-1])}]"
         )
-    out = []
-    for _ in range(count):
-        z = traj.z[room[rng.integers(room.size)]].copy()
+    out = np.empty((count, traj.z.shape[1]))
+    for z in out:
+        z[:] = traj.z[room[rng.integers(room.size)]]
         z[-2] = rng.uniform(-2.0, 2.0)
-        out.append(PhasePoint.from_array(z))
     return out
 
 
 def box_probes(n, count, rng, half_width=2.0):
-    """Probe points drawn uniformly from a box around the origin."""
-    d = as_dimension(n).extended
-    return [PhasePoint.from_array(rng.uniform(-half_width, half_width, d)) for _ in range(count)]
+    """Probe points drawn uniformly from a box around the origin, one state vector per row."""
+    return rng.uniform(-half_width, half_width, (count, as_dimension(n).extended))
 
 
 def hamilton_residual(traj, sys):

@@ -14,7 +14,6 @@ from jacobiflow import (
     integrate_flow,
     make_rho,
     numeric_jacobian,
-    reduced_vector_field,
     write_csv,
 )
 
@@ -40,19 +39,6 @@ def test_field_autonomous_energy_component():
         sys = builtin_system(name, n=2)
         X = extended_vector_field(sys, rng.uniform(-2, 2, 6))
         assert X[-2] == 0.0 and X[-1] == 1.0
-
-
-def test_reduced_field():
-    y = np.array([1.0, 0.0])
-    assert np.array_equal(reduced_vector_field(_ho(), y), [0.0, -1.0])
-    # exact agreement with the (q, p) block of the extended field
-    z = np.array([1.0, 0.0, 9.0, 0.0])
-    assert np.array_equal(reduced_vector_field(_ho(), y), extended_vector_field(_ho(), z)[:2])
-
-
-def test_reduced_field_rejects_nonautonomous():
-    with pytest.raises(ValueError):
-        reduced_vector_field(builtin_system("driven_oscillator"), np.zeros(2))
 
 
 def test_free_particle_closed_form():
@@ -285,9 +271,9 @@ def test_trajectory_accessors():
     assert traj.q.shape == (traj.n_samples, 1)
     assert traj.p.shape == (traj.n_samples, 1)
     assert np.all(np.diff(traj.tau) > 0)
-    pt = traj.point(3)
-    assert pt.t == traj.t[3]
-    assert np.array_equal(pt.to_array(), traj.z[3])
+    z = traj.z[3]
+    assert z[-1] == traj.t[3] and z[-2] == traj.eps[3]
+    assert z[0] == traj.q[3, 0] and z[1] == traj.p[3, 0]
 
 
 def test_velocity_force_power_samples():

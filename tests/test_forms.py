@@ -4,9 +4,10 @@ import pytest
 from jacobiflow import (
     Dimension,
     MapHandle,
-    PhasePoint,
     block_permutation,
     block_to_interleaved,
+    box_probes,
+    builtin_system,
     canonical_eta,
     canonical_zeta,
     form_residual,
@@ -25,11 +26,11 @@ def test_zeta_n1_matrix():
             [0.0, 0.0, -1.0, 0.0],
         ]
     )
-    assert np.array_equal(canonical_zeta(1).matrix, expected)
+    assert np.array_equal(canonical_zeta(1), expected)
 
 
 def test_zeta_block_structure():
-    z = canonical_zeta(2).matrix
+    z = canonical_zeta(2)
     pair = np.array([[0.0, 1.0], [-1.0, 0.0]])
     for k in range(3):
         assert np.array_equal(z[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], pair)
@@ -43,7 +44,7 @@ def test_zeta_block_structure():
 
 
 def test_eta_matrix():
-    e = canonical_eta(1).matrix
+    e = canonical_eta(1)
     expected = np.zeros((4, 4))
     expected[-1, -1] = 1.0
     assert np.array_equal(e, expected)
@@ -59,11 +60,8 @@ def test_form_residual_scaling_example():
 def test_form_residual_identity_zero():
     assert form_residual(np.eye(4), canonical_zeta(1)) == 0.0
     assert form_residual(np.eye(4), canonical_eta(1)) == 0.0
-
-
-def test_form_residual_accepts_plain_matrix():
-    z = canonical_zeta(1).matrix
-    assert form_residual(np.eye(4), z) == 0.0
+    # any matrix serves as the form, not only the shared read-only ones
+    assert form_residual(np.eye(4), canonical_zeta(1).tolist()) == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -87,24 +85,6 @@ def test_stacked_residuals_match_form_residual(n):
 def test_form_residual_shape_mismatch():
     with pytest.raises(ValueError):
         form_residual(np.eye(4), canonical_zeta(2))
-
-
-def test_phase_point_roundtrip():
-    pt = PhasePoint(q=[1.0, 2.0], p=[3.0, 4.0], eps=5.0, t=6.0)
-    assert np.array_equal(pt.to_array(), [1.0, 3.0, 2.0, 4.0, 5.0, 6.0])
-    back = PhasePoint.from_array(pt.to_array())
-    assert np.array_equal(back.q, pt.q)
-    assert np.array_equal(back.p, pt.p)
-    assert back.eps == pt.eps and back.t == pt.t
-
-
-def test_phase_point_validation():
-    with pytest.raises(ValueError):
-        PhasePoint(q=[1.0, 2.0], p=[3.0], eps=0.0, t=0.0)
-    with pytest.raises(ValueError):
-        PhasePoint(q=[np.nan], p=[0.0], eps=0.0, t=0.0)
-    with pytest.raises(ValueError):
-        PhasePoint.from_array(np.zeros(5))
 
 
 def test_block_permutation_matches_index_converters():
@@ -149,8 +129,7 @@ def test_numeric_jacobian_quadratic():
 
 def test_numeric_jacobian_accepts_handle_and_point():
     handle = MapHandle(func=lambda z: 2.0 * z, n=Dimension(1), name="doubling")
-    pt = PhasePoint(q=[1.0], p=[0.5], eps=0.0, t=0.2)
-    J = numeric_jacobian(handle, pt)
+    J = numeric_jacobian(handle, [1.0, 0.5, 0.0, 0.2])
     assert np.max(np.abs(J - 2.0 * np.eye(4))) < 1e-9
 
 
@@ -179,3 +158,13 @@ def test_dimension():
         Dimension(0)
     with pytest.raises(ValueError):
         Dimension(1.5)
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, "3"])
+def test_non_integer_dimension_is_rejected_not_truncated(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        as_dimension(n)
+    with pytest.raises(ValueError, match="positive integer"):
+        builtin_system("harmonic_oscillator", n=n)
+    with pytest.raises(ValueError, match="positive integer"):
+        box_probes(n, 3, np.random.default_rng(0))

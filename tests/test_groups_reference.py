@@ -200,7 +200,7 @@ def test_noncommutativity_check_matches_reference(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shared_forms_are_read_only(n):
     d = 2 * n + 2
-    zeta, eta, z0 = canonical_zeta(n).matrix, canonical_eta(n).matrix, zeta_reduced(n)
+    zeta, eta, z0 = canonical_zeta(n), canonical_eta(n), zeta_reduced(n)
     assert np.array_equal(zeta, _zeta(d)) and np.array_equal(eta, _eta(d))
     assert np.array_equal(z0, _zeta(d - 2))
     # one table per n, whichever way n is given

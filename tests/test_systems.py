@@ -107,3 +107,94 @@ def test_analytic_field_jacobian_matches_fd():
             # the time row and energy column vanish identically
             assert np.all(A[-1] == 0.0)
             assert np.all(A[:, -2] == 0.0)
+
+
+def _spring_jacobian(n, m, om=0.0):
+    k = 2 * n
+    A = np.zeros((k + 2, k + 2))
+    A[0:k:2, 1:k:2] = np.eye(n) / m
+    if om:
+        A[1:k:2, 0:k:2] = -m * om * om * np.eye(n)
+    return A
+
+
+def _driven_jacobian(z, m, om, amp, wd):
+    k, t = len(z) - 2, z[-1]
+    A = _spring_jacobian(k // 2, m, om)
+    A[1:k:2, -1] = amp * wd * np.sin(wd * t)
+    A[k, 0:k:2] = -amp * wd * np.sin(wd * t)
+    A[k, -1] = -amp * wd * wd * float(z[0:k:2].sum()) * np.cos(wd * t)
+    return A
+
+
+# reference (value, grad_q, d_t, vf_jacobian) of each preset, written in the
+# evaluation order that the output bytes depend on; grad_p is p / m for all
+REFERENCE = {
+    "free_particle": lambda m: (
+        lambda q, p, t: 0.5 * float(p @ p) / m,
+        lambda q, p, t: np.zeros(len(q)),
+        lambda q, p, t: 0.0,
+        lambda z: _spring_jacobian(len(z) // 2 - 1, m),
+    ),
+    "harmonic_oscillator": lambda m, om: (
+        lambda q, p, t: 0.5 * float(p @ p) / m + 0.5 * m * om * om * float(q @ q),
+        lambda q, p, t: m * om * om * q,
+        lambda q, p, t: 0.0,
+        lambda z: _spring_jacobian(len(z) // 2 - 1, m, om),
+    ),
+    "constant_force": lambda m, g: (
+        lambda q, p, t: 0.5 * float(p @ p) / m + g * float(q.sum()),
+        lambda q, p, t: g * np.ones(len(q)),
+        lambda q, p, t: 0.0,
+        lambda z: _spring_jacobian(len(z) // 2 - 1, m),
+    ),
+    "driven_oscillator": lambda m, om, amp, wd: (
+        lambda q, p, t: (
+            0.5 * float(p @ p) / m + 0.5 * m * om * om * float(q @ q)
+            + amp * float(q.sum()) * np.cos(wd * t)
+        ),
+        lambda q, p, t: m * om * om * q + amp * np.cos(wd * t),
+        lambda q, p, t: -amp * wd * float(q.sum()) * np.sin(wd * t),
+        lambda z: _driven_jacobian(z, m, om, amp, wd),
+    ),
+}
+
+VARIANTS = [
+    ("free_particle", {}),
+    ("free_particle", {"mass": 2.5}),
+    ("harmonic_oscillator", {}),
+    ("harmonic_oscillator", {"mass": 0.7, "frequency": 1.9}),
+    ("constant_force", {}),
+    ("constant_force", {"g": 0.0}),
+    ("constant_force", {"g": -0.0}),
+    ("constant_force", {"mass": 2.0, "g": -1.5}),
+    ("driven_oscillator", {}),
+    ("driven_oscillator", {"amplitude": 0.0}),
+    ("driven_oscillator", {"amplitude": -0.0}),
+    ("driven_oscillator", {"drive_frequency": 0.0}),
+    ("driven_oscillator", {"amplitude": 0.0, "drive_frequency": 0.0}),
+    ("driven_oscillator", {"mass": 1.3, "frequency": 0.8, "amplitude": -0.6, "drive_frequency": 3.1}),
+]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name,params", VARIANTS)
+def test_presets_match_the_per_system_formulas_bitwise(name, params):
+    # signed zeros included: a term the preset lacks must not turn up as -0.0
+    rng = np.random.default_rng(24)
+    for n in (1, 3):
+        sys = builtin_system(name, n=n, **params)
+        value, grad_q, d_t, jac = REFERENCE[name](*sys.params.values())
+        states = [rng.uniform(-2, 2, 2 * n + 2) for _ in range(16)]
+        states += [np.full(2 * n + 2, -0.0), np.zeros(2 * n + 2)]
+        states += [np.where(rng.uniform(size=2 * n + 2) < 0.5, -0.0, z) for z in states[:4]]
+        for z in states:
+            q, p, t = z[0:-2:2], z[1:-2:2], z[-1]
+            assert _bits(sys.value(q, p, t)) == _bits(value(q, p, t))
+            assert _bits(sys.grad_q(q, p, t)) == _bits(grad_q(q, p, t))
+            assert _bits(sys.grad_p(q, p, t)) == _bits(p / sys.params["mass"])
+            assert _bits(sys.d_t(q, p, t)) == _bits(d_t(q, p, t))
+            assert _bits(sys.vf_jacobian(z)) == _bits(jac(z))

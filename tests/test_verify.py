@@ -269,13 +269,14 @@ def test_trajectory_probes_interior():
     rng = np.random.default_rng(3)
     probes = trajectory_probes(traj, 50, rng)
     assert len(probes) == 50
-    for pt in probes:
-        h = default_step(pt.to_array())
-        assert traj.t[0] + h <= pt.t <= traj.t[-1] - h
-        assert -2.0 <= pt.eps <= 2.0
+    assert probes.shape == (50, 4)
+    for z in probes:
+        h = default_step(z)
+        assert traj.t[0] + h <= z[-1] <= traj.t[-1] - h
+        assert -2.0 <= z[-2] <= 2.0
     # every sample but the two ends leaves room for the difference stencil
     short = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 0.5, 0.1)
-    drawn = {pt.t for pt in trajectory_probes(short, 200, np.random.default_rng(0))}
+    drawn = set(trajectory_probes(short, 200, np.random.default_rng(0))[:, -1])
     assert drawn == set(short.t[1:-1])
 
 
@@ -288,11 +289,11 @@ def test_trajectory_probes_need_room():
 
 def test_box_probes_shape_and_range():
     probes = box_probes(Dimension(2), 10, np.random.default_rng(1), half_width=1.5)
-    assert len(probes) == 10
-    for pt in probes:
-        z = pt.to_array()
-        assert z.shape == (6,)
-        assert np.max(np.abs(z)) <= 1.5
+    assert probes.shape == (10, 6)
+    assert np.max(np.abs(probes)) <= 1.5
+    # one state per draw of 6, the stream the map-mode probes always used
+    rng = np.random.default_rng(1)
+    assert np.array_equal(probes, [rng.uniform(-1.5, 1.5, 6) for _ in range(10)])
 
 
 def test_rho_certifies_on_trajectory():
