@@ -195,9 +195,51 @@ def _resolved(cfg, params):
     return out
 
 
+# encodes one scalar or one flat list at C speed; without an indent the json
+# module takes its C encoder, whose scalars and ", " separators are those of
+# json.dump(indent=2)
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _json_pieces(obj, indent):
+    """The text of json.dump(obj, indent=2, sort_keys=True) at `indent`, in pieces."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{\n" + inner
+        for key, val in sorted(obj.items()):
+            # json writes an int, float, bool or None key as its JSON text
+            yield sep + _ENCODER.encode(key if isinstance(key, str) else _ENCODER.encode(key)) + ": "
+            yield from _json_pieces(val, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        if not isinstance(obj[0], (dict, list, tuple, str)):
+            # a flat list of numbers and literals: no ", " inside an item
+            text = _ENCODER.encode(obj)
+            if not ('"' in text or "{" in text or "[" in text[1:]):
+                yield "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + indent + "]"
+                return
+        sep = "[\n" + inner
+        for val in obj:
+            yield sep
+            yield from _json_pieces(val, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:
+        yield _ENCODER.encode(obj)
+
+
 def _write_json(path, obj):
+    # the bytes of json.dump(obj, indent=2, sort_keys=True) and a newline,
+    # without json's pure-Python indenting encoder
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_pieces(obj, ""))
         fh.write("\n")
 
 

@@ -12,11 +12,16 @@ of the step the method actually took, built from the field Jacobian A at the
 step's own stages (RK4 applies its stages to J' = A J; leapfrog multiplies
 the tangents of its kick, drift and kick).  A's time row is identically zero
 and its energy column is identically zero, so J keeps an exact
-(0, ..., 0, 1) time row and e_eps energy column.  The step loop takes the
-symplectic and time-metric residual of every J as it goes, in stacked passes
-over a buffer of `_RESIDUAL_CHUNK` Jacobians, and keeps only every
-`jac_every`-th J and the last one; the certification layer factors those
-into the matrix group.  The full (steps + 1, d, d) stack is never stored.
+(0, ..., 0, 1) time row and e_eps energy column.  The steps run in chunks of
+`_STAGE_CHUNK`: a state pass advances the state through the chunk and
+records its stage states (RK4: z, z2, z3, z4; leapfrog: the half-kick state
+(q1, p_half, t1)), one field-Jacobian call evaluates A at all of them, and a
+tangent pass then applies them to J step by step, with the same arithmetic
+as a Jacobian taken inside the step.  The tangent pass takes the symplectic
+and time-metric residual of every J as it goes, in stacked passes over a
+buffer of `_RESIDUAL_CHUNK` Jacobians, and keeps only every `jac_every`-th J
+and the last one; the certification layer factors those into the matrix
+group.  The full (steps + 1, d, d) stack is never stored.
 """
 
 import math
@@ -29,6 +34,10 @@ from .forms import Dimension, MapHandle, default_step, eta_residual, zeta_residu
 # Jacobians per stacked residual pass in the step loop: bounds the buffer and
 # the pass's temporaries to a few (chunk, d, d) arrays however long the flow
 _RESIDUAL_CHUNK = 256
+# steps per state pass of the variational flow: one field-Jacobian call per
+# chunk instead of one per stage, with a (chunk, stages, d, d) stack that
+# stays near 1 MB at n = 16
+_STAGE_CHUNK = 32
 
 
 def _as_state(z):
@@ -64,8 +73,11 @@ def extended_vector_field(sys, z):
 
 
 def _jacobian(sys, z):
+    """Field Jacobian at one state (d,), or at each row of a (B, d) stack."""
     if sys.vf_jacobian is not None:
         return np.asarray(sys.vf_jacobian(z), dtype=float)
+    if z.ndim == 2:
+        return np.array([_fd_field_jacobian(sys, row) for row in z])
     return _fd_field_jacobian(sys, z)
 
 
@@ -223,6 +235,11 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         record(0, J)
     h = 0.5 * dt
     w = dt / 6.0
+    chunk = n_steps
+    if with_variational:
+        chunk = _STAGE_CHUNK
+        stages = 4 if method == "rk4" else 1
+        S = np.empty((chunk, stages, d))  # stage states of the chunk's steps
     if method == "leapfrog" and with_variational:
         # the tangent of kick-drift-kick is K2 D K1 with K = I + h A on the
         # (p, eps) rows and D = I + dt A on the q rows
@@ -232,59 +249,74 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         drift_rows = np.zeros((d, 1))
         drift_rows[0:k:2] = dt
         A = _jacobian(sys, z)
-    for i in range(n_steps):
-        z = Z[i]
-        t1 = t0 + (i + 1) * dt
+    for start in range(0, n_steps, chunk):
+        stop = min(start + chunk, n_steps)
+        for i in range(start, stop):
+            z = Z[i]
+            t1 = t0 + (i + 1) * dt
+            if method == "rk4":
+                # X, the field at z, is both the stored sample and K1
+                z2 = z + h * X
+                K2 = _field(sys, z2)
+                z3 = z + h * K2
+                K3 = _field(sys, z3)
+                z4 = z + dt * K3
+                K4 = _field(sys, z4)
+                zn = z + w * (X + 2.0 * K2 + 2.0 * K3 + K4)
+                zn[-1] = t1
+                if with_variational:
+                    S[i - start, 1] = z2
+                    S[i - start, 2] = z3
+                    S[i - start, 3] = z4
+                X = _field(sys, zn)
+            else:
+                # separable: grad_q and d_t ignore p, so the force and power of the
+                # stored sample at z give the opening half kick, and those of the
+                # closing half kick give the sample at the new state
+                p_h = z[1:k:2] + h * X[1:k:2]
+                eps_h = z[-2] + h * X[-2]
+                zn = np.empty(d)
+                X = np.empty(d)
+                zn[0:k:2] = z[0:k:2] + dt * np.asarray(sys.grad_p(z[0:k:2], p_h, z[-1]), dtype=float)
+                q1 = zn[0:k:2]
+                np.negative(sys.grad_q(q1, p_h, t1), out=X[1:k:2])
+                X[-2] = sys.d_t(q1, p_h, t1)
+                zn[1:k:2] = p_h + h * X[1:k:2]
+                zn[-2] = eps_h + h * X[-2]
+                zn[-1] = t1
+                X[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
+                X[-1] = 1.0
+                if with_variational:
+                    # A at (q1, p_h, t1) gives D, the closing kick and the next opening kick
+                    zh = S[i - start, 0]
+                    zh[:] = zn
+                    zh[1:k:2] = p_h
+            if not (np.isfinite(zn).all() and np.isfinite(X).all()):
+                raise ValueError(
+                    f"flow blew up: non-finite state or field at step {i + 1} (last valid step {i})"
+                )
+            Z[i + 1] = zn
+            XS[i + 1] = X
+        if not with_variational:
+            continue
+        m = stop - start
         if method == "rk4":
-            # X, the field at z, is both the stored sample and K1
-            z2 = z + h * X
-            K2 = _field(sys, z2)
-            z3 = z + h * K2
-            K3 = _field(sys, z3)
-            z4 = z + dt * K3
-            K4 = _field(sys, z4)
-            zn = z + w * (X + 2.0 * K2 + 2.0 * K3 + K4)
-            zn[-1] = t1
-            if with_variational:
-                L1 = _jacobian(sys, z) @ J
-                L2 = _jacobian(sys, z2) @ (J + h * L1)
-                L3 = _jacobian(sys, z3) @ (J + h * L2)
-                L4 = _jacobian(sys, z4) @ (J + dt * L3)
+            S[:m, 0] = Z[start:stop]
+        As = _jacobian(sys, S[:m].reshape(m * stages, d)).reshape(m, stages, d, d)
+        for j in range(m):
+            if method == "rk4":
+                A1, A2, A3, A4 = As[j]
+                L1 = A1 @ J
+                L2 = A2 @ (J + h * L1)
+                L3 = A3 @ (J + h * L2)
+                L4 = A4 @ (J + dt * L3)
                 J = J + w * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
-            X = _field(sys, zn)
-        else:
-            # separable: grad_q and d_t ignore p, so the force and power of the
-            # stored sample at z give the opening half kick, and those of the
-            # closing half kick give the sample at the new state
-            p_h = z[1:k:2] + h * X[1:k:2]
-            eps_h = z[-2] + h * X[-2]
-            zn = np.empty(d)
-            X = np.empty(d)
-            zn[0:k:2] = z[0:k:2] + dt * np.asarray(sys.grad_p(z[0:k:2], p_h, z[-1]), dtype=float)
-            q1 = zn[0:k:2]
-            np.negative(sys.grad_q(q1, p_h, t1), out=X[1:k:2])
-            X[-2] = sys.d_t(q1, p_h, t1)
-            zn[1:k:2] = p_h + h * X[1:k:2]
-            zn[-2] = eps_h + h * X[-2]
-            zn[-1] = t1
-            X[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
-            X[-1] = 1.0
-            if with_variational:
-                # A at (q1, p_h, t1) gives D, the closing kick and the next opening kick
-                zh = zn.copy()
-                zh[1:k:2] = p_h
-                A_open, A = A, _jacobian(sys, zh)
+            else:
+                A_open, A = A, As[j, 0]
                 J = J + kick_rows * (A_open @ J)
                 J = J + drift_rows * (A @ J)
                 J = J + kick_rows * (A @ J)
-        if not (np.isfinite(zn).all() and np.isfinite(X).all()):
-            raise ValueError(
-                f"flow blew up: non-finite state or field at step {i + 1} (last valid step {i})"
-            )
-        Z[i + 1] = zn
-        XS[i + 1] = X
-        if with_variational:
-            record(i + 1, J)
+            record(start + j + 1, J)
     return Trajectory(
         tau=Z[:, -1].copy(),
         z=Z,

@@ -18,9 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Default tolerances: exact matrix algebra vs finite-difference checks.
+# Default tolerance of exact matrix algebra.
 TOL_EXACT = 1e-12
-TOL_FD = 1e-6
 
 
 def _freeze(a):
@@ -139,13 +138,17 @@ def zeta_residual(J):
 def eta_residual(J):
     """Time-metric residual of a (d, d) matrix, or of each matrix of a (..., d, d) stack.
 
-    J^T eta J is the outer product of J's last row with itself, so this is
-    bitwise equal to `form_residual(J, canonical_eta(n))` per matrix for
-    finite J, without the two matrix products; no input checks.
+    J^T eta J is the outer product of J's last row l with itself, whose
+    largest entry off the (t, t) corner is b*b or b*|l_t|, with b the largest
+    |l_i| for i < t: |l_i l_j| = |l_i||l_j| and rounding is monotone.  So this
+    is bitwise equal to `form_residual(J, canonical_eta(n))` per matrix for
+    finite J, in O(d) per matrix; a non-finite entry in l gives inf or NaN,
+    which fails every tolerance.  No input checks.
     """
-    eta = canonical_eta((J.shape[-1] - 2) // 2)
-    last = J[..., -1, :]
-    return abs(last[..., :, None] * last[..., None, :] - eta).max(axis=(-2, -1))
+    a = abs(J[..., -1, :])
+    b = a[..., :-1].max(axis=-1)
+    a_t = a[..., -1]
+    return np.maximum(np.maximum(b * b, b * a_t), abs(a_t * a_t - 1.0))
 
 
 def block_permutation(n):

@@ -26,8 +26,10 @@ class HamiltonianSystem:
     on this to reuse one half kick's force and power for the next.
     autonomous means d_t == 0 identically.  vf_jacobian, when supplied,
     evaluates the (2n+2)-dimensional Jacobian of the extended vector field
-    at a flat state vector; the integrator falls back to central
-    differences without it.
+    at one flat state vector (d,), or at each row of a (B, d) stack, giving
+    (B, d, d) with each matrix bitwise equal to the single-state call; the
+    integrator hands it every stage state of a run of steps at once, and
+    falls back to central differences, row by row, without it.
     """
 
     n: Dimension
@@ -115,12 +117,14 @@ def _family(name, n, params):
         return 0.0 if amp is None else -amp * wd * float(q.sum()) * np.sin(wd * t)
 
     def vf_jacobian(z):
-        A = A0.copy()
+        # one state (d,) or a stack (B, d), with the same arithmetic per row
+        A = np.empty(z.shape[:-1] + A0.shape)
+        A[...] = A0
         if amp is not None:
-            t = z[-1]
-            A[1:k:2, -1] = amp * wd * np.sin(wd * t)
-            A[k, 0:k:2] = -amp * wd * np.sin(wd * t)
-            A[k, -1] = -amp * wd * wd * float(z[0:k:2].sum()) * np.cos(wd * t)
+            t = z[..., -1]
+            A[..., 1:k:2, -1] = (amp * wd * np.sin(wd * t))[..., None]
+            A[..., k, 0:k:2] = (-amp * wd * np.sin(wd * t))[..., None]
+            A[..., k, -1] = -amp * wd * wd * z[..., 0:k:2].sum(axis=-1) * np.cos(wd * t)
         return A
 
     return HamiltonianSystem(

@@ -4,8 +4,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import jacobiflow.cli as cli
 from jacobiflow.cli import ConfigError, main, parse_config, validate_config
 from jacobiflow.selftest import run_checks
 
@@ -296,3 +298,66 @@ def test_param_for_wrong_system_is_rejected(tmp_path, capsys):
     code, _ = _run(tmp_path, "mode = flow\nsystem = harmonic_oscillator\ng = 2.0\nt_end = 1.0\n")
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _dumps(obj):
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+# the three flow scenarios of the benchmark's certify_flow workload, at its
+# 5000 steps: the n = 16 one writes 501 factorizations of 1024-entry lists
+CERTIFY_FLOW_CFGS = [
+    "system = driven_oscillator\nn = 1\nmethod = rk4\nz0 = 0.4 -0.7 0.0 0.0\nseed = 11\n",
+    "system = harmonic_oscillator\nn = 4\nmethod = leapfrog\n"
+    "z0 = 0.1 -0.5 0.9 0.3 -0.2 0.6 -0.8 0.4 0.0 0.0\nseed = 12\n",
+    "system = driven_oscillator\nn = 16\nmethod = rk4\nz0 = "
+    + " ".join(f"{0.06 * i - 0.95:.2f}" for i in range(32)) + " 0.0 0.0\nseed = 13\n",
+]
+
+
+def test_write_json_matches_json_dumps_on_every_report(tmp_path, monkeypatch):
+    written = []
+    write_json = cli._write_json
+
+    def checked(path, obj):
+        write_json(path, obj)
+        written.append(os.path.basename(path))
+        assert pathlib.Path(path).read_bytes() == _dumps(obj)
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+    for i, text in enumerate(CERTIFY_FLOW_CFGS):
+        cfg = _write(tmp_path, text, name=f"flow{i}.cfg")
+        assert main(["--config", cfg, "--out", str(tmp_path / f"flow{i}")]) == 0
+    cfg = _write(tmp_path, "mode = map\nmap = rotation\nn = 2\n", name="map.cfg")
+    assert main(["--config", cfg, "--out", str(tmp_path / "map")]) == 0
+    assert main(["--selftest", "--out", str(tmp_path / "selftest")]) == 0
+    assert written == ["invariance.json", "ledger.json"] * 3 + ["invariance.json", "selftest.json"]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"x": [0.1, float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, 2**70]},
+        {"empty": {}, "none": [], "deep": {"a": {"b": [[], {}, [[]]]}}},
+        [[1.0, 2.0], [3, [4, [5.5]]], [[]], [{}]],
+        {"tuple": (1, 2.5, (3, (4,))), "mixed": [1, "a, b", [2], {"c": None}]},
+        {"text": ["ä, ö", "☃", "quote \" and \\ backslash", "tab\t"], "ключ": "значение"},
+        {"lits": [None, True, False], "one": [True], "n": None, "t": True, "f": False},
+        {"np": [np.float64(0.1), np.float64(-2.5e-8)], "scalar": np.float64(3.0), "i": -7},
+        {"b": 1, "a": 2, "A": [3, "x"], "10": [float("nan")], "9": {}},
+        {1.5: "float key", 2: "int key", True: "bool key"},
+        {None: "null key"},
+        [1, 2, {"x": 1}],
+        [1, "a, b"],
+        [float("inf"), [1, 2]],
+        [],
+        {},
+        "top-level, string",
+        0.30000000000000004,
+        None,
+    ],
+)
+def test_write_json_matches_json_dumps(tmp_path, obj):
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), obj)
+    assert path.read_bytes() == _dumps(obj)

@@ -82,6 +82,45 @@ def test_stacked_residuals_match_form_residual(n):
     assert want_l[0] == 0.0
 
 
+def _eta_outer_residual(J):
+    # the time-metric residual as the max entry of |l l^T - eta|, l = J's last row
+    eta = canonical_eta((J.shape[-1] - 2) // 2)
+    last = J[..., -1, :]
+    return abs(last[..., :, None] * last[..., None, :] - eta).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_eta_residual_matches_the_outer_product_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    d = 2 * n + 2
+    scale = 10.0 ** rng.uniform(-160, 150, (300, 1, 1))
+    Js = rng.normal(size=(300, d, d)) * scale
+    Js[::4, -1, :-1] = 0.0  # exact time rows, some with a signed zero
+    Js[::8, -1, :-1] = -0.0
+    Js[1::5, -1, -1] = rng.choice([1.0, -1.0, 0.0, -0.0, 1.0 + 2**-52], 60)
+    Js[2::7, -1, rng.integers(0, d - 1)] = -0.0
+    assert eta_residual(Js).tobytes() == _eta_outer_residual(Js).tobytes()
+    for J in Js[:50]:
+        assert eta_residual(J).tobytes() == _eta_outer_residual(J).tobytes()
+    assert np.ndim(eta_residual(Js[0])) == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_eta_residual_of_a_non_finite_time_row_fails_every_tolerance(bad):
+    d = 6
+    for col in range(d):
+        for rest in (0.0, 1.0):
+            J = np.eye(d)
+            J[-1] = rest
+            J[-1, -1] = 1.0
+            J[-1, col] = bad
+            with np.errstate(invalid="ignore"):
+                res = eta_residual(J)
+                stacked = eta_residual(J[None])[0]
+            assert not res <= np.finfo(float).max
+            assert not stacked <= np.finfo(float).max
+
+
 def test_form_residual_shape_mismatch():
     with pytest.raises(ValueError):
         form_residual(np.eye(4), canonical_zeta(2))

@@ -1,19 +1,29 @@
 """integrate_flow against a plain reference of the RK4 and leapfrog updates.
 
-The reference evaluates every stage and every stored sample through the
-public, validated field functions and shares no state between steps, so the
-integrator's reuse of evaluations must reproduce it bit for bit.  Leapfrog's
-Jacobian is the tangent of its step and is checked in test_dynamics.
+The reference evaluates every stage, every stage Jacobian and every stored
+sample through the public, validated field functions, one state at a time,
+so the integrator's reuse of evaluations and its batched stage Jacobians
+must reproduce it bit for bit.  The only state carried between steps is
+leapfrog's opening-kick Jacobian, which the method takes from the previous
+step's half-kick state.  The flows run across more than two of the
+integrator's chunk boundaries, where a stage Jacobian taken at the wrong
+state would first show.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from jacobiflow import builtin_system, extended_vector_field, field_jacobian, integrate_flow
+from jacobiflow.dynamics import _STAGE_CHUNK
 from jacobiflow.systems import BUILTIN_SYSTEMS
 
+T0, DT = 0.25, 0.01
+T_END = T0 + (2 * _STAGE_CHUNK + 11) * DT
 
-def _rk4_step(sys, z, t1, dt, J):
+
+def _rk4_step(sys, z, t1, dt, J, A_open):
     K1 = extended_vector_field(sys, z)
     z2 = z + (0.5 * dt) * K1
     K2 = extended_vector_field(sys, z2)
@@ -27,10 +37,10 @@ def _rk4_step(sys, z, t1, dt, J):
     L2 = field_jacobian(sys, z2) @ (J + (0.5 * dt) * L1)
     L3 = field_jacobian(sys, z3) @ (J + (0.5 * dt) * L2)
     L4 = field_jacobian(sys, z4) @ (J + dt * L3)
-    return zn, J + (dt / 6.0) * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
+    return zn, J + (dt / 6.0) * (L1 + 2.0 * L2 + 2.0 * L3 + L4), None
 
 
-def _leapfrog_step(sys, z, t1, dt, J):
+def _leapfrog_step(sys, z, t1, dt, J, A_open):
     k = len(z) - 2
     q, p, eps, t = z[0:k:2].copy(), z[1:k:2].copy(), z[-2], z[-1]
     p_h = p - (0.5 * dt) * np.asarray(sys.grad_q(q, p, t), dtype=float)
@@ -43,7 +53,20 @@ def _leapfrog_step(sys, z, t1, dt, J):
     zn[1:k:2] = p1
     zn[-2] = eps1
     zn[-1] = t1
-    return zn, None
+    # tangent K2 D K1: the kicks move the (p, eps) rows by h A J, the drift
+    # the q rows by dt A J; A at the half-kick state (q1, p_h, eps1, t1) gives
+    # D and the closing kick, and the previous step's gives the opening kick
+    zh = zn.copy()
+    zh[1:k:2] = p_h
+    A = field_jacobian(sys, zh)
+    kick = np.zeros((len(z), 1))
+    kick[1:k:2] = 0.5 * dt
+    kick[k] = 0.5 * dt
+    drift = np.zeros((len(z), 1))
+    drift[0:k:2] = dt
+    J = J + kick * (A_open @ J)
+    J = J + drift * (A @ J)
+    return zn, J + kick * (A @ J), A
 
 
 def _reference_flow(sys, z0, t_end, dt, method):
@@ -52,8 +75,9 @@ def _reference_flow(sys, z0, t_end, dt, method):
     dt = (t_end - t0) / n_steps
     step = _rk4_step if method == "rk4" else _leapfrog_step
     Z, Js = [z0.copy()], [np.eye(len(z0))]
+    A = field_jacobian(sys, z0)
     for i in range(n_steps):
-        zn, J = step(sys, Z[-1], t0 + (i + 1) * dt, dt, Js[-1])
+        zn, J, A = step(sys, Z[-1], t0 + (i + 1) * dt, dt, Js[-1], A)
         Z.append(zn)
         Js.append(J)
     X = np.array([extended_vector_field(sys, z) for z in Z])
@@ -65,14 +89,24 @@ def _reference_flow(sys, z0, t_end, dt, method):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_flow_matches_reference_bitwise(name, n, method):
-    sys = builtin_system(name, n=n)
-    rng = np.random.default_rng(11 * n + len(name))
-    z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * n + 1), [0.25]])
-    traj = integrate_flow(sys, z0, 0.75, 0.01, method=method, with_variational=True, jac_every=1)
-    z, v, f, r, Js = _reference_flow(sys, z0, 0.75, 0.01, method)
+    _assert_matches_reference(builtin_system(name, n=n), 11 * n + len(name), method)
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+def test_finite_difference_fallback_matches_reference_bitwise(method):
+    # without vf_jacobian each stage Jacobian is a central difference, row by row
+    sys = dataclasses.replace(builtin_system("driven_oscillator", n=2), vf_jacobian=None)
+    _assert_matches_reference(sys, 5, method)
+
+
+def _assert_matches_reference(sys, seed, method):
+    rng = np.random.default_rng(seed)
+    z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n.n + 1), [T0]])
+    traj = integrate_flow(sys, z0, T_END, DT, method=method, with_variational=True, jac_every=1)
+    z, v, f, r, Js = _reference_flow(sys, z0, T_END, DT, method)
+    assert len(z) > 2 * _STAGE_CHUNK + 1
     assert np.array_equal(traj.z, z)
     assert np.array_equal(traj.v, v)
     assert np.array_equal(traj.f, f)
     assert np.array_equal(traj.r, r)
-    if method == "rk4":
-        assert np.array_equal(traj.jac, np.array(Js))
+    assert traj.jac.tobytes() == np.array(Js).tobytes()

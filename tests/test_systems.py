@@ -198,3 +198,8 @@ def test_presets_match_the_per_system_formulas_bitwise(name, params):
             assert _bits(sys.grad_p(q, p, t)) == _bits(p / sys.params["mass"])
             assert _bits(sys.d_t(q, p, t)) == _bits(d_t(q, p, t))
             assert _bits(sys.vf_jacobian(z)) == _bits(jac(z))
+        # a (B, d) stack gives each row's single-state Jacobian, bit for bit
+        stacked = sys.vf_jacobian(np.array(states))
+        assert stacked.shape == (len(states), 2 * n + 2, 2 * n + 2)
+        for z, A in zip(states, stacked):
+            assert _bits(A) == _bits(sys.vf_jacobian(z))
