@@ -9,10 +9,11 @@ unknown and duplicate keys are rejected).  Two modes:
 * mode = map: certify one of the builtin catalog maps at random probes.
 
 --selftest runs the group-law suites of `selftest` from the seed and writes
-their checks to selftest.json.  Every config value and flag is checked
-before any work starts.  Exit codes: 0 all checks pass, 1 a verification
-failed (reports are still written), 2 bad configuration or usage (one
-"config error:" line on stderr for a rejected value).
+their checks to selftest.json.  Every config value and flag is checked,
+and the output directory created, before any work starts.  Exit codes: 0
+all checks pass, 1 a verification failed (reports are still written), 2
+bad configuration or usage (one "config error:" line on stderr for a
+rejected value or an unusable output directory).
 """
 
 import argparse
@@ -373,10 +374,18 @@ def run_map(cfg, params, out_dir):
     return 0 if ok else 1
 
 
+def _make_out_dir(out_dir):
+    # before any work, so that a bad --out costs nothing and prints no traceback
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {e}") from None
+
+
 def run_scenario(cfg, present, out_dir):
     cfg = validate_config(cfg, present)
     params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     if cfg["mode"] == "map":
         return run_map(cfg, params, out_dir)
     return run_flow(cfg, params, out_dir)
@@ -393,9 +402,9 @@ def validate_selftest(seed, n_max, fuzz):
 
 
 def run_selftest(seed, n_max, fuzz, out_dir):
+    _make_out_dir(out_dir)
     checks = run_checks(seed, n_max, fuzz)
     ok = all(c["passed"] for c in checks)
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(
         os.path.join(out_dir, "selftest.json"),
         {

@@ -25,9 +25,10 @@ Validation happens where elements enter: the class constructors check
 shapes and signs, and `SymplecticBlock` (hence `JacobiElement.from_parts`,
 `from_dict` and `identity`) checks the symplectic residual against its
 `tol`.  Results that are members by construction (products, inverses,
-conjugates, the `vfr_convert`/`heisenberg_from_vfr` conversions, and the
-output of `jacobi_factor` once its own checks pass) are built by
-`_trusted`, which neither re-checks nor copies.
+conjugates, the `vfr_convert`/`heisenberg_from_vfr` conversions, the
+random elements of `random_jacobi`, and the output of `jacobi_factor` once
+its own checks pass) are built by `_trusted`, which neither re-checks nor
+copies.
 """
 
 from dataclasses import dataclass, field
@@ -484,39 +485,45 @@ def random_symplectic(n, rng, factors=4):
     """Random symplectic 2n x 2n matrix as a product of shears and pair rotations.
 
     Symplectic by construction; entries stay O(1) for the default factor
-    count.  Used by the self-test suites and the randomized tests.
+    count.  Used by the self-test suites and the randomized tests.  Returns
+    a fresh writable array.
     """
     n = as_dimension(n)
     k = n.reduced
-    M = np.eye(k)
+    M = _identity(k).copy()
     for _ in range(factors):
-        kind = rng.integers(3)
-        F = np.eye(k)
-        if kind == 0:  # q += S p, S symmetric
+        kind = int(rng.integers(3))
+        F = _identity(k).copy()
+        if kind == 2:  # independent rotation in each (q_i, p_i) plane
+            th = rng.uniform(0.0, 2.0 * np.pi, n.n)
+            c, s = np.cos(th), np.sin(th)
+            # the four entries of pair i sit on F's flat diagonals, 2(k+1) apart
+            f, step = F.reshape(-1), 2 * (k + 1)
+            f[0::step], f[1::step], f[k::step], f[k + 1 :: step] = c, -s, s, c
+        else:  # q += S p (kind 0) or p += S q (kind 1), S symmetric
             A = rng.uniform(-0.6, 0.6, (n.n, n.n))
-            S = 0.5 * (A + A.T)
-            F[0::2, 1::2] = S
-        elif kind == 1:  # p += T q, T symmetric
-            A = rng.uniform(-0.6, 0.6, (n.n, n.n))
-            T = 0.5 * (A + A.T)
-            F[1::2, 0::2] = T
-        else:  # independent rotation in each (q_i, p_i) plane
-            for i in range(n.n):
-                th = rng.uniform(0.0, 2.0 * np.pi)
-                c, s = np.cos(th), np.sin(th)
-                F[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
+            F[kind::2, 1 - kind :: 2] = 0.5 * (A + A.T)
         M = M @ F
     return M
 
 
 def random_jacobi(n, rng, tr=None, factors=4):
-    """Random group element; tr = None draws the sign at random."""
-    n = as_dimension(n)
+    """Random group element; tr = None draws the sign at random.
+
+    A member by construction, so it is built by `_trusted` without
+    re-checking the symplectic residual.
+    """
     if tr is None:
-        tr = int(rng.choice([-1, 1]))
-    return JacobiElement(
-        sigma=SymplecticBlock(random_symplectic(n, rng, factors=factors), tol=1e-9),
-        w=rng.uniform(-2.0, 2.0, n.reduced),
+        tr = (-1, 1)[rng.integers(2)]
+    elif tr not in (1, -1):
+        raise ValueError(f"tr must be +1 or -1, got {tr!r}")
+    sigma = _owned(random_symplectic(n, rng, factors=factors))
+    n = Dimension(len(sigma) // 2)
+    return _trusted(
+        JacobiElement,
+        sigma=_trusted(SymplecticBlock, sigma=sigma, n=n),
+        w=_owned(rng.uniform(-2.0, 2.0, n.reduced)),
         r=float(rng.uniform(-2.0, 2.0)),
-        tr=tr,
+        tr=int(tr),
+        n=n,
     )

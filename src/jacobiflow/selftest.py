@@ -11,6 +11,8 @@ to n_max; `commutators` draws its own n.  The fuzz check passes by
 detection, not by a residual bound, so it runs after the table.  No I/O.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .forms import zeta_reduced
@@ -38,7 +40,15 @@ FACTOR_TOL = 1e-9
 
 def _maxdev(a, b):
     """Largest absolute entry of the array a - b."""
-    return float(np.max(np.abs(a - b)))
+    return float(abs(a - b).max())
+
+
+@lru_cache(maxsize=None)
+def _units(n):
+    # the Heisenberg and Jacobi identities and the time reversal Delta(-1);
+    # immutable, so one of each serves every case of n
+    e = JacobiElement.identity(n)
+    return HeisenbergElement.identity(n), e, JacobiElement(sigma=e.sigma, w=e.w, r=0.0, tr=-1)
 
 
 def _elem_dist(a, b):
@@ -56,7 +66,7 @@ def _rand_heis(n, rng):
 
 
 def _heisenberg_axioms(rng, n):
-    e = HeisenbergElement.identity(n)
+    e = _units(n)[0]
     a, b, c = (_rand_heis(n, rng) for _ in range(3))
     return max(
         _heis_dist((a * b) * c, a * (b * c)),
@@ -68,7 +78,7 @@ def _heisenberg_axioms(rng, n):
 
 
 def _jacobi_axioms(rng, n):
-    e = JacobiElement.identity(n)
+    e = _units(n)[1]
     a, b, c = (random_jacobi(n, rng) for _ in range(3))
     return max(
         _elem_dist((a * b) * c, a * (b * c)),
@@ -106,7 +116,7 @@ def _factor_roundtrip(rng, n):
 def _igl_roundtrip(rng, n):
     m = 2 * n + 1
     omega = rng.uniform(-1.0, 1.0, (m, m)) + 2.0 * np.eye(m)
-    el = IglElement(omega=omega, u=rng.uniform(-2.0, 2.0, m), eps=int(rng.choice([-1, 1])))
+    el = IglElement(omega=omega, u=rng.uniform(-2.0, 2.0, m), eps=(-1, 1)[rng.integers(2)])
     back = igl_factor(el.matrix(), tol=FACTOR_TOL)
     return max(_maxdev(back.omega, el.omega), _maxdev(back.u, el.u), abs(back.eps - el.eps))
 
@@ -130,10 +140,10 @@ def _bracket(rng, case):
 def _delta_automorphism(rng, n):
     # conjugating a translation by the time-reversal element flips w,
     # keeps r; exact in the parameter composition
-    d = JacobiElement.from_parts(np.eye(2 * n), np.zeros(2 * n), 0.0, tr=-1)
+    _, e, d = _units(n)
     h = _rand_heis(n, rng)
-    g = JacobiElement.from_parts(np.eye(2 * n), h.w, h.r)
-    return _elem_dist(d * g * d.inv(), JacobiElement.from_parts(np.eye(2 * n), -h.w, h.r))
+    g = JacobiElement(sigma=e.sigma, w=h.w, r=h.r)
+    return _elem_dist(d * g * d.inv(), JacobiElement(sigma=e.sigma, w=-h.w, r=h.r))
 
 
 def _int_vfr(n, rng):

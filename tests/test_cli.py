@@ -232,6 +232,29 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("mode", ["selftest", "flow", "map"])
+@pytest.mark.parametrize("target", ["file", "below_file"])
+def test_unusable_out_dir_exits_2_before_any_work(tmp_path, monkeypatch, capsys, mode, target):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if target == "file" else blocker / "sub"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was checked")
+
+    for name in ("run_checks", "integrate_flow", "check_invariance"):
+        monkeypatch.setattr(cli, name, no_work)
+    if mode == "selftest":
+        argv = ["--selftest"]
+    else:
+        text = FLOW_CFG if mode == "flow" else "mode = map\nmap = rotation\n"
+        argv = ["--config", _write(tmp_path, text)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):
     # argparse alone reads "-1e-3" as an option and fails with a usage block
     out = tmp_path / "st"

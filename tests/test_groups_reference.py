@@ -4,12 +4,16 @@ The references below build every matrix from scratch, compute the form
 residuals as M^T F M - F and construct nothing through the element classes,
 so the shared form table and the unchecked constructor that the group ops
 use must reproduce them exactly: parameters, matrices, exception classes
-and messages.
+and messages.  The random-element reference is the plain generator: full
+`np.eye` factors, a loop over the (q_i, p_i) pairs, `rng.choice` for the
+sign and a validated `SymplecticBlock`; the shipped one must draw the same
+stream and return the same bits.
 """
 
 import numpy as np
 import pytest
 
+import jacobiflow.selftest as selftest
 from jacobiflow import (
     FactorError,
     HeisenbergElement,
@@ -26,9 +30,10 @@ from jacobiflow import (
     jacobi_mul,
     noncommutativity_check,
     random_jacobi,
+    random_symplectic,
     zeta_reduced,
 )
-from jacobiflow.groups import VfrView
+from jacobiflow.groups import SymplecticBlock, VfrView, _identity
 
 TOL = 1e-9
 
@@ -102,6 +107,38 @@ def _ref_factor(M, tol):
     if res_zeta > tol:
         return NotSymplectic, f"symplectic residual {res_zeta:.3e} > {tol:.1e}"
     return sigma, w, float(r), s
+
+
+def _ref_random_symplectic(n, rng, factors=4):
+    k = 2 * n
+    M = np.eye(k)
+    for _ in range(factors):
+        kind = rng.integers(3)
+        F = np.eye(k)
+        if kind == 0:
+            A = rng.uniform(-0.6, 0.6, (n, n))
+            F[0::2, 1::2] = 0.5 * (A + A.T)
+        elif kind == 1:
+            A = rng.uniform(-0.6, 0.6, (n, n))
+            F[1::2, 0::2] = 0.5 * (A + A.T)
+        else:
+            for i in range(n):
+                th = rng.uniform(0.0, 2.0 * np.pi)
+                c, s = np.cos(th), np.sin(th)
+                F[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
+        M = M @ F
+    return M
+
+
+def _ref_random_jacobi(n, rng, tr=None, factors=4):
+    if tr is None:
+        tr = int(rng.choice([-1, 1]))
+    return JacobiElement(
+        sigma=SymplecticBlock(_ref_random_symplectic(n, rng, factors=factors), tol=1e-9),
+        w=rng.uniform(-2.0, 2.0, 2 * n),
+        r=float(rng.uniform(-2.0, 2.0)),
+        tr=tr,
+    )
 
 
 def _parts(g):
@@ -235,3 +272,48 @@ def test_from_parts_still_validates():
         )
     g = JacobiElement.from_parts(sigma, np.zeros(4), 0.0, tol=np.inf)
     assert g.sigma.sigma[0, 0] == 1.5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_jacobi_matches_reference_generator(n):
+    for factors in range(7):
+        for tr in (None, 1, -1):
+            seed = 500 + 10 * n + factors
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(8):
+                g = random_jacobi(n, rng, tr=tr, factors=factors)
+                _assert_element(g, _parts(_ref_random_jacobi(n, ref_rng, tr=tr, factors=factors)))
+            # the same stream was drawn: the generators stand at the same state
+            assert _same_bits(rng.random(), ref_rng.random())
+
+
+def test_selftest_checks_match_the_reference_generator(monkeypatch):
+    shipped = selftest.run_checks(0, 3)
+    monkeypatch.setattr(selftest, "random_jacobi", _ref_random_jacobi)
+    assert selftest.run_checks(0, 3) == shipped
+
+
+@pytest.mark.parametrize("tr", [0, 2, -2, 0.5])
+def test_random_jacobi_rejects_a_bad_sign(tr):
+    with pytest.raises(ValueError, match="tr must be"):
+        random_jacobi(1, np.random.default_rng(0), tr=tr)
+
+
+def test_random_jacobi_field_types():
+    rng = np.random.default_rng(1)
+    for tr in (None, 1, -1, np.int64(-1), 1.0):
+        g = random_jacobi(2, rng, tr=tr)
+        assert type(g.tr) is int and type(g.r) is float and type(g.n.n) is int
+        assert g.sigma.n == g.n
+        for arr in (g.sigma.sigma, g.w):
+            assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_symplectic_without_factors_is_a_fresh_identity(n):
+    rng = np.random.default_rng(2)
+    M = random_symplectic(n, rng, factors=0)
+    assert M is not _identity(2 * n) and M.flags.writeable
+    assert _same_bits(M, np.eye(2 * n))
+    M[0, 0] = 5.0  # the shared identity is untouched
+    assert _identity(2 * n)[0, 0] == 1.0
