@@ -374,20 +374,25 @@ def run_map(cfg, params, out_dir):
     return 0 if ok else 1
 
 
-def _make_out_dir(out_dir):
+def _make_out_dir(out_dir, reports):
     # before any work, so that a bad --out costs nothing and prints no traceback
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {e}") from None
+    for name in reports:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ConfigError(f"cannot write report {path!r}: it exists and is not a regular file")
 
 
 def run_scenario(cfg, present, out_dir):
     cfg = validate_config(cfg, present)
     params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
-    _make_out_dir(out_dir)
     if cfg["mode"] == "map":
+        _make_out_dir(out_dir, ("invariance.json",))
         return run_map(cfg, params, out_dir)
+    _make_out_dir(out_dir, ("trajectory.csv", "invariance.json", "ledger.json"))
     return run_flow(cfg, params, out_dir)
 
 
@@ -402,7 +407,7 @@ def validate_selftest(seed, n_max, fuzz):
 
 
 def run_selftest(seed, n_max, fuzz, out_dir):
-    _make_out_dir(out_dir)
+    _make_out_dir(out_dir, ("selftest.json",))
     checks = run_checks(seed, n_max, fuzz)
     ok = all(c["passed"] for c in checks)
     _write_json(

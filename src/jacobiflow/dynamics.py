@@ -7,15 +7,19 @@ never integrated numerically: the t component of every stored state is
 computed as t0 + k*dt, which keeps the time metric invariant by
 construction.
 
+The steps run in chunks of `_STAGE_CHUNK`.  A state pass writes each step's
+state and field sample in place, with numpy's floating-point warnings off:
+one finiteness check over the chunk's rows, after the pass, reports the
+first non-finite step as a blow-up.
+
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
 step's own stages (RK4 applies its stages to J' = A J; leapfrog multiplies
 the tangents of its kick, drift and kick).  A's time row is identically zero
 and its energy column is identically zero, so J keeps an exact
-(0, ..., 0, 1) time row and e_eps energy column.  The steps run in chunks of
-`_STAGE_CHUNK`: a state pass advances the state through the chunk and
-records its stage states (RK4: z, z2, z3, z4; leapfrog: the half-kick state
-(q1, p_half, t1)), one field-Jacobian call evaluates A at all of them, and a
+(0, ..., 0, 1) time row and e_eps energy column.  Once a chunk's state pass
+is checked, one field-Jacobian call evaluates A at all its stage states
+(RK4: z, z2, z3, z4; leapfrog: the half-kick state (q1, p_half, t1)), and a
 tangent pass then applies them to J step by step, with the same arithmetic
 as a Jacobian taken inside the step.  The tangent pass takes the symplectic
 and time-metric residual of every J as it goes, in stacked passes over a
@@ -34,10 +38,11 @@ from .forms import Dimension, MapHandle, default_step, eta_residual, zeta_residu
 # Jacobians per stacked residual pass in the step loop: bounds the buffer and
 # the pass's temporaries to a few (chunk, d, d) arrays however long the flow
 _RESIDUAL_CHUNK = 256
-# steps per state pass of the variational flow: one field-Jacobian call per
-# chunk instead of one per stage, with a (chunk, stages, d, d) stack that
-# stays near 1 MB at n = 16
+# steps per state pass and per finiteness check; with the variational flow,
+# one field-Jacobian call per chunk instead of one per stage, with a
+# (chunk, stages, d, d) stack that stays near 1 MB at n = 16
 _STAGE_CHUNK = 32
+_CSV_BLOCK = 1024  # rows per block of write_csv's formatting
 
 
 def _as_state(z):
@@ -52,11 +57,10 @@ def _split(z):
     return z[0:k:2], z[1:k:2], z[-2], z[-1]
 
 
-def _field(sys, z):
-    """Field (v, f, r, 1) at a state vector that is already validated."""
+def _field(sys, z, X):
+    """Field (v, f, r, 1), written into X, at a state vector that is already validated."""
     k = len(z) - 2
-    q, p, t = z[0:k:2], z[1:k:2], z[-1]
-    X = np.empty(k + 2)
+    q, p, t = z[0:k:2], z[1:k:2], z.item(-1)
     X[0:k:2] = sys.grad_p(q, p, t)
     np.negative(sys.grad_q(q, p, t), out=X[1:k:2])
     X[-2] = sys.d_t(q, p, t)
@@ -66,7 +70,8 @@ def _field(sys, z):
 
 def extended_vector_field(sys, z):
     """Field (v, f, r, 1) at z, in canonical ordering."""
-    X = _field(sys, _as_state(z))
+    z = _as_state(z)
+    X = _field(sys, z, np.empty(len(z)))
     if not np.all(np.isfinite(X)):
         raise ValueError("Hamiltonian gradients evaluated to non-finite values")
     return X
@@ -179,8 +184,10 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     -------
     Trajectory
 
-    Raises ValueError on bad input, and on a non-finite state or field
-    sample along the flow.
+    Raises ValueError on bad input, and "flow blew up" at the first step
+    with a non-finite state or field sample, found by one check after each
+    chunk's state pass (whose floating-point warnings are suppressed), also
+    when a system callable then raises later in the chunk.
     """
     z = _as_state(z0)
     if not np.all(np.isfinite(z)):
@@ -204,13 +211,11 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     dt = (t_end - t0) / n_steps
     d = len(z)
     k = d - 2
-    X = _field(sys, z)
-    if not np.isfinite(X).all():
-        raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
     Z = np.empty((n_steps + 1, d))
     XS = np.empty((n_steps + 1, d))  # field samples (v, f, r, 1) at each Z row
     Z[0] = z
-    XS[0] = X
+    if not np.isfinite(_field(sys, z, XS[0])).all():
+        raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
     J = jac_steps = Js = res_o = res_l = None
     if with_variational:
         jac_steps = np.union1d(np.arange(0, n_steps + 1, jac_every), [n_steps])
@@ -235,12 +240,11 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         record(0, J)
     h = 0.5 * dt
     w = dt / 6.0
-    chunk = n_steps
-    if with_variational:
-        chunk = _STAGE_CHUNK
-        stages = 4 if method == "rk4" else 1
-        S = np.empty((chunk, stages, d))  # stage states of the chunk's steps
-    if method == "leapfrog" and with_variational:
+    rk4 = method == "rk4"
+    stages = 4 if rk4 else 1
+    S = np.empty((_STAGE_CHUNK, stages, d))  # stage states of the chunk's steps
+    K2, K3, K4 = np.empty((3, d))
+    if not rk4 and with_variational:
         # the tangent of kick-drift-kick is K2 D K1 with K = I + h A on the
         # (p, eps) rows and D = I + dt A on the q rows
         kick_rows = np.zeros((d, 1))
@@ -249,62 +253,72 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         drift_rows = np.zeros((d, 1))
         drift_rows[0:k:2] = dt
         A = _jacobian(sys, z)
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        for i in range(start, stop):
-            z = Z[i]
-            t1 = t0 + (i + 1) * dt
-            if method == "rk4":
-                # X, the field at z, is both the stored sample and K1
-                z2 = z + h * X
-                K2 = _field(sys, z2)
-                z3 = z + h * K2
-                K3 = _field(sys, z3)
-                z4 = z + dt * K3
-                K4 = _field(sys, z4)
-                zn = z + w * (X + 2.0 * K2 + 2.0 * K3 + K4)
-                zn[-1] = t1
-                if with_variational:
-                    S[i - start, 1] = z2
-                    S[i - start, 2] = z3
-                    S[i - start, 3] = z4
-                X = _field(sys, zn)
-            else:
-                # separable: grad_q and d_t ignore p, so the force and power of the
-                # stored sample at z give the opening half kick, and those of the
-                # closing half kick give the sample at the new state
-                p_h = z[1:k:2] + h * X[1:k:2]
-                eps_h = z[-2] + h * X[-2]
-                zn = np.empty(d)
-                X = np.empty(d)
-                zn[0:k:2] = z[0:k:2] + dt * np.asarray(sys.grad_p(z[0:k:2], p_h, z[-1]), dtype=float)
-                q1 = zn[0:k:2]
-                np.negative(sys.grad_q(q1, p_h, t1), out=X[1:k:2])
-                X[-2] = sys.d_t(q1, p_h, t1)
-                zn[1:k:2] = p_h + h * X[1:k:2]
-                zn[-2] = eps_h + h * X[-2]
-                zn[-1] = t1
-                X[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
-                X[-1] = 1.0
-                if with_variational:
-                    # A at (q1, p_h, t1) gives D, the closing kick and the next opening kick
-                    zh = S[i - start, 0]
-                    zh[:] = zn
-                    zh[1:k:2] = p_h
-            if not (np.isfinite(zn).all() and np.isfinite(X).all()):
-                raise ValueError(
-                    f"flow blew up: non-finite state or field at step {i + 1} (last valid step {i})"
-                )
-            Z[i + 1] = zn
-            XS[i + 1] = X
+    for start in range(0, n_steps, _STAGE_CHUNK):
+        stop = min(start + _STAGE_CHUNK, n_steps)
+        # step i writes rows i + 1 of Z and XS; over/invalid/divide each leave
+        # a non-finite value there, which the check after the pass reports
+        cause = None
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for i in range(start, stop):
+                    z, X, zn, Xn = Z[i], XS[i], Z[i + 1], XS[i + 1]
+                    t1 = t0 + (i + 1) * dt
+                    if rk4:
+                        # X, the field at z, is both the stored sample and K1
+                        z2, z3, z4 = S[i - start, 1], S[i - start, 2], S[i - start, 3]
+                        np.add(z, h * X, z2)
+                        _field(sys, z2, K2)
+                        np.add(z, h * K2, z3)
+                        _field(sys, z3, K3)
+                        np.add(z, dt * K3, z4)
+                        _field(sys, z4, K4)
+                        np.add(X, 2.0 * K2, zn)
+                        zn += 2.0 * K3
+                        zn += K4
+                        zn *= w
+                        np.add(z, zn, zn)
+                        zn[-1] = t1
+                        _field(sys, zn, Xn)
+                    else:
+                        # separable: grad_q and d_t ignore p, so the force and power of the
+                        # stored sample at z give the opening half kick, and those of the
+                        # closing half kick give the sample at the new state
+                        p_h = z[1:k:2] + h * X[1:k:2]
+                        eps_h = z.item(-2) + h * X.item(-2)
+                        zn[0:k:2] = z[0:k:2] + dt * np.asarray(sys.grad_p(z[0:k:2], p_h, z[-1]), dtype=float)
+                        q1 = zn[0:k:2]
+                        np.negative(sys.grad_q(q1, p_h, t1), out=Xn[1:k:2])
+                        Xn[-2] = sys.d_t(q1, p_h, t1)
+                        zn[1:k:2] = p_h + h * Xn[1:k:2]
+                        zn[-2] = eps_h + h * Xn.item(-2)
+                        zn[-1] = t1
+                        Xn[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
+                        Xn[-1] = 1.0
+                        if with_variational:
+                            # A at (q1, p_h, t1) gives D, the closing kick and the next opening kick
+                            zh = S[i - start, 0]
+                            zh[:] = zn
+                            zh[1:k:2] = p_h
+        except Exception as e:
+            # a callable may raise on the non-finite state of an earlier step
+            cause, stop = e, i
+        rows = slice(start + 1, stop + 1)
+        ok = np.isfinite(Z[rows]).all(axis=1) & np.isfinite(XS[rows]).all(axis=1)
+        if not ok.all():
+            i = start + int(ok.argmin())
+            raise ValueError(
+                f"flow blew up: non-finite state or field at step {i + 1} (last valid step {i})"
+            ) from cause
+        if cause is not None:
+            raise cause
         if not with_variational:
             continue
         m = stop - start
-        if method == "rk4":
+        if rk4:
             S[:m, 0] = Z[start:stop]
         As = _jacobian(sys, S[:m].reshape(m * stages, d)).reshape(m, stages, d, d)
         for j in range(m):
-            if method == "rk4":
+            if rk4:
                 A1, A2, A3, A4 = As[j]
                 L1 = A1 @ J
                 L2 = A2 @ (J + h * L1)
@@ -345,13 +359,14 @@ def write_csv(traj, path):
         + [f"f{i + 1}" for i in range(nn)]
         + ["r"]
     )
-    body = np.column_stack(
-        [traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r]
-    )
+    columns = [traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r]
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row % tuple(values) for values in body.tolist())
+        # a block of rows at a time: tolist() makes a Python float of every value
+        for a in range(0, traj.n_samples, _CSV_BLOCK):
+            body = np.column_stack([c[a : a + _CSV_BLOCK] for c in columns])
+            fh.writelines(row % tuple(values) for values in body.tolist())
 
 
 @dataclass(frozen=True)

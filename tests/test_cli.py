@@ -232,12 +232,20 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert not list((tmp_path / "out").glob("*"))
 
 
+# the report each mode writes last, so that a late failure to write it would waste all the work
+LAST_REPORT = {"selftest": "selftest.json", "flow": "ledger.json", "map": "invariance.json"}
+
+
 @pytest.mark.parametrize("mode", ["selftest", "flow", "map"])
-@pytest.mark.parametrize("target", ["file", "below_file"])
+@pytest.mark.parametrize("target", ["file", "below_file", "report_is_dir"])
 def test_unusable_out_dir_exits_2_before_any_work(tmp_path, monkeypatch, capsys, mode, target):
     blocker = tmp_path / "taken"
-    blocker.write_text("not a directory\n")
-    out = blocker if target == "file" else blocker / "sub"
+    if target == "report_is_dir":
+        (blocker / LAST_REPORT[mode]).mkdir(parents=True)
+        out = blocker
+    else:
+        blocker.write_text("not a directory\n")
+        out = blocker if target == "file" else blocker / "sub"
 
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the output directory was checked")
@@ -251,8 +259,13 @@ def test_unusable_out_dir_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
         argv = ["--config", _write(tmp_path, text)]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
-    assert blocker.read_text() == "not a directory\n"
+    assert err.count("\n") == 1
+    if target == "report_is_dir":
+        assert err.startswith(f"config error: cannot write report {str(out / LAST_REPORT[mode])!r}")
+        assert [p.name for p in blocker.iterdir()] == [LAST_REPORT[mode]]
+    else:
+        assert err.startswith("config error: cannot create output directory")
+        assert blocker.read_text() == "not a directory\n"
 
 
 def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):

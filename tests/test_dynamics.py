@@ -16,6 +16,7 @@ from jacobiflow import (
     numeric_jacobian,
     write_csv,
 )
+from jacobiflow.dynamics import _CSV_BLOCK
 
 
 def _ho():
@@ -156,9 +157,68 @@ def test_blow_up_detection():
         grad_p=lambda q, p, t: np.array([q[0] ** 2]),
         d_t=lambda q, p, t: 0.0,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate_flow(unstable, np.array([1.0, 1.0, 0.0, 0.0]), 2.0, 0.01)
+    # no np.errstate here: the overflow must surface as the blow-up error, not
+    # as a RuntimeWarning, which this suite turns into an error
+    for with_variational in (False, True):
+        with pytest.raises(ValueError, match="flow blew up: non-finite state or field at step"):
+            integrate_flow(unstable, np.array([1.0, 1.0, 0.0, 0.0]), 2.0, 0.01,
+                           with_variational=with_variational)
+
+
+def _turns_infinite(t_bad, term, strict):
+    # a harmonic oscillator whose force or velocity is infinite from t_bad on;
+    # a strict grad_q also raises on a non-finite position, as a callable may
+    force = np.inf if term == "force" else 0.0
+    velocity = np.inf if term == "velocity" else 0.0
+
+    def grad_q(q, p, t):
+        if strict and not np.isfinite(q).all():
+            raise ArithmeticError("non-finite position")
+        return q + (force if t >= t_bad else 0.0)
+
+    return HamiltonianSystem(
+        n=Dimension(1),
+        value=lambda q, p, t: 0.5 * float(p @ p + q @ q),
+        grad_q=grad_q,
+        grad_p=lambda q, p, t: p + (velocity if t >= t_bad else 0.0),
+        d_t=lambda q, p, t: 0.0,
+    )
+
+
+def _per_step_blow_up(sys, z0, dt, method, max_steps):
+    # reference: one step per call, so the state and field are checked after every step
+    z = z0
+    for i in range(max_steps):
+        try:
+            z = integrate_flow(sys, z, z[-1] + dt, dt, method=method).z[-1]
+        except ValueError as e:
+            assert str(e) == "flow blew up: non-finite state or field at step 1 (last valid step 0)"
+            return i + 1
+    return None
+
+
+@pytest.mark.parametrize("term, strict", [("force", False), ("force", True), ("velocity", False)])
+@pytest.mark.parametrize("with_variational", [False, True])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("step", [31, 32, 33])
+def test_blow_up_names_the_first_bad_step_around_a_chunk_boundary(step, method, with_variational,
+                                                                   term, strict):
+    # steps 1..32 make up the first chunk of the state pass.  The field turns
+    # infinite between the stages of `step`, so its state or field sample is
+    # the first non-finite one (leapfrog's infinite velocity leaves only the
+    # field sample non-finite); a strict grad_q raises on the step after it
+    dt, t0 = 0.01, 0.5
+    sys = _turns_infinite(t0 + (step - 0.25) * dt, term, strict)
+    z0 = np.array([1.0, 0.0, 0.0, t0])
+    assert _per_step_blow_up(sys, z0, dt, method, 40) == step
+    with pytest.raises(ValueError) as info:
+        integrate_flow(sys, z0, t0 + 40 * dt, dt, method=method, with_variational=with_variational)
+    assert str(info.value) == (
+        f"flow blew up: non-finite state or field at step {step} (last valid step {step - 1})"
+    )
+    if strict and step != 32:
+        # mid-chunk, the next step ran into the bad state and grad_q raised
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 def test_variational_initial_and_fixed_rows():
@@ -250,20 +310,23 @@ def _counting(sys):
 
 
 @pytest.mark.parametrize(
-    "method, expected",
+    "method, with_variational, expected",
     [
         # 4 field and 4 Jacobian evaluations per step; the field at each new
         # state is both the stored sample and the next step's first stage
-        ("rk4", {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
+        ("rk4", True, {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
         # per step a drift, the sample's v, one half kick shared with the next
         # step and one Jacobian; plus the opening sample and Jacobian
-        ("leapfrog", {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
+        ("leapfrog", True, {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
+        # the state pass alone makes the same field evaluations and no Jacobian
+        ("rk4", False, {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 0}),
+        ("leapfrog", False, {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 0}),
     ],
 )
-def test_evaluations_per_100_steps(method, expected):
+def test_evaluations_per_100_steps(method, with_variational, expected):
     sys, calls = _counting(builtin_system("driven_oscillator", n=2))
     traj = integrate_flow(sys, np.array([1.0, 0.0, 0.5, 0.1, 0.0, 0.0]), 0.1, 1e-3,
-                          method=method, with_variational=True, jac_every=1)
+                          method=method, with_variational=with_variational, jac_every=1)
     assert traj.n_samples == 101
     assert calls == expected
 
@@ -365,3 +428,18 @@ def test_make_rho_needs_samples():
     traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 0.2, 0.1)
     with pytest.raises(ValueError):
         make_rho(traj, sys)
+
+
+def test_write_csv_in_blocks_matches_one_shot_formatting(tmp_path):
+    # the free particle keeps its signed zeros: q2 = 0.0 and p1 = -0.0 stay
+    # put, and so do the v and f columns they give
+    sys = builtin_system("free_particle", n=2)
+    traj = integrate_flow(sys, np.array([1.0, -0.0, 0.0, 0.5, 0.0, 0.0]), 2.5, 1e-3)
+    assert traj.n_samples > 2 * _CSV_BLOCK + 1
+    path = tmp_path / "traj.csv"
+    write_csv(traj, path)
+    body = np.column_stack([traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r])
+    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
+    lines = path.read_bytes().split(b"\n", 1)
+    assert lines[1] == "".join(row % tuple(values) for values in body.tolist()).encode()
+    assert b",-0," in lines[1] and b",0," in lines[1]

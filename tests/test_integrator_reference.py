@@ -7,7 +7,8 @@ must reproduce it bit for bit.  The only state carried between steps is
 leapfrog's opening-kick Jacobian, which the method takes from the previous
 step's half-kick state.  The flows run across more than two of the
 integrator's chunk boundaries, where a stage Jacobian taken at the wrong
-state would first show.
+state, or a step written to the wrong row, would first show; with and
+without the Jacobian, since both take the same chunked state pass.
 """
 
 import dataclasses
@@ -93,20 +94,30 @@ def test_flow_matches_reference_bitwise(name, n, method):
 
 
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_flow_without_jacobian_matches_reference_bitwise(name, n, method):
+    # the state pass alone, as ensemble runs take it
+    _assert_matches_reference(builtin_system(name, n=n), 11 * n + len(name), method, with_variational=False)
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
 def test_finite_difference_fallback_matches_reference_bitwise(method):
     # without vf_jacobian each stage Jacobian is a central difference, row by row
     sys = dataclasses.replace(builtin_system("driven_oscillator", n=2), vf_jacobian=None)
     _assert_matches_reference(sys, 5, method)
 
 
-def _assert_matches_reference(sys, seed, method):
+def _assert_matches_reference(sys, seed, method, with_variational=True):
     rng = np.random.default_rng(seed)
     z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n.n + 1), [T0]])
-    traj = integrate_flow(sys, z0, T_END, DT, method=method, with_variational=True, jac_every=1)
+    traj = integrate_flow(sys, z0, T_END, DT, method=method, with_variational=with_variational, jac_every=1)
     z, v, f, r, Js = _reference_flow(sys, z0, T_END, DT, method)
     assert len(z) > 2 * _STAGE_CHUNK + 1
-    assert np.array_equal(traj.z, z)
-    assert np.array_equal(traj.v, v)
-    assert np.array_equal(traj.f, f)
-    assert np.array_equal(traj.r, r)
-    assert traj.jac.tobytes() == np.array(Js).tobytes()
+    # bytes, so that a signed zero or a NaN payload that differs shows too
+    for got, want in ((traj.z, z), (traj.v, v), (traj.f, f), (traj.r, r)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if with_variational:
+        assert traj.jac.tobytes() == np.array(Js).tobytes()
+    else:
+        assert traj.jac is None and traj.jac_omega is None

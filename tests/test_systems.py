@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,16 @@ def test_presets_match_the_per_system_formulas_bitwise(name, params):
         assert stacked.shape == (len(states), 2 * n + 2, 2 * n + 2)
         for z, A in zip(states, stacked):
             assert _bits(A) == _bits(sys.vf_jacobian(z))
+
+
+def test_math_trig_equals_numpy_trig_on_drive_phases():
+    # the drive's grad_q and d_t take math.cos and math.sin of the scalar phase
+    # om_d t, and its stacked vf_jacobian numpy's batched np.cos and np.sin: the
+    # bitwise preset test above holds only while these agree with each other
+    # and with numpy's single-value call
+    rng = np.random.default_rng(41)
+    phases = np.concatenate([2.0 * rng.uniform(0.0, 60.0, 50_000), rng.uniform(-1e3, 1e3, 50_000)])
+    for mfn, nfn in ((math.cos, np.cos), (math.sin, np.sin)):
+        by_math = np.array([mfn(x) for x in phases.tolist()])
+        assert by_math.tobytes() == nfn(phases).tobytes()
+        assert by_math.tobytes() == np.array([nfn(x) for x in phases.tolist()]).tobytes()
