@@ -17,8 +17,6 @@ from .forms import (
     zeta_reduced,
     form_residual,
     numeric_jacobian,
-    block_permutation,
-    interleaved_to_block,
     block_to_interleaved,
 )
 from .groups import (

@@ -29,7 +29,7 @@ from . import __version__
 from .forms import MapHandle, as_dimension, block_to_interleaved
 from .selftest import FACTOR_TOL, run_checks
 from .systems import BUILTIN_SYSTEMS, builtin_system
-from .dynamics import integrate_flow, make_rho, step_count, write_csv
+from .dynamics import _STAGE_CHUNK, integrate_flow, make_rho, step_count, write_csv
 from .verify import (
     box_probes,
     check_flow_jacobians,
@@ -44,21 +44,17 @@ class ConfigError(ValueError):
     pass
 
 
+# every parameter some preset takes, in catalog order
+_PARAM_KEYS = tuple(dict.fromkeys(k for preset in BUILTIN_SYSTEMS.values() for k in preset))
 _INT_KEYS = {"n", "probes", "seed"}
-_FLOAT_KEYS = {
-    "t_end", "dt",
-    "mass", "frequency", "amplitude", "drive_frequency", "g",
-    "tol_omega", "tol_lambda", "tol_hamilton", "tol_ledger",
-}
-_STR_KEYS = {"mode", "system", "method", "map"}
-_PARAM_KEYS = ("mass", "frequency", "amplitude", "drive_frequency", "g")
+_FLOAT_KEYS = {"t_end", "dt", "tol_omega", "tol_lambda", "tol_hamilton", "tol_ledger", *_PARAM_KEYS}
 _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
 # hamilton_residual takes interior differences, which need 5 samples
 _MIN_FLOW_STEPS = 4
-# size limit on a flow, (steps + 1) x (2n+2)^2 x 8 bytes: the size of the
-# full Jacobian stack, which is no longer stored (integrate_flow keeps every
-# 10th Jacobian).  It stays because the kept Jacobians, the CSV and the
-# factorization list of invariance.json still grow with the step count
+# size limit on the (2n+2)^2 x 8-byte Jacobians of a run.  A flow counts
+# steps + 1 samples (the size of the full stack, which is not stored, but the
+# kept Jacobians, the CSV and invariance.json grow with it), the stage
+# Jacobians of one chunk of steps and the probes; a map counts its probes
 _MAX_JACOBIAN_BYTES = 2**30
 # each probe costs a finite-difference Jacobian and a factorization
 _MAX_PROBES = 10_000
@@ -80,11 +76,7 @@ _DEFAULTS = {
     "tol_hamilton": 1e-5,
     "tol_ledger": 1e-5,
     "map": "identity",
-    "mass": None,
-    "frequency": None,
-    "amplitude": None,
-    "drive_frequency": None,
-    "g": None,
+    **dict.fromkeys(_PARAM_KEYS),
 }
 
 
@@ -161,6 +153,7 @@ def validate_config(cfg, present):
         raise ConfigError(f"z0 must have {d} entries (q1..qn p1..pn eps t), got {len(cfg['z0'])}")
     elif not all(math.isfinite(x) for x in cfg["z0"]):
         raise ConfigError(f"z0 must be finite, got {cfg['z0']}")
+    jacobians = cfg["probes"]
     if cfg["mode"] == "flow":
         t0 = cfg["z0"][-1]
         if not cfg["t_end"] > t0:
@@ -174,23 +167,19 @@ def validate_config(cfg, present):
                 f"the flow needs at least {_MIN_FLOW_STEPS} steps, got {steps}"
                 f" (t_end {cfg['t_end']}, initial time {t0}, dt {cfg['dt']})"
             )
-        if (steps + 1) * d * d * 8 > _MAX_JACOBIAN_BYTES:
-            raise ConfigError(
-                f"the flow's {steps + 1:.3g} samples of {d} x {d} Jacobians exceed the size"
-                f" limit (steps + 1) x (2n+2)^2 x 8 <= {_MAX_JACOBIAN_BYTES} bytes, which"
-                f" bounds the kept Jacobians, the CSV and invariance.json"
-            )
+        stages = 4 if cfg["method"] == "rk4" else 1
+        jacobians += steps + 1 + stages * min(_STAGE_CHUNK, steps)
+    if jacobians * d * d * 8 > _MAX_JACOBIAN_BYTES:
+        what = "samples, stage Jacobians and probes" if cfg["mode"] == "flow" else "probes"
+        raise ConfigError(
+            f"the run's {jacobians:.3g} Jacobians of {d} x {d} ({what}) exceed the size"
+            f" limit of {_MAX_JACOBIAN_BYTES} bytes at 8 bytes per entry"
+        )
     return cfg
 
 
 def _resolved(cfg, params):
-    out = {
-        k: cfg[k]
-        for k in (
-            "mode", "system", "n", "t_end", "dt", "method", "probes", "seed",
-            "tol_omega", "tol_lambda", "tol_hamilton", "tol_ledger", "map",
-        )
-    }
+    out = {k: cfg[k] for k in _DEFAULTS if k not in _PARAM_KEYS}
     out["z0"] = [float(x) for x in cfg["z0"]]
     out["params"] = dict(params)
     return out

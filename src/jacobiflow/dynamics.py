@@ -7,6 +7,10 @@ never integrated numerically: the t component of every stored state is
 computed as t0 + k*dt, which keeps the time metric invariant by
 construction.
 
+A trajectory is two (samples, 2n+2) arrays: the states z and the field
+samples X = (v, f, r, 1) at them.  The coordinates (q, p, eps, t), the time
+tau = t and the samples (v, f, r) are views of those two arrays.
+
 The steps run in chunks of `_STAGE_CHUNK`.  A state pass writes each step's
 state and field sample in place, with numpy's floating-point warnings off:
 one finiteness check over the chunk's rows, after the pass, reports the
@@ -21,11 +25,12 @@ and its energy column is identically zero, so J keeps an exact
 is checked, one field-Jacobian call evaluates A at all its stage states
 (RK4: z, z2, z3, z4; leapfrog: the half-kick state (q1, p_half, t1)), and a
 tangent pass then applies them to J step by step, with the same arithmetic
-as a Jacobian taken inside the step.  The tangent pass takes the symplectic
-and time-metric residual of every J as it goes, in stacked passes over a
-buffer of `_RESIDUAL_CHUNK` Jacobians, and keeps only every `jac_every`-th J
-and the last one; the certification layer factors those into the matrix
-group.  The full (steps + 1, d, d) stack is never stored.
+as a Jacobian taken inside the step.  The tangent pass writes the chunk's
+Jacobians into one (`_STAGE_CHUNK` + 1, d, d) stack, whose first row carries
+J in from the chunk before; from that stack it takes the symplectic and
+time-metric residual of every J in one stacked pass, and keeps only every
+`jac_every`-th J and the last one.  The certification layer factors those
+into the matrix group.  The full (steps + 1, d, d) stack is never stored.
 """
 
 import math
@@ -33,14 +38,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forms import Dimension, MapHandle, default_step, eta_residual, zeta_residual
+from .forms import Dimension, MapHandle, eta_residual, numeric_jacobian, zeta_residual
 
-# Jacobians per stacked residual pass in the step loop: bounds the buffer and
-# the pass's temporaries to a few (chunk, d, d) arrays however long the flow
-_RESIDUAL_CHUNK = 256
 # steps per state pass and per finiteness check; with the variational flow,
 # one field-Jacobian call per chunk instead of one per stage, with a
-# (chunk, stages, d, d) stack that stays near 1 MB at n = 16
+# (chunk, stages, d, d) stack that stays near 1 MB at n = 16, and one
+# stacked residual pass per chunk
 _STAGE_CHUNK = 32
 _CSV_BLOCK = 1024  # rows per block of write_csv's formatting
 
@@ -82,8 +85,8 @@ def _jacobian(sys, z):
     if sys.vf_jacobian is not None:
         return np.asarray(sys.vf_jacobian(z), dtype=float)
     if z.ndim == 2:
-        return np.array([_fd_field_jacobian(sys, row) for row in z])
-    return _fd_field_jacobian(sys, z)
+        return np.array([_jacobian(sys, row) for row in z])
+    return numeric_jacobian(lambda w: extended_vector_field(sys, w), z)
 
 
 def field_jacobian(sys, z):
@@ -91,33 +94,20 @@ def field_jacobian(sys, z):
     return _jacobian(sys, _as_state(z))
 
 
-def _fd_field_jacobian(sys, z):
-    h = default_step(z)
-    d = len(z)
-    A = np.empty((d, d))
-    for c in range(d):
-        e = np.zeros(d)
-        e[c] = h
-        A[:, c] = (extended_vector_field(sys, z + e) - extended_vector_field(sys, z - e)) / (2 * h)
-    return A
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow with pointwise (v, f, r) and optional variational Jacobians.
+    """Sampled flow: states z and field samples X = (v, f, r, 1), one row per sample.
 
-    tau equals the time column of z bitwise (the flow parameter is time).
-    With the variational Jacobian, `jac` holds the kept Jacobians, those at
-    the sample indices `jac_steps` (every `jac_every`-th sample and the last
-    one), and `jac_omega`/`jac_lambda` hold the symplectic and time-metric
-    residual of the Jacobian at every sample.  Without it all four are None.
+    q, p, eps, t and v, f, r are views of z and X; tau is t (the flow
+    parameter is time).  With the variational Jacobian, `jac` holds the kept
+    Jacobians, those at the sample indices `jac_steps` (every `jac_every`-th
+    sample and the last one), and `jac_omega`/`jac_lambda` hold the
+    symplectic and time-metric residual of the Jacobian at every sample.
+    Without it all four are None.
     """
 
-    tau: np.ndarray
     z: np.ndarray
-    v: np.ndarray
-    f: np.ndarray
-    r: np.ndarray
+    X: np.ndarray
     dt: float
     method: str
     n: Dimension
@@ -141,6 +131,20 @@ class Trajectory:
     @property
     def t(self):
         return self.z[:, -1]
+
+    tau = t
+
+    @property
+    def v(self):
+        return self.X[:, 0 : self.n.reduced : 2]
+
+    @property
+    def f(self):
+        return self.X[:, 1 : self.n.reduced : 2]
+
+    @property
+    def r(self):
+        return self.X[:, -2]
 
     @property
     def n_samples(self):
@@ -216,28 +220,16 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     Z[0] = z
     if not np.isfinite(_field(sys, z, XS[0])).all():
         raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
-    J = jac_steps = Js = res_o = res_l = None
+    jac_steps = Js = res_o = res_l = None
     if with_variational:
         jac_steps = np.union1d(np.arange(0, n_steps + 1, jac_every), [n_steps])
         Js = np.empty((len(jac_steps), d, d))
         res_o = np.empty(n_steps + 1)
         res_l = np.empty(n_steps + 1)
-        buf = np.empty((min(_RESIDUAL_CHUNK, n_steps + 1), d, d))
-
-        def record(s, J):
-            # J at sample s: buffered for the residual pass, kept if on the stride
-            b = s % _RESIDUAL_CHUNK
-            buf[b] = J
-            if s % jac_every == 0:
-                Js[s // jac_every] = J
-            elif s == n_steps:
-                Js[-1] = J
-            if b == _RESIDUAL_CHUNK - 1 or s == n_steps:
-                res_o[s - b : s + 1] = zeta_residual(buf[: b + 1])
-                res_l[s - b : s + 1] = eta_residual(buf[: b + 1])
-
-        J = np.eye(d)
-        record(0, J)
+        # row j holds J at sample start + j of the current chunk
+        Jc = np.empty((_STAGE_CHUNK + 1, d, d))
+        Jc[0] = Js[0] = np.eye(d)
+        res_o[0], res_l[0] = zeta_residual(Jc[0]), eta_residual(Jc[0])
     h = 0.5 * dt
     w = dt / 6.0
     rk4 = method == "rk4"
@@ -318,25 +310,27 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             S[:m, 0] = Z[start:stop]
         As = _jacobian(sys, S[:m].reshape(m * stages, d)).reshape(m, stages, d, d)
         for j in range(m):
+            J = Jc[j]
             if rk4:
                 A1, A2, A3, A4 = As[j]
                 L1 = A1 @ J
                 L2 = A2 @ (J + h * L1)
                 L3 = A3 @ (J + h * L2)
                 L4 = A4 @ (J + dt * L3)
-                J = J + w * (L1 + 2.0 * L2 + 2.0 * L3 + L4)
+                np.add(J, w * (L1 + 2.0 * L2 + 2.0 * L3 + L4), out=Jc[j + 1])
             else:
                 A_open, A = A, As[j, 0]
                 J = J + kick_rows * (A_open @ J)
                 J = J + drift_rows * (A @ J)
-                J = J + kick_rows * (A @ J)
-            record(start + j + 1, J)
+                np.add(J, kick_rows * (A @ J), out=Jc[j + 1])
+        res_o[start + 1 : stop + 1] = zeta_residual(Jc[1 : m + 1])
+        res_l[start + 1 : stop + 1] = eta_residual(Jc[1 : m + 1])
+        lo, hi = np.searchsorted(jac_steps, (start + 1, stop + 1))
+        Js[lo:hi] = Jc[jac_steps[lo:hi] - start]
+        Jc[0] = Jc[m]
     return Trajectory(
-        tau=Z[:, -1].copy(),
         z=Z,
-        v=XS[:, 0:k:2].copy(),
-        f=XS[:, 1:k:2].copy(),
-        r=XS[:, -2].copy(),
+        X=XS,
         dt=dt,
         method=method,
         n=sys.n,
@@ -377,9 +371,9 @@ class RhoTransform:
     (xi, pi) is the reference trajectory's displacement from its initial
     (q, p).  The displacement is the cubic Hermite interpolant of the stored
     samples: at every sample time it equals the stored (q, p) and its rate
-    (xi_dot, pi_dot) equals the stored field (v, f), so the transform is exact
-    at the samples up to both ends of the table.  Defined for t inside the
-    tabulated range only.
+    equals the stored field (v, f), so the transform is exact at the samples
+    up to both ends of the table.  Defined for t inside the tabulated range
+    only.
     """
 
     sys: object
@@ -415,18 +409,6 @@ class RhoTransform:
             w = (6.0 * (s - 1.0) * s / h, (3.0 * s - 4.0) * s + 1.0,
                  6.0 * (1.0 - s) * s / h, (3.0 * s - 2.0) * s)
         return np.dot(w, self.table[i : i + 2].reshape(4, -1))
-
-    def xi(self, t):
-        return self._shift(t)[0::2]
-
-    def pi(self, t):
-        return self._shift(t)[1::2]
-
-    def xi_dot(self, t):
-        return self._hermite(t, 1)[0::2]
-
-    def pi_dot(self, t):
-        return self._hermite(t, 1)[1::2]
 
     def __call__(self, z):
         z = _as_state(z)
@@ -467,8 +449,5 @@ def make_rho(traj, sys):
             f"need at least 4 samples to build the shift transform, got {traj.n_samples}"
         )
     k = traj.n.reduced
-    table = np.empty((traj.n_samples, 2, k))
-    table[:, 0] = traj.z[:, :k]
-    table[:, 1, 0::2] = traj.v
-    table[:, 1, 1::2] = traj.f
+    table = np.stack([traj.z[:, :k], traj.X[:, :k]], axis=1)
     return RhoTransform(sys=sys, tk=traj.t.copy(), table=table)

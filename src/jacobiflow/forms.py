@@ -3,14 +3,17 @@
 Extended phase space has coordinates z = (q1, p1, ..., qn, pn, eps, t) in
 R^(2n+2): each position is interleaved with its momentum, followed by the
 energy coordinate and time.  This interleaved ordering is the one canonical
-ordering used everywhere in the package; `block_permutation` converts to the
-block view (q, p, eps, t) when that reads better.
+ordering used everywhere in the package; `block_to_interleaved` reads a state
+written in block order (q1..qn, p1..pn, eps, t), the order of the CLI's `z0`.
 
 Two structures live on this space: the symplectic form with matrix zeta
 (n+1 diagonal 2x2 blocks [[0,1],[-1,0]], the last acting on (eps, t)) and
 the degenerate time metric with matrix eta (a single 1 in the (t, t) entry).
 Invariance of either under a map is measured by `form_residual` applied to
-the map's Jacobian.
+the map's Jacobian, or by `zeta_residual` and `eta_residual` over a stack of
+Jacobians.  `numeric_jacobian` takes a map's Jacobian by central differences;
+the certification layer uses it for maps without an analytic Jacobian, and
+the flow for a field without one.
 """
 
 from dataclasses import dataclass
@@ -151,31 +154,8 @@ def eta_residual(J):
     return np.maximum(np.maximum(b * b, b * a_t), abs(a_t * a_t - 1.0))
 
 
-def block_permutation(n):
-    """Permutation matrix P with z_block = P @ z_interleaved.
-
-    Block ordering is (q1..qn, p1..pn, eps, t); P is orthogonal, so the
-    inverse conversion is P.T.
-    """
-    n = as_dimension(n)
-    P = np.zeros((n.extended, n.extended))
-    for i in range(n.n):
-        P[i, 2 * i] = 1.0
-        P[n.n + i, 2 * i + 1] = 1.0
-    P[-2, -2] = 1.0
-    P[-1, -1] = 1.0
-    return P
-
-
-def interleaved_to_block(z):
-    """Reorder a state vector (or each row of a matrix of states) to (q, p, eps, t)."""
-    z = np.asarray(z)
-    n = (z.shape[-1] - 2) // 2
-    idx = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)) + [2 * n, 2 * n + 1]
-    return z[..., idx]
-
-
 def block_to_interleaved(z):
+    """Reorder a block-order state (q, p, eps, t), or each row of a stack, to interleaved order."""
     z = np.asarray(z)
     n = (z.shape[-1] - 2) // 2
     idx = np.empty(2 * n + 2, dtype=int)

@@ -18,18 +18,18 @@ from .forms import Dimension, as_dimension
 
 @dataclass(frozen=True)
 class HamiltonianSystem:
-    """Evaluable H(q, p, t) with gradients and structure flags.
+    """Evaluable H(q, p, t) with gradients and a separability flag.
 
     value, grad_q, grad_p, d_t all take (q, p, t) with q, p arrays of
     length n, and must not modify them.  separable means H = T(p) + V(q, t),
     so grad_q and d_t ignore p and grad_p ignores q and t; leapfrog relies
     on this to reuse one half kick's force and power for the next.
-    autonomous means d_t == 0 identically.  vf_jacobian, when supplied,
-    evaluates the (2n+2)-dimensional Jacobian of the extended vector field
-    at one flat state vector (d,), or at each row of a (B, d) stack, giving
-    (B, d, d) with each matrix bitwise equal to the single-state call; the
-    integrator hands it every stage state of a run of steps at once, and
-    falls back to central differences, row by row, without it.
+    vf_jacobian, when supplied, evaluates the (2n+2)-dimensional Jacobian of
+    the extended vector field at one flat state vector (d,), or at each row
+    of a (B, d) stack, giving (B, d, d) with each matrix bitwise equal to the
+    single-state call; the integrator hands it every stage state of a run of
+    steps at once, and falls back to central differences, row by row,
+    without it.
     """
 
     n: Dimension
@@ -38,7 +38,6 @@ class HamiltonianSystem:
     grad_p: object
     d_t: object
     separable: bool = True
-    autonomous: bool = True
     vf_jacobian: object = None
     name: str = ""
     params: dict = dc_field(default_factory=dict)
@@ -136,7 +135,6 @@ def _family(name, n, params):
         grad_p=lambda q, p, t: p / m,
         d_t=d_t,
         separable=True,
-        autonomous=amp is None,
         vf_jacobian=vf_jacobian,
         name=name,
         params=params,

@@ -41,7 +41,7 @@ CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", 
 class InvarianceReport:
     omega_residual_max: float
     lambda_residual_max: float
-    probes: tuple
+    n_probes: int
     classification: str
     factorization: tuple = None
     omega_residuals: tuple = ()
@@ -58,7 +58,7 @@ class InvarianceReport:
             "lambda_residuals": list(self.lambda_residuals),
             "tol_omega": self.tol_omega,
             "tol_lambda": self.tol_lambda,
-            "n_probes": len(self.probes),
+            "n_probes": self.n_probes,
             "factorization": None
             if self.factorization is None
             else [g.to_dict() for g in self.factorization],
@@ -93,7 +93,7 @@ def _classify(omega_ok, lambda_ok, factored):
     return "Neither"
 
 
-def _report(res_o, res_l, matrices, listed, probes, tol_omega, tol_lambda):
+def _report(res_o, res_l, matrices, listed, n_probes, tol_omega, tol_lambda):
     """Report from per-matrix residuals.
 
     The maxima run over every residual; `matrices` are the ones factored,
@@ -114,7 +114,7 @@ def _report(res_o, res_l, matrices, listed, probes, tol_omega, tol_lambda):
     return InvarianceReport(
         omega_residual_max=float(res_o.max()),
         lambda_residual_max=float(res_l.max()),
-        probes=tuple(probes),
+        n_probes=n_probes,
         classification=cls,
         factorization=factors if cls == "Jacobimorphism" else None,
         omega_residuals=tuple(res_o[listed].tolist()),
@@ -150,7 +150,7 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
         raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {jacobians.shape}")
     return _report(
         zeta_residual(jacobians), eta_residual(jacobians), jacobians, slice(None),
-        probes, tol_omega, tol_lambda,
+        len(probes), tol_omega, tol_lambda,
     )
 
 
@@ -164,9 +164,9 @@ def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
     """
     if traj.jac is None:
         raise ValueError("trajectory carries no variational Jacobians")
-    probes = [traj.z[k] for k in traj.jac_steps]  # views of the stored rows, no copy
     return _report(
-        traj.jac_omega, traj.jac_lambda, traj.jac, traj.jac_steps, probes, tol_omega, tol_lambda
+        traj.jac_omega, traj.jac_lambda, traj.jac, traj.jac_steps, len(traj.jac_steps),
+        tol_omega, tol_lambda,
     )
 
 
@@ -207,15 +207,8 @@ def hamilton_residual(traj, sys):
         raise ValueError(f"dimension mismatch: system n={sys.n.n}, trajectory n={traj.n.n}")
     if traj.n_samples < 5:
         raise ValueError("need at least 5 samples for interior differences")
-    dt = traj.dt
-    D = (traj.z[2:] - traj.z[:-2]) / (2.0 * dt)
-    k = traj.n.reduced
-    res = max(
-        float(np.max(np.abs(D[:, 0:k:2] - traj.v[1:-1]))),
-        float(np.max(np.abs(D[:, 1:k:2] - traj.f[1:-1]))),
-        float(np.max(np.abs(D[:, -2] - traj.r[1:-1]))),
-    )
-    return res
+    D = (traj.z[2:] - traj.z[:-2]) / (2.0 * traj.dt)
+    return float(np.max(np.abs(D[:, :-1] - traj.X[1:-1, :-1])))
 
 
 def energy_ledger(traj, sys):

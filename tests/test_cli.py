@@ -194,7 +194,10 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "z0 = 0 0 0 100000\nt_end = 100001.5\ndt = 0.1\n",
         # Jacobian stacks over the byte limit, rejected before allocating
         "t_end = 1e300\n",
+        "t_end = 1e305\n",
         "n = 16\nt_end = 200\n",
+        "n = 1000\nt_end = 0.032\n",  # 4 x 32 RK4 stage Jacobians of one chunk
+        "mode = map\nn = 100\nprobes = 10000\n",
         # parameters must be finite and give a finite 1/m and m om^2
         "mass = nan\n",
         "mass = inf\n",

@@ -339,6 +339,9 @@ def test_trajectory_accessors():
     z = traj.z[3]
     assert z[-1] == traj.t[3] and z[-2] == traj.eps[3]
     assert z[0] == traj.q[3, 0] and z[1] == traj.p[3, 0]
+    # the samples are views of the two stored arrays, not copies
+    for view, base in ((traj.v, traj.X), (traj.f, traj.X), (traj.r, traj.X), (traj.tau, traj.z)):
+        assert np.shares_memory(view, base)
 
 
 def test_velocity_force_power_samples():
@@ -376,8 +379,12 @@ def test_rho_free_particle_shifts():
     sys = builtin_system("free_particle")
     traj = integrate_flow(sys, np.array([0.0, 2.0, 0.0, 0.0]), 3.0, 0.01)
     rho = make_rho(traj, sys)
-    assert abs(rho.xi(1.5)[0] - 3.0) < 1e-9  # xi(t) = p0 t
-    assert abs(rho.pi(1.5)[0]) < 1e-12
+    assert traj.t[150] == 1.5
+    z = np.array([0.0, 0.0, 0.0, 1.5])
+    xi, pi = rho(z)[:2]
+    assert abs(xi - 3.0) < 1e-9  # xi(t) = p0 t
+    assert abs(pi) < 1e-12
+    assert np.array_equal(rho.jacobian(z)[:2, -1], traj.X[150, :2])  # (xi_dot, pi_dot) = (v, f)
 
 
 def test_rho_at_start_time():
@@ -420,7 +427,9 @@ def test_rho_rejects_time_outside_range():
     with pytest.raises(ValueError):
         rho(np.array([0.0, 0.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
-        rho.xi(-0.5)
+        rho(np.array([0.0, 0.0, 0.0, -0.5]))
+    with pytest.raises(ValueError):
+        rho.jacobian(np.array([0.0, 0.0, 0.0, -0.5]))
 
 
 def test_make_rho_needs_samples():

@@ -4,14 +4,12 @@ import pytest
 from jacobiflow import (
     Dimension,
     MapHandle,
-    block_permutation,
     block_to_interleaved,
     box_probes,
     builtin_system,
     canonical_eta,
     canonical_zeta,
     form_residual,
-    interleaved_to_block,
     numeric_jacobian,
 )
 from jacobiflow.forms import as_dimension, default_step, eta_residual, zeta_reduced, zeta_residual
@@ -126,25 +124,28 @@ def test_form_residual_shape_mismatch():
         form_residual(np.eye(4), canonical_zeta(2))
 
 
-def test_block_permutation_matches_index_converters():
+def test_block_to_interleaved_is_a_permutation():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):
-        z = rng.uniform(-1.0, 1.0, 2 * n + 2)
-        P = block_permutation(n)
-        assert np.array_equal(P @ z, interleaved_to_block(z))
-        assert np.array_equal(P.T @ P, np.eye(2 * n + 2))
-        assert np.array_equal(block_to_interleaved(interleaved_to_block(z)), z)
+        q, p, tail = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, 2)
+        z = block_to_interleaved(np.concatenate([q, p, tail]))
+        assert np.array_equal(z[0 : 2 * n : 2], q)
+        assert np.array_equal(z[1 : 2 * n : 2], p)
+        assert np.array_equal(z[-2:], tail)
 
 
 def test_block_order():
-    z = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # q1 p1 q2 p2 eps t
-    assert np.array_equal(interleaved_to_block(z), [1.0, 3.0, 2.0, 4.0, 5.0, 6.0])
+    z = np.array([1.0, 3.0, 2.0, 4.0, 5.0, 6.0])  # q1 q2 p1 p2 eps t
+    assert np.array_equal(block_to_interleaved(z), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    z = np.array([1.0, 2.0, 3.0, 4.0])  # n = 1: block and interleaved order agree
+    assert np.array_equal(block_to_interleaved(z), z)
 
 
 def test_converters_work_on_rows():
     rows = np.arange(12.0).reshape(2, 6)
-    back = block_to_interleaved(interleaved_to_block(rows))
-    assert np.array_equal(back, rows)
+    back = block_to_interleaved(rows)
+    assert np.array_equal(back, [block_to_interleaved(row) for row in rows])
+    assert np.array_equal(back[0], [0.0, 2.0, 1.0, 3.0, 4.0, 5.0])
 
 
 def test_numeric_jacobian_time_shear():

@@ -30,7 +30,7 @@ def _full(steps, method):
 
 
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-@pytest.mark.parametrize("steps", [255, 256, 257, 600])
+@pytest.mark.parametrize("steps", [31, 32, 33, 255, 256, 257, 600])
 @pytest.mark.parametrize("jac_every", [1, 7, 10])
 def test_streamed_residuals_and_kept_jacobians_match_the_full_stack(jac_every, steps, method):
     full = _full(steps, method)
@@ -87,7 +87,7 @@ def test_flow_check_factors_the_kept_jacobians_and_reads_the_stored_residuals(mo
     assert rep.omega_residual_max == traj.jac_omega.max()
     assert rep.omega_residuals == tuple(traj.jac_omega[traj.jac_steps].tolist())
     assert rep.lambda_residuals == tuple(traj.jac_lambda[traj.jac_steps].tolist())
-    assert len(rep.probes) == 27
+    assert rep.n_probes == 27
     # the maxima come from the stored residuals, not from the matrices
     worse = dataclasses.replace(traj, jac_omega=np.full_like(traj.jac_omega, 1.0))
     assert check_flow_jacobians(worse).omega_residual_max == 1.0

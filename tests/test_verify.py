@@ -35,7 +35,7 @@ def test_identity_is_jacobimorphism():
     assert report.omega_residual_max == 0.0
     assert report.lambda_residual_max == 0.0
     assert report.factorization is not None
-    assert len(report.factorization) == len(report.probes)
+    assert len(report.factorization) == report.n_probes
 
 
 def test_identity_via_finite_differences():
@@ -327,8 +327,12 @@ def test_rho_reproduces_the_table_at_the_nodes():
     traj = integrate_flow(sys, np.array([1.0, 0.2, -0.5, 0.1, 0.0, 0.0]), 2.0, 1e-2)
     rho = make_rho(traj, sys)
     q0, p0 = traj.q[0], traj.p[0]
+    z = np.zeros(6)
     for k, t in enumerate(traj.t):
-        assert np.array_equal(rho.xi(t), traj.q[k] - q0)
-        assert np.array_equal(rho.pi(t), traj.p[k] - p0)
-        assert np.array_equal(rho.xi_dot(t), traj.v[k])
-        assert np.array_equal(rho.pi_dot(t), traj.f[k])
+        # at q = p = 0 the shift is rho's (q, p); its rate is J's t column
+        z[-1] = t
+        shift, rate = rho(z)[:4], rho.jacobian(z)[:4, -1]
+        assert np.array_equal(shift[0::2], traj.q[k] - q0)
+        assert np.array_equal(shift[1::2], traj.p[k] - p0)
+        assert np.array_equal(rate[0::2], traj.v[k])
+        assert np.array_equal(rate[1::2], traj.f[k])
