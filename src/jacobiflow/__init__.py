@@ -10,7 +10,6 @@ invariance certification layer.
 __version__ = "0.1.0"
 
 from .forms import (
-    Dimension,
     MapHandle,
     canonical_zeta,
     canonical_eta,

@@ -235,12 +235,11 @@ def _write_json(path, obj):
 
 def _map_catalog(n):
     """Hand-built check maps; all but t_doubling are lifted canonical maps."""
-    nd = as_dimension(n)
-    d = nd.extended
-    k = nd.reduced
+    n = as_dimension(n)
+    d = 2 * n + 2
 
     def linear(M, name):
-        return MapHandle(func=lambda z, M=M: M @ np.asarray(z, dtype=float), n=nd, name=name)
+        return MapHandle(func=lambda z, M=M: M @ np.asarray(z, dtype=float), n=n, name=name)
 
     T = np.eye(d)
     T[-1, -1] = 2.0
@@ -248,14 +247,14 @@ def _map_catalog(n):
     R = np.eye(d)
     S = np.eye(d)
     C = np.eye(d)
-    for i in range(nd.n):
+    for i in range(n):
         R[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
         S[2 * i, 2 * i + 1] = 0.5
         C[2 * i, 2 * i] = 2.0
         C[2 * i + 1, 2 * i + 1] = 0.5
     return {
         "identity": MapHandle(
-            func=lambda z: np.asarray(z, dtype=float).copy(), n=nd, name="identity"
+            func=lambda z: np.asarray(z, dtype=float).copy(), n=n, name="identity"
         ),
         "t_doubling": linear(T, "t_doubling"),
         "rotation": linear(R, "rotation"),

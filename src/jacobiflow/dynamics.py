@@ -34,11 +34,11 @@ into the matrix group.  The full (steps + 1, d, d) stack is never stored.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Dimension, MapHandle, eta_residual, numeric_jacobian, zeta_residual
+from .forms import MapHandle, eta_residual, numeric_jacobian, zeta_residual
 
 # steps per state pass and per finiteness check; with the variational flow,
 # one field-Jacobian call per chunk instead of one per stage, with a
@@ -110,7 +110,7 @@ class Trajectory:
     X: np.ndarray
     dt: float
     method: str
-    n: Dimension
+    n: int
     jac: np.ndarray = None
     jac_steps: np.ndarray = None
     jac_omega: np.ndarray = None
@@ -118,11 +118,11 @@ class Trajectory:
 
     @property
     def q(self):
-        return self.z[:, 0 : self.n.reduced : 2]
+        return self.z[:, 0:-2:2]
 
     @property
     def p(self):
-        return self.z[:, 1 : self.n.reduced : 2]
+        return self.z[:, 1:-2:2]
 
     @property
     def eps(self):
@@ -136,11 +136,11 @@ class Trajectory:
 
     @property
     def v(self):
-        return self.X[:, 0 : self.n.reduced : 2]
+        return self.X[:, 0:-2:2]
 
     @property
     def f(self):
-        return self.X[:, 1 : self.n.reduced : 2]
+        return self.X[:, 1:-2:2]
 
     @property
     def r(self):
@@ -149,6 +149,11 @@ class Trajectory:
     @property
     def n_samples(self):
         return self.z.shape[0]
+
+
+def _check_system(traj, sys):
+    if sys.n != traj.n:
+        raise ValueError(f"dimension mismatch: system n={sys.n}, trajectory n={traj.n}")
 
 
 def step_count(t0, t_end, dt):
@@ -206,8 +211,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         raise ValueError(f"unknown method {method!r}")
     if method == "leapfrog" and not sys.separable:
         raise ValueError("leapfrog requires a separable system")
-    if 2 * sys.n.n + 2 != len(z):
-        raise ValueError(f"state length {len(z)} does not match system n={sys.n.n}")
+    if 2 * sys.n + 2 != len(z):
+        raise ValueError(f"state length {len(z)} does not match system n={sys.n}")
     if with_variational and not (isinstance(jac_every, (int, np.integer)) and jac_every >= 1):
         raise ValueError(f"jac_every must be an integer >= 1, got {jac_every!r}")
 
@@ -343,14 +348,13 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
 
 def write_csv(traj, path):
     """Trajectory CSV: tau, q1..qn, p1..pn, eps, t, v1..vn, f1..fn, r at 17 significant digits."""
-    nn = traj.n.n
     cols = (
         ["tau"]
-        + [f"q{i + 1}" for i in range(nn)]
-        + [f"p{i + 1}" for i in range(nn)]
+        + [f"q{i + 1}" for i in range(traj.n)]
+        + [f"p{i + 1}" for i in range(traj.n)]
         + ["eps", "t"]
-        + [f"v{i + 1}" for i in range(nn)]
-        + [f"f{i + 1}" for i in range(nn)]
+        + [f"v{i + 1}" for i in range(traj.n)]
+        + [f"f{i + 1}" for i in range(traj.n)]
         + ["r"]
     )
     columns = [traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r]
@@ -379,10 +383,6 @@ class RhoTransform:
     sys: object
     tk: np.ndarray  # sample times, increasing
     table: np.ndarray  # (samples, 2, 2n): interleaved (q, p) and its rate (v, f)
-    n: Dimension = dc_field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.sys.n)
 
     def _check_t(self, t):
         t0, t1 = self.tk[0], self.tk[-1]
@@ -435,7 +435,7 @@ class RhoTransform:
     def as_map(self):
         # certification goes through finite differences on purpose, so the
         # handle carries no analytic Jacobian
-        return MapHandle(func=self.__call__, n=self.n, name="rho")
+        return MapHandle(func=self.__call__, n=self.sys.n, name="rho")
 
 
 def make_rho(traj, sys):
@@ -444,10 +444,10 @@ def make_rho(traj, sys):
     The interpolation table is the trajectory's own interleaved (q, p)
     samples with the stored field (v, f) as their rates; nothing is fitted.
     """
+    _check_system(traj, sys)
     if traj.n_samples < 4:
         raise ValueError(
             f"need at least 4 samples to build the shift transform, got {traj.n_samples}"
         )
-    k = traj.n.reduced
-    table = np.stack([traj.z[:, :k], traj.X[:, :k]], axis=1)
+    table = np.stack([traj.z[:, :-2], traj.X[:, :-2]], axis=1)
     return RhoTransform(sys=sys, tk=traj.t.copy(), table=table)

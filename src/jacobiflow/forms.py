@@ -32,27 +32,11 @@ def _freeze(a):
     return a
 
 
-@dataclass(frozen=True)
-class Dimension:
-    """Number of position degrees of freedom; sizes derive from it."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n!r}")
-
-    @property
-    def reduced(self):
-        return 2 * self.n
-
-    @property
-    def extended(self):
-        return 2 * self.n + 2
-
-
 def as_dimension(n):
-    return n if isinstance(n, Dimension) else Dimension(n)
+    """The number n of position degrees of freedom as a Python int; n must be a positive integer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -60,7 +44,7 @@ class MapHandle:
     """An evaluable map on extended phase space, with optional analytic Jacobian."""
 
     func: object
-    n: Dimension
+    n: int
     jacobian: object = None
     name: str = ""
 
@@ -70,20 +54,16 @@ class MapHandle:
 
 @lru_cache(maxsize=None)
 def _canonical(n):
-    # (zeta, eta, zeta°) for n degrees of freedom: built once per n, read-only
-    # and shared by every caller, so the group ops pay a cache lookup only
-    n = as_dimension(n)
-    m = np.zeros((n.extended, n.extended))
-    for k in range(n.n + 1):
-        m[2 * k, 2 * k + 1] = 1.0
-        m[2 * k + 1, 2 * k] = -1.0
-    e = np.zeros((n.extended, n.extended))
+    # (zeta, eta, zeta°) for n degrees of freedom, validated and built once per
+    # n, read-only and shared by every caller: the group ops pay a cache lookup only
+    d = 2 * as_dimension(n) + 2
+    m = np.zeros((d, d))
+    for k in range(0, d, 2):
+        m[k, k + 1] = 1.0
+        m[k + 1, k] = -1.0
+    e = np.zeros((d, d))
     e[-1, -1] = 1.0
-    return _freeze(m), _freeze(e), _freeze(m[: n.reduced, : n.reduced])
-
-
-def _key(n):
-    return n.n if isinstance(n, Dimension) else n
+    return _freeze(m), _freeze(e), _freeze(m[:-2, :-2])
 
 
 def canonical_zeta(n):
@@ -91,7 +71,7 @@ def canonical_zeta(n):
 
     Parameters
     ----------
-    n : int or Dimension
+    n : int
         Position degrees of freedom.
 
     Returns
@@ -102,17 +82,17 @@ def canonical_zeta(n):
         the reduced symplectic matrix zeta°.  Built once per n; read-only
         and shared.
     """
-    return _canonical(_key(n))[0]
+    return _canonical(n)[0]
 
 
 def canonical_eta(n):
     """Degenerate time metric on R^(2n+2): zeros except eta[t, t] = 1 (shared, read-only)."""
-    return _canonical(_key(n))[1]
+    return _canonical(n)[1]
 
 
 def zeta_reduced(n):
     """Reduced symplectic matrix zeta° on R^(2n) (interleaved pairs; shared, read-only)."""
-    return _canonical(_key(n))[2]
+    return _canonical(n)[2]
 
 
 def form_residual(M, F):
@@ -193,8 +173,8 @@ def numeric_jacobian(f, z, h=None):
     z = np.asarray(z, dtype=float)
     if h is None:
         h = default_step(z)
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError("step size must be positive and finite")
     m = len(z)
     J = np.empty((m, m))
     for d in range(m):

@@ -37,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import (
-    Dimension,
     as_dimension,
     eta_residual,
     form_residual,
@@ -95,7 +94,7 @@ class HeisenbergElement:
 
     w: np.ndarray
     r: float
-    n: Dimension = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         w = _freeze(np.atleast_1d(self.w))
@@ -103,12 +102,11 @@ class HeisenbergElement:
             raise ValueError(f"w must have even length >= 2, got shape {w.shape}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "n", Dimension(len(w) // 2))
+        object.__setattr__(self, "n", len(w) // 2)
 
     @classmethod
     def identity(cls, n):
-        n = as_dimension(n)
-        return cls(w=np.zeros(n.reduced), r=0.0)
+        return cls(w=np.zeros(2 * as_dimension(n)), r=0.0)
 
     def __mul__(self, other):
         return heisenberg_mul(self, other)
@@ -117,7 +115,7 @@ class HeisenbergElement:
         return heisenberg_inv(self)
 
     def matrix(self):
-        return _realize(_identity(self.n.reduced), self.w, self.r, 1)
+        return _realize(_identity(2 * self.n), self.w, self.r, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,22 +123,22 @@ class SymplecticBlock:
     """A 2n x 2n matrix with Sigma^T zeta° Sigma = zeta° (validated)."""
 
     sigma: np.ndarray
-    n: Dimension = field(init=False)
+    n: int = field(init=False)
 
     def __init__(self, sigma, tol=TOL_EXACT):
         sigma = _freeze(sigma)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
             raise ValueError(f"expected a square even-dimensional matrix, got {sigma.shape}")
-        n = Dimension(sigma.shape[0] // 2)
+        n = as_dimension(sigma.shape[0] // 2)
         res = form_residual(sigma, zeta_reduced(n))
-        if res > tol:
+        if not res <= tol:
             raise NotSymplectic(f"Sigma^T zeta° Sigma - zeta° has max entry {res:.3e} > {tol:.1e}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "n", n)
 
     @classmethod
     def identity(cls, n):
-        return cls(np.eye(as_dimension(n).reduced))
+        return cls(np.eye(2 * as_dimension(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +149,14 @@ class JacobiElement:
     w: np.ndarray
     r: float
     tr: int = 1
-    n: Dimension = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         if self.tr not in (1, -1):
             raise ValueError(f"tr must be +1 or -1, got {self.tr!r}")
         w = _freeze(np.atleast_1d(self.w))
-        if w.shape != (self.sigma.n.reduced,):
-            raise ValueError(f"w has shape {w.shape}, expected ({self.sigma.n.reduced},)")
+        if w.shape != (2 * self.sigma.n,):
+            raise ValueError(f"w has shape {w.shape}, expected ({2 * self.sigma.n},)")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "tr", int(self.tr))
@@ -170,8 +168,8 @@ class JacobiElement:
 
     @classmethod
     def identity(cls, n):
-        n = as_dimension(n)
-        return cls.from_parts(np.eye(n.reduced), np.zeros(n.reduced), 0.0)
+        k = 2 * as_dimension(n)
+        return cls.from_parts(np.eye(k), np.zeros(k), 0.0)
 
     def __mul__(self, other):
         return jacobi_mul(self, other)
@@ -188,7 +186,7 @@ class JacobiElement:
     def to_dict(self):
         """JSON-ready dict {n, sigma (row-major), w, r, eps}."""
         return {
-            "n": self.n.n,
+            "n": self.n,
             "sigma": self.sigma.sigma.ravel().tolist(),
             "w": self.w.tolist(),
             "r": float(self.r),
@@ -209,7 +207,7 @@ class IglElement:
     omega: np.ndarray
     u: np.ndarray
     eps: int
-    n: Dimension = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         omega = _freeze(self.omega)
@@ -225,7 +223,7 @@ class IglElement:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "eps", int(self.eps))
-        object.__setattr__(self, "n", Dimension((omega.shape[0] - 1) // 2))
+        object.__setattr__(self, "n", as_dimension((omega.shape[0] - 1) // 2))
 
     def matrix(self):
         d = self.omega.shape[0] + 1
@@ -243,7 +241,7 @@ class VfrView:
     v: np.ndarray
     f: np.ndarray
     r_phys: float
-    n: Dimension = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         v = _freeze(np.atleast_1d(self.v))
@@ -253,12 +251,12 @@ class VfrView:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "r_phys", float(self.r_phys))
-        object.__setattr__(self, "n", Dimension(len(v)))
+        object.__setattr__(self, "n", as_dimension(len(v)))
 
 
 def _check_same_n(a, b):
-    if a.n.n != b.n.n:
-        raise ValueError(f"dimension mismatch: n={a.n.n} vs n={b.n.n}")
+    if a.n != b.n:
+        raise ValueError(f"dimension mismatch: n={a.n} vs n={b.n}")
 
 
 def heisenberg_mul(a, b):
@@ -267,7 +265,7 @@ def heisenberg_mul(a, b):
     (w_a, r_a) (w_b, r_b) = (w_a + w_b, r_a + r_b + 1/2 w_a^T zeta° w_b).
     """
     _check_same_n(a, b)
-    z0 = zeta_reduced(a.n.n)
+    z0 = zeta_reduced(a.n)
     return _trusted(
         HeisenbergElement, w=_owned(a.w + b.w), r=a.r + b.r + 0.5 * float(a.w @ z0 @ b.w), n=a.n
     )
@@ -285,20 +283,17 @@ def heisenberg_generators(n):
     R the derivative in r; [W_a, W_b] = zeta°_{a,b} R and [W_a, R] = 0 hold
     exactly in integer arithmetic.
     """
-    n = as_dimension(n)
-    d = n.extended
-    z0 = np.zeros((n.reduced, n.reduced), dtype=np.int64)
-    for k in range(n.n):
-        z0[2 * k, 2 * k + 1] = 1
-        z0[2 * k + 1, 2 * k] = -1
+    z0 = zeta_reduced(as_dimension(n)).astype(np.int64)
+    k = len(z0)
+    d = k + 2
     gens = []
-    for a in range(n.reduced):
+    for a in range(k):
         W = np.zeros((d, d), dtype=np.int64)
         W[a, -1] = 1
-        W[n.reduced, : n.reduced] = z0[a]
+        W[k, :k] = z0[a]
         gens.append(W)
     R = np.zeros((d, d), dtype=np.int64)
-    R[n.reduced, -1] = 2
+    R[k, -1] = 2
     gens.append(R)
     return gens
 
@@ -335,7 +330,7 @@ def jacobi_mul(a, b):
     conjugation acting on parameters), and the signs multiply.
     """
     _check_same_n(a, b)
-    z0 = zeta_reduced(a.n.n)
+    z0 = zeta_reduced(a.n)
     shift = a.sigma.sigma @ (a.tr * b.w)
     return _trusted(
         JacobiElement,
@@ -349,7 +344,7 @@ def jacobi_mul(a, b):
 
 def jacobi_inv(a):
     """Inverse (Sigma^{-1}, -tr * Sigma^{-1} w, -r, tr)."""
-    z0 = zeta_reduced(a.n.n)
+    z0 = zeta_reduced(a.n)
     # symplectic inverse without a linear solve: Sigma^{-1} = zeta°^{-1} Sigma^T zeta°
     sig_inv = -z0 @ a.sigma.sigma.T @ z0
     return _trusted(
@@ -363,7 +358,7 @@ def jacobi_inv(a):
 
 
 def _factor_input(M):
-    # a NaN passes every "residual > tol" check, so non-finite input is rejected first
+    # non-finite input is rejected first, by its own error naming the entries
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 4 or M.shape[0] % 2:
         raise ValueError(f"expected a square matrix of even dimension >= 4, got {M.shape}")
@@ -388,10 +383,10 @@ def jacobi_factor(M, tol=TOL_EXACT):
     the last column), 2r = tr * M[eps, t].
     """
     M = _factor_input(M)
-    n = as_dimension((M.shape[0] - 2) // 2)
-    k = n.reduced
+    k = M.shape[0] - 2
+    n = k // 2
     res_eta = eta_residual(M)
-    if res_eta > tol:
+    if not res_eta <= tol:
         raise NotTimePreserving(f"time-metric residual {res_eta:.3e} > {tol:.1e}")
     s = 1 if M[-1, -1] > 0 else -1
     G = M.copy()
@@ -404,12 +399,12 @@ def jacobi_factor(M, tol=TOL_EXACT):
         abs(G[-1, -1] - 1.0),
         abs(G[:k, k]).max(),
         abs(G[k, k] - 1.0),
-        abs(G[k, :k] - (w @ zeta_reduced(n.n)) @ sigma).max(),
+        abs(G[k, :k] - (w @ zeta_reduced(n)) @ sigma).max(),
     )
-    if bad > tol:
+    if not bad <= tol:
         raise PatternViolation(f"block pattern deviates by {bad:.3e} > {tol:.1e}")
     res_zeta = zeta_residual(G)
-    if res_zeta > tol:
+    if not res_zeta <= tol:
         raise NotSymplectic(f"symplectic residual {res_zeta:.3e} > {tol:.1e}")
     return _trusted(
         JacobiElement,
@@ -430,7 +425,7 @@ def igl_factor(L, tol=TOL_EXACT):
     """
     L = _factor_input(L)
     res_eta = eta_residual(L)
-    if res_eta > tol:
+    if not res_eta <= tol:
         raise NotTimePreserving(
             f"bottom row must be (0, ..., 0, +-1): time-metric residual {res_eta:.3e} > {tol:.1e}"
         )
@@ -450,16 +445,16 @@ def euclidean_element(R, v, tol=TOL_EXACT):
     if R.ndim != 2 or R.shape[0] != R.shape[1] or v.shape != (R.shape[0],):
         raise ValueError(f"need an n x n matrix and length-n vector, got {R.shape} and {v.shape}")
     n = as_dimension(R.shape[0])
-    ortho = np.max(np.abs(R.T @ R - np.eye(n.n)))
+    ortho = np.max(np.abs(R.T @ R - np.eye(n)))
     det = np.linalg.det(R)
-    if ortho > tol or abs(det - 1.0) > max(tol, 10 * ortho):
+    if not (ortho <= tol and abs(det - 1.0) <= max(tol, 10 * ortho)):
         raise NotARotation(f"R^T R - I has max entry {ortho:.3e}, det = {det!r}")
-    sigma = np.zeros((n.reduced, n.reduced))
+    sigma = np.zeros((2 * n, 2 * n))
     sigma[0::2, 0::2] = R
     sigma[1::2, 1::2] = R
-    w = np.zeros(n.reduced)
+    w = np.zeros(2 * n)
     w[0::2] = v
-    return JacobiElement(sigma=SymplecticBlock(sigma, tol=max(tol, 4 * n.n * ortho)), w=w, r=0.0)
+    return JacobiElement(sigma=SymplecticBlock(sigma, tol=max(tol, 4 * n * ortho)), w=w, r=0.0)
 
 
 def vfr_convert(a):
@@ -475,7 +470,7 @@ def vfr_convert(a):
 
 def heisenberg_from_vfr(view):
     """Inverse of `vfr_convert`."""
-    w = np.empty(view.n.reduced)
+    w = np.empty(2 * view.n)
     w[0::2] = view.v
     w[1::2] = view.f
     return _trusted(HeisenbergElement, w=_owned(w), r=0.5 * view.r_phys, n=view.n)
@@ -489,19 +484,19 @@ def random_symplectic(n, rng, factors=4):
     a fresh writable array.
     """
     n = as_dimension(n)
-    k = n.reduced
+    k = 2 * n
     M = _identity(k).copy()
     for _ in range(factors):
         kind = int(rng.integers(3))
         F = _identity(k).copy()
         if kind == 2:  # independent rotation in each (q_i, p_i) plane
-            th = rng.uniform(0.0, 2.0 * np.pi, n.n)
+            th = rng.uniform(0.0, 2.0 * np.pi, n)
             c, s = np.cos(th), np.sin(th)
             # the four entries of pair i sit on F's flat diagonals, 2(k+1) apart
             f, step = F.reshape(-1), 2 * (k + 1)
             f[0::step], f[1::step], f[k::step], f[k + 1 :: step] = c, -s, s, c
         else:  # q += S p (kind 0) or p += S q (kind 1), S symmetric
-            A = rng.uniform(-0.6, 0.6, (n.n, n.n))
+            A = rng.uniform(-0.6, 0.6, (n, n))
             F[kind::2, 1 - kind :: 2] = 0.5 * (A + A.T)
         M = M @ F
     return M
@@ -518,11 +513,11 @@ def random_jacobi(n, rng, tr=None, factors=4):
     elif tr not in (1, -1):
         raise ValueError(f"tr must be +1 or -1, got {tr!r}")
     sigma = _owned(random_symplectic(n, rng, factors=factors))
-    n = Dimension(len(sigma) // 2)
+    n = len(sigma) // 2
     return _trusted(
         JacobiElement,
         sigma=_trusted(SymplecticBlock, sigma=sigma, n=n),
-        w=_owned(rng.uniform(-2.0, 2.0, n.reduced)),
+        w=_owned(rng.uniform(-2.0, 2.0, len(sigma))),
         r=float(rng.uniform(-2.0, 2.0)),
         tr=int(tr),
         n=n,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .forms import Dimension, as_dimension
+from .forms import as_dimension
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class HamiltonianSystem:
     without it.
     """
 
-    n: Dimension
+    n: int
     value: object
     grad_q: object
     grad_p: object
@@ -86,12 +86,12 @@ def _family(name, n, params):
     m = params["mass"]
     om, g = params.get("frequency"), params.get("g")
     amp, wd = params.get("amplitude"), params.get("drive_frequency")
-    k = n.reduced
+    k = 2 * n
     A0 = np.zeros((k + 2, k + 2))
-    A0[0:k:2, 1:k:2] = np.eye(n.n) / m
+    A0[0:k:2, 1:k:2] = np.eye(n) / m
     if om is not None:
         spring = m * om * om
-        A0[1:k:2, 0:k:2] = -spring * np.eye(n.n)
+        A0[1:k:2, 0:k:2] = -spring * np.eye(n)
 
     def value(q, p, t):
         h = 0.5 * float(p @ p) / m
@@ -111,7 +111,7 @@ def _family(name, n, params):
             drive = amp * math.cos(wd * t)
             u = drive if u is None else u + drive
         if om is None:
-            return np.zeros(n.n) if u is None else u * np.ones(n.n)
+            return np.zeros(n) if u is None else u * np.ones(n)
         return spring * q if u is None else spring * q + u
 
     def d_t(q, p, t):
@@ -160,7 +160,7 @@ def builtin_system(name, n=1, **params):
         driven_oscillator: presets of one Hamiltonian family,
         |p|^2/2m + m om^2 |q|^2/2 + (g + A cos om_d t) sum(q), each with
         only the terms whose parameters it takes.
-    n : int or Dimension
+    n : int
         Degrees of freedom.
     **params
         System parameters (mass, frequency, amplitude, drive_frequency, g);

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_system
 from .forms import (
     MapHandle,
     as_dimension,
@@ -26,8 +27,7 @@ from .forms import (
 )
 from .groups import (
     FactorError,
-    HeisenbergElement,
-    VfrView,
+    _check_same_n,
     heisenberg_from_vfr,
     heisenberg_mul,
     jacobi_factor,
@@ -35,6 +35,7 @@ from .groups import (
 )
 
 CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", "Neither")
+_CHUNK = 32  # probe Jacobians per symplectic-residual pass of check_invariance
 
 
 @dataclass(frozen=True)
@@ -137,20 +138,24 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     tol_omega, tol_lambda : float
         Residual thresholds for the symplectic form and the time metric.
     """
-    probes = list(probes)
-    if not probes:
+    arrays = [np.asarray(pr, dtype=float) for pr in probes]
+    if not arrays:
         raise ValueError("need at least one probe point")
     jac = f.jacobian if isinstance(f, MapHandle) and f.jacobian is not None else None
-    arrays = [np.asarray(pr, dtype=float) for pr in probes]
-    jacobians = np.array(
-        [np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z) for z in arrays]
-    )
-    d = as_dimension((len(arrays[0]) - 2) // 2).extended
-    if jacobians.ndim != 3 or jacobians.shape[1:] != (d, d):
-        raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {jacobians.shape}")
+    d = 2 * as_dimension((len(arrays[0]) - 2) // 2) + 2
+    # one stack, filled in place, and its symplectic residuals in chunks, whose
+    # temporaries stay small next to it
+    jacobians = np.empty((len(arrays), d, d))
+    for J, z in zip(jacobians, arrays):
+        J_z = np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z)
+        if J_z.shape != J.shape:
+            shape = (len(arrays), *J_z.shape)
+            raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {shape}")
+        J[...] = J_z
+    chunks = range(0, len(arrays), _CHUNK)
+    res_o = np.concatenate([zeta_residual(jacobians[i : i + _CHUNK]) for i in chunks])
     return _report(
-        zeta_residual(jacobians), eta_residual(jacobians), jacobians, slice(None),
-        len(probes), tol_omega, tol_lambda,
+        res_o, eta_residual(jacobians), jacobians, slice(None), len(arrays), tol_omega, tol_lambda
     )
 
 
@@ -198,13 +203,12 @@ def trajectory_probes(traj, count, rng):
 
 def box_probes(n, count, rng, half_width=2.0):
     """Probe points drawn uniformly from a box around the origin, one state vector per row."""
-    return rng.uniform(-half_width, half_width, (count, as_dimension(n).extended))
+    return rng.uniform(-half_width, half_width, (count, 2 * as_dimension(n) + 2))
 
 
 def hamilton_residual(traj, sys):
     """Max deviation of central-difference d(q, p, eps)/dt from (v, f, r)."""
-    if sys.n.n != traj.n.n:
-        raise ValueError(f"dimension mismatch: system n={sys.n.n}, trajectory n={traj.n.n}")
+    _check_system(traj, sys)
     if traj.n_samples < 5:
         raise ValueError("need at least 5 samples for interior differences")
     D = (traj.z[2:] - traj.z[:-2]) / (2.0 * traj.dt)
@@ -218,6 +222,7 @@ def energy_ledger(traj, sys):
     (v . dp), -(f . dq), (r dt); the residual measures how well they add up
     to the endpoint difference of H.
     """
+    _check_system(traj, sys)
     if traj.n_samples < 2:
         raise ValueError("need at least 2 samples")
     dq = np.diff(traj.q, axis=0)
@@ -251,8 +256,7 @@ def noncommutativity_check(a, b):
     with the sign fixed by the matrix realization.  The group-law value is
     cross-checked against the matrix products.
     """
-    if a.n.n != b.n.n:
-        raise ValueError(f"dimension mismatch: n={a.n.n} vs n={b.n.n}")
+    _check_same_n(a, b)
     ha = heisenberg_from_vfr(a)
     hb = heisenberg_from_vfr(b)
     hab = heisenberg_mul(ha, hb)
@@ -265,7 +269,7 @@ def noncommutativity_check(a, b):
     commutator_r = left.r_phys - right.r_phys
     Ma = ha.matrix()
     Mb = hb.matrix()
-    k = 2 * a.n.n
+    k = 2 * a.n
     oracle = (Ma @ Mb - Mb @ Ma)[k, -1]
     scale = 1.0 + abs(commutator_r)
     if abs(commutator_r - oracle) > 1e-12 * scale:

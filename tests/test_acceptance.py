@@ -9,7 +9,6 @@ import numpy as np
 from conftest import acceptance_results
 
 from jacobiflow import (
-    Dimension,
     HeisenbergElement,
     JacobiElement,
     MapHandle,
@@ -311,7 +310,7 @@ def test_lifted_symplectic_classification():
                 M[2 * k + 1, 2 * k + 1] = 0.5
         handle = MapHandle(
             lambda z, M=M: M @ z,
-            Dimension(n),
+            n,
             jacobian=(lambda z, M=M: M) if analytic else None,
             name=label,
         )

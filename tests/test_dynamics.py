@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from jacobiflow import (
-    Dimension,
     HamiltonianSystem,
     builtin_system,
     canonical_zeta,
@@ -137,7 +136,7 @@ def test_integrate_flow_validation():
 def test_leapfrog_requires_separable():
     sys = _ho()
     coupled = HamiltonianSystem(
-        n=Dimension(1),
+        n=1,
         value=sys.value,
         grad_q=sys.grad_q,
         grad_p=sys.grad_p,
@@ -151,7 +150,7 @@ def test_leapfrog_requires_separable():
 def test_blow_up_detection():
     # dq/dtau = q^2 escapes in finite time
     unstable = HamiltonianSystem(
-        n=Dimension(1),
+        n=1,
         value=lambda q, p, t: q[0] ** 2 * p[0],
         grad_q=lambda q, p, t: np.array([2.0 * q[0] * p[0]]),
         grad_p=lambda q, p, t: np.array([q[0] ** 2]),
@@ -177,7 +176,7 @@ def _turns_infinite(t_bad, term, strict):
         return q + (force if t >= t_bad else 0.0)
 
     return HamiltonianSystem(
-        n=Dimension(1),
+        n=1,
         value=lambda q, p, t: 0.5 * float(p @ p + q @ q),
         grad_q=grad_q,
         grad_p=lambda q, p, t: p + (velocity if t >= t_bad else 0.0),

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from jacobiflow import (
-    Dimension,
+    HeisenbergElement,
+    IglElement,
+    JacobiElement,
     MapHandle,
+    SymplecticBlock,
+    VfrView,
     block_to_interleaved,
     box_probes,
     builtin_system,
     canonical_eta,
     canonical_zeta,
     form_residual,
+    integrate_flow,
+    jacobi_factor,
+    make_rho,
     numeric_jacobian,
+    random_jacobi,
 )
 from jacobiflow.forms import as_dimension, default_step, eta_residual, zeta_reduced, zeta_residual
 
@@ -168,14 +176,15 @@ def test_numeric_jacobian_quadratic():
 
 
 def test_numeric_jacobian_accepts_handle_and_point():
-    handle = MapHandle(func=lambda z: 2.0 * z, n=Dimension(1), name="doubling")
+    handle = MapHandle(func=lambda z: 2.0 * z, n=1, name="doubling")
     J = numeric_jacobian(handle, [1.0, 0.5, 0.0, 0.2])
     assert np.max(np.abs(J - 2.0 * np.eye(4))) < 1e-9
 
 
-def test_numeric_jacobian_bad_step():
-    with pytest.raises(ValueError):
-        numeric_jacobian(lambda z: z, np.zeros(4), h=0.0)
+@pytest.mark.parametrize("h", [0.0, np.nan, np.inf])
+def test_numeric_jacobian_bad_step(h):
+    with pytest.raises(ValueError, match="step size must be positive and finite"):
+        numeric_jacobian(lambda z: z, np.zeros(4), h=h)
 
 
 def test_numeric_jacobian_nonfinite_map():
@@ -189,19 +198,35 @@ def test_default_step_scales_with_state():
     assert np.array_equal(default_step(np.array([[0.0, 0.0], [0.0, -100.0]])), [1e-5, 1e-3])
 
 
-def test_dimension():
-    d = Dimension(2)
-    assert d.reduced == 4 and d.extended == 6
-    assert as_dimension(d) is d
-    assert as_dimension(3).n == 3
-    with pytest.raises(ValueError):
-        Dimension(0)
-    with pytest.raises(ValueError):
-        Dimension(1.5)
+def test_as_dimension_returns_a_python_int():
+    n = as_dimension(np.int64(3))
+    assert n == 3 and type(n) is int
 
 
-@pytest.mark.parametrize("n", [2.7, 2.0, "3"])
-def test_non_integer_dimension_is_rejected_not_truncated(n):
+def test_every_n_is_a_plain_int():
+    sys = builtin_system("harmonic_oscillator", n=2)
+    traj = integrate_flow(sys, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 0.01, 1e-3)
+    rng = np.random.default_rng(0)
+    a, b = random_jacobi(2, rng), random_jacobi(2, rng)
+    objects = [
+        sys,
+        traj,
+        make_rho(traj, sys).as_map(),
+        HeisenbergElement(w=np.ones(4), r=0.5),
+        SymplecticBlock(np.eye(4)),
+        JacobiElement.identity(np.int64(2)),
+        IglElement(omega=np.eye(5), u=np.zeros(5), eps=1),
+        VfrView(v=np.ones(2), f=np.zeros(2), r_phys=0.0),
+        a * b,
+        jacobi_factor(b.matrix()),
+        a,
+    ]
+    for x in objects:
+        assert type(x.n) is int and x.n == 2, type(x).__name__
+
+
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, 2.7, "3"])
+def test_dimension_that_is_not_a_positive_integer_is_rejected(n):
     with pytest.raises(ValueError, match="positive integer"):
         as_dimension(n)
     with pytest.raises(ValueError, match="positive integer"):

@@ -235,11 +235,30 @@ def test_error_taxonomy_is_factor_error():
         assert issubclass(exc, FactorError)
 
 
+# a non-member of each entry point, failing its first membership check
+_NON_MEMBERS = {
+    "factor-time-metric": lambda tol: jacobi_factor(np.arange(16.0).reshape(4, 4), tol=tol),
+    "igl-time-metric": lambda tol: igl_factor(np.arange(16.0).reshape(4, 4), tol=tol),
+    "symplectic-block": lambda tol: SymplecticBlock(np.ones((2, 2)), tol=tol),
+    "from-parts": lambda tol: JacobiElement.from_parts(np.ones((2, 2)), [0, 0], 0, tol=tol),
+    "euclidean": lambda tol: euclidean_element(2.0 * np.eye(2), [0.0, 0.0], tol=tol),
+}
+
+
+@pytest.mark.parametrize("check", _NON_MEMBERS.values(), ids=_NON_MEMBERS.keys())
+def test_nan_tolerance_fails_closed(check):
+    with pytest.raises(FactorError) as exact:
+        check(1e-12)
+    with pytest.raises(FactorError) as nan:
+        check(np.nan)
+    assert type(nan.value) is type(exact.value)
+
+
 def test_symplectic_block_validates():
     with pytest.raises(NotSymplectic):
         SymplecticBlock(np.diag([2.0, 1.0]))
     s = SymplecticBlock(np.array([[1.0, 0.7], [0.0, 1.0]]))
-    assert s.n.n == 1
+    assert s.n == 1
 
 
 def test_igl_matrix_and_roundtrip():
@@ -414,3 +433,17 @@ def test_element_validation():
         JacobiElement.from_parts(np.eye(2), np.zeros(2), 0.0, tr=2)
     with pytest.raises(ValueError):
         HeisenbergElement(w=np.array([1.0, 2.0, 3.0]), r=0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SymplecticBlock(np.zeros((0, 0))),
+        lambda: IglElement(omega=np.eye(1), u=np.zeros(1), eps=1),
+        lambda: VfrView(v=[], f=[], r_phys=0.0),
+    ],
+    ids=["symplectic-0x0", "igl-1x1", "vfr-empty"],
+)
+def test_element_of_n_zero_is_rejected(make):
+    with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+        make()

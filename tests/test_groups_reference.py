@@ -156,7 +156,7 @@ def _assert_element(g, ref):
     assert _same_bits(g.w, w)
     assert _same_bits(g.r, r) and type(g.r) is float
     assert g.tr == tr and type(g.tr) is int
-    assert g.n.n == len(w) // 2 and g.sigma.n == g.n
+    assert g.n == len(w) // 2 and g.sigma.n == g.n
 
 
 def _elements(n, seed, count=12):
@@ -303,7 +303,7 @@ def test_random_jacobi_field_types():
     rng = np.random.default_rng(1)
     for tr in (None, 1, -1, np.int64(-1), 1.0):
         g = random_jacobi(2, rng, tr=tr)
-        assert type(g.tr) is int and type(g.r) is float and type(g.n.n) is int
+        assert type(g.tr) is int and type(g.r) is float and type(g.n) is int
         assert g.sigma.n == g.n
         for arr in (g.sigma.sigma, g.w):
             assert not arr.flags.writeable

@@ -110,7 +110,7 @@ def test_finite_difference_fallback_matches_reference_bitwise(method):
 
 def _assert_matches_reference(sys, seed, method, with_variational=True):
     rng = np.random.default_rng(seed)
-    z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n.n + 1), [T0]])
+    z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n + 1), [T0]])
     traj = integrate_flow(sys, z0, T_END, DT, method=method, with_variational=with_variational, jac_every=1)
     z, v, f, r, Js = _reference_flow(sys, z0, T_END, DT, method)
     assert len(z) > 2 * _STAGE_CHUNK + 1

@@ -1,10 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jacobiflow import (
-    Dimension,
     HamiltonianSystem,
     MapHandle,
     VfrView,
@@ -19,16 +19,17 @@ from jacobiflow import (
     noncommutativity_check,
     trajectory_probes,
 )
-from jacobiflow.forms import default_step
+from jacobiflow.cli import _map_catalog
+from jacobiflow.forms import canonical_zeta, default_step
 
 
 def _probes(n=1, count=8, seed=7):
-    return box_probes(Dimension(n), count, np.random.default_rng(seed))
+    return box_probes(n, count, np.random.default_rng(seed))
 
 
 def test_identity_is_jacobimorphism():
     handle = MapHandle(
-        lambda z: z.copy(), Dimension(1), jacobian=lambda z: np.eye(4), name="identity"
+        lambda z: z.copy(), 1, jacobian=lambda z: np.eye(4), name="identity"
     )
     report = check_invariance(handle, _probes())
     assert report.classification == "Jacobimorphism"
@@ -40,7 +41,7 @@ def test_identity_is_jacobimorphism():
 
 def test_identity_via_finite_differences():
     # without an analytic Jacobian the identity still certifies, at FD accuracy
-    handle = MapHandle(lambda z: z.copy(), Dimension(1), name="identity")
+    handle = MapHandle(lambda z: z.copy(), 1, name="identity")
     report = check_invariance(handle, _probes())
     assert report.classification == "Jacobimorphism"
     assert report.omega_residual_max < 1e-9
@@ -52,7 +53,7 @@ def test_time_doubling_is_neither():
         out[-1] *= 2.0
         return out
 
-    report = check_invariance(MapHandle(doubling, Dimension(1)), _probes())
+    report = check_invariance(MapHandle(doubling, 1), _probes())
     assert report.classification == "Neither"
     # T'JT with J_tt = 2 gives lambda residual 3 and omega residual 1
     assert abs(report.lambda_residual_max - 3.0) < 1e-6
@@ -67,7 +68,7 @@ def test_symplectic_but_not_time_preserving():
         out[-1] = z[-1] + z[-2]
         return out
 
-    report = check_invariance(MapHandle(shear, Dimension(1)), _probes())
+    report = check_invariance(MapHandle(shear, 1), _probes())
     assert report.classification == "Symplectomorphism"
     assert report.omega_residual_max < 1e-9
     assert report.lambda_residual_max > 0.5
@@ -79,7 +80,7 @@ def test_time_preserving_but_not_symplectic():
         out[0] *= 2.0
         return out
 
-    report = check_invariance(MapHandle(stretch, Dimension(1)), _probes())
+    report = check_invariance(MapHandle(stretch, 1), _probes())
     assert report.classification == "TimePreservingOnly"
     assert report.lambda_residual_max < 1e-9
     assert report.omega_residual_max > 0.5
@@ -92,19 +93,19 @@ def test_analytic_jacobian_is_preferred():
         out[-1] *= 2.0
         return out
 
-    lying = MapHandle(doubling, Dimension(1), jacobian=lambda z: np.eye(4))
+    lying = MapHandle(doubling, 1, jacobian=lambda z: np.eye(4))
     report = check_invariance(lying, _probes())
     assert report.classification == "Jacobimorphism"
 
 
 def test_check_invariance_requires_probes():
-    handle = MapHandle(lambda z: z.copy(), Dimension(1))
+    handle = MapHandle(lambda z: z.copy(), 1)
     with pytest.raises(ValueError):
         check_invariance(handle, [])
 
 
 def test_report_to_dict_is_json_ready():
-    handle = MapHandle(lambda z: z.copy(), Dimension(1), name="identity")
+    handle = MapHandle(lambda z: z.copy(), 1, name="identity")
     report = check_invariance(handle, _probes(count=3))
     blob = json.dumps(report.to_dict())
     data = json.loads(blob)
@@ -162,7 +163,7 @@ def test_hamilton_residual_scales_quadratically():
 def test_hamilton_residual_constant_hamiltonian():
     # a constant H has a stationary flow: every difference quotient vanishes
     const = HamiltonianSystem(
-        n=Dimension(1),
+        n=1,
         value=lambda q, p, t: 3.0,
         grad_q=lambda q, p, t: np.zeros(1),
         grad_p=lambda q, p, t: np.zeros(1),
@@ -178,10 +179,11 @@ def test_hamilton_residual_rejects_short_trajectory():
         hamilton_residual(traj, _sys_ho())
 
 
-def test_hamilton_residual_rejects_dimension_mismatch():
+@pytest.mark.parametrize("check", [hamilton_residual, energy_ledger, make_rho])
+def test_trajectory_checks_reject_dimension_mismatch(check):
     traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 0.01)
-    with pytest.raises(ValueError):
-        hamilton_residual(traj, builtin_system("harmonic_oscillator", n=2))
+    with pytest.raises(ValueError, match="dimension mismatch: system n=2, trajectory n=1"):
+        check(traj, builtin_system("harmonic_oscillator", n=2))
 
 
 def test_energy_ledger_harmonic_period():
@@ -288,7 +290,7 @@ def test_trajectory_probes_need_room():
 
 
 def test_box_probes_shape_and_range():
-    probes = box_probes(Dimension(2), 10, np.random.default_rng(1), half_width=1.5)
+    probes = box_probes(2, 10, np.random.default_rng(1), half_width=1.5)
     assert probes.shape == (10, 6)
     assert np.max(np.abs(probes)) <= 1.5
     # one state per draw of 6, the stream the map-mode probes always used
@@ -336,3 +338,21 @@ def test_rho_reproduces_the_table_at_the_nodes():
         assert np.array_equal(shift[1::2], traj.p[k] - p0)
         assert np.array_equal(rate[0::2], traj.v[k])
         assert np.array_equal(rate[1::2], traj.f[k])
+
+
+def test_check_invariance_holds_one_probe_stack_beyond_its_report():
+    n, count = 8, 100
+    d = 2 * n + 2
+    stack = count * d * d * 8
+    rotation = _map_catalog(n)["rotation"]
+    probes = box_probes(n, count, np.random.default_rng(0))
+    canonical_zeta(n)  # the shared form cache is not part of the call's cost
+    tracemalloc.start()
+    try:
+        report = check_invariance(rotation, probes)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.classification == "Jacobimorphism"
+    # the Jacobian stack and the residual temporaries, over the factors the report keeps
+    assert peak - retained <= 1.25 * stack
