@@ -5,8 +5,10 @@ unknown and duplicate keys are rejected).  Two modes:
 
 * mode = flow: integrate a builtin system, export the trajectory CSV,
   certify the variational Jacobians and the trajectory-built shift
-  transform, and write the invariance and ledger reports;
-* mode = map: certify one of the builtin catalog maps at random probes.
+  transform, and write the invariance and ledger reports and the checked
+  Jacobians (jacobians.npy, probe_jacobians.npy);
+* mode = map: certify one of the builtin catalog maps at random probes and
+  write the report and the probe Jacobians (probe_jacobians.npy).
 
 --selftest runs the group-law suites of `selftest` from the seed and writes
 their checks to selftest.json.  Every config value and flag is checked,
@@ -53,7 +55,7 @@ _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
 _MIN_FLOW_STEPS = 4
 # size limit on the (2n+2)^2 x 8-byte Jacobians of a run.  A flow counts
 # steps + 1 samples (the size of the full stack, which is not stored, but the
-# kept Jacobians, the CSV and invariance.json grow with it), the stage
+# kept Jacobians, jacobians.npy and the CSV grow with it), the stage
 # Jacobians of one chunk of steps and the probes; a map counts its probes
 _MAX_JACOBIAN_BYTES = 2**30
 # each probe costs a finite-difference Jacobian and a factorization
@@ -185,51 +187,9 @@ def _resolved(cfg, params):
     return out
 
 
-# encodes one scalar or one flat list at C speed; without an indent the json
-# module takes its C encoder, whose scalars and ", " separators are those of
-# json.dump(indent=2)
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _json_pieces(obj, indent):
-    """The text of json.dump(obj, indent=2, sort_keys=True) at `indent`, in pieces."""
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{\n" + inner
-        for key, val in sorted(obj.items()):
-            # json writes an int, float, bool or None key as its JSON text
-            yield sep + _ENCODER.encode(key if isinstance(key, str) else _ENCODER.encode(key)) + ": "
-            yield from _json_pieces(val, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        if not isinstance(obj[0], (dict, list, tuple, str)):
-            # a flat list of numbers and literals: no ", " inside an item
-            text = _ENCODER.encode(obj)
-            if not ('"' in text or "{" in text or "[" in text[1:]):
-                yield "[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + indent + "]"
-                return
-        sep = "[\n" + inner
-        for val in obj:
-            yield sep
-            yield from _json_pieces(val, inner)
-            sep = ",\n" + inner
-        yield "\n" + indent + "]"
-    else:
-        yield _ENCODER.encode(obj)
-
-
 def _write_json(path, obj):
-    # the bytes of json.dump(obj, indent=2, sort_keys=True) and a newline,
-    # without json's pure-Python indenting encoder
     with open(path, "w", newline="\n") as fh:
-        fh.writelines(_json_pieces(obj, ""))
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -290,6 +250,8 @@ def run_flow(cfg, params, out_dir):
     flow_rep = check_flow_jacobians(
         traj, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
     )
+    np.save(os.path.join(out_dir, "jacobians.npy"), traj.jac)
+    np.save(os.path.join(out_dir, "probe_jacobians.npy"), rho_rep.jacobians)
     h_res = hamilton_residual(traj, system)
     ledger = energy_ledger(traj, system)
 
@@ -307,7 +269,7 @@ def run_flow(cfg, params, out_dir):
             "version": __version__,
             "config": resolved,
             "dt_actual": traj.dt,
-            "flow_jacobians": flow_rep.to_dict(),
+            "flow_jacobians": {**flow_rep.to_dict(), "jacobian_steps": traj.jac_steps.tolist()},
             "rho_transform": rho_rep.to_dict(),
             "hamilton_residual": h_res,
             "passed": passed,
@@ -345,6 +307,7 @@ def run_map(cfg, params, out_dir):
         handle, probes, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
     )
     ok = rep.classification == "Jacobimorphism"
+    np.save(os.path.join(out_dir, "probe_jacobians.npy"), rep.jacobians)
     _write_json(
         os.path.join(out_dir, "invariance.json"),
         {
@@ -378,9 +341,12 @@ def run_scenario(cfg, present, out_dir):
     cfg = validate_config(cfg, present)
     params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
     if cfg["mode"] == "map":
-        _make_out_dir(out_dir, ("invariance.json",))
+        _make_out_dir(out_dir, ("probe_jacobians.npy", "invariance.json"))
         return run_map(cfg, params, out_dir)
-    _make_out_dir(out_dir, ("trajectory.csv", "invariance.json", "ledger.json"))
+    _make_out_dir(
+        out_dir,
+        ("trajectory.csv", "jacobians.npy", "probe_jacobians.npy", "invariance.json", "ledger.json"),
+    )
     return run_flow(cfg, params, out_dir)
 
 

@@ -11,7 +11,7 @@ the residuals of both canonical forms; classification:
 * Neither: both fail.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,11 @@ class InvarianceReport:
     lambda_residuals: tuple = ()
     tol_omega: float = 1e-6
     tol_lambda: float = 1e-8
+    # "Class: message" of the FactorError that stopped the factorization
+    factor_error: str = None
+    # the (count, d, d) stack of checked Jacobians: the probe Jacobians of a
+    # map, the kept Jacobians of a flow; the factors are read off its entries
+    jacobians: np.ndarray = field(default=None, compare=False, repr=False)
 
     def to_dict(self):
         return {
@@ -60,9 +65,8 @@ class InvarianceReport:
             "tol_omega": self.tol_omega,
             "tol_lambda": self.tol_lambda,
             "n_probes": self.n_probes,
-            "factorization": None
-            if self.factorization is None
-            else [g.to_dict() for g in self.factorization],
+            "n_factored": 0 if self.factorization is None else len(self.factorization),
+            "factor_error": self.factor_error,
         }
 
 
@@ -102,26 +106,26 @@ def _report(res_o, res_l, matrices, listed, n_probes, tol_omega, tol_lambda):
     """
     omega_ok = res_o.max() <= tol_omega
     lambda_ok = res_l.max() <= tol_lambda
-    factors = None
-    factored = False
+    factors = error = None
     if omega_ok and lambda_ok:
         tol_factor = max(tol_omega, tol_lambda)
         try:
             factors = tuple(jacobi_factor(M, tol=tol_factor) for M in matrices)
-            factored = True
-        except FactorError:
-            factors = None
-    cls = _classify(omega_ok, lambda_ok, factored)
+        except FactorError as e:
+            error = f"{type(e).__name__}: {e}"
+    cls = _classify(omega_ok, lambda_ok, factors is not None)
     return InvarianceReport(
         omega_residual_max=float(res_o.max()),
         lambda_residual_max=float(res_l.max()),
         n_probes=n_probes,
         classification=cls,
-        factorization=factors if cls == "Jacobimorphism" else None,
+        factorization=factors,
         omega_residuals=tuple(res_o[listed].tolist()),
         lambda_residuals=tuple(res_l[listed].tolist()),
         tol_omega=tol_omega,
         tol_lambda=tol_lambda,
+        factor_error=error,
+        jacobians=matrices,
     )
 
 

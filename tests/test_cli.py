@@ -3,11 +3,26 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import jacobiflow.cli as cli
+from jacobiflow import (
+    __version__,
+    block_to_interleaved,
+    builtin_system,
+    check_flow_jacobians,
+    check_invariance,
+    energy_ledger,
+    hamilton_residual,
+    integrate_flow,
+    jacobi_factor,
+    make_rho,
+    trajectory_probes,
+    write_csv,
+)
 from jacobiflow.cli import ConfigError, main, parse_config, validate_config
 from jacobiflow.selftest import run_checks
 
@@ -33,6 +48,7 @@ dt = 1e-3
 probes = 10
 seed = 3
 """
+MAP_CFG = "mode = map\nmap = rotation\nn = 3\nprobes = 10\nseed = 4\n"
 
 
 def test_flow_scenario_passes(tmp_path, capsys):
@@ -59,13 +75,62 @@ def test_flow_csv_header_and_first_row(tmp_path):
     assert lines[1] == "0,1,0,0,0,0,-1,0"
 
 
-def test_flow_outputs_are_deterministic(tmp_path):
-    cfg = _write(tmp_path, FLOW_CFG)
+FLOW_REPORTS = ("trajectory.csv", "jacobians.npy", "probe_jacobians.npy", "invariance.json", "ledger.json")
+
+
+def _assert_deterministic(tmp_path, text, reports):
+    cfg = _write(tmp_path, text)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["--config", cfg, "--out", str(out_a)]) == 0
     assert main(["--config", cfg, "--out", str(out_b)]) == 0
-    for name in ("trajectory.csv", "invariance.json", "ledger.json"):
+    assert sorted(p.name for p in out_a.iterdir()) == sorted(reports)
+    for name in reports:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_flow_outputs_are_deterministic(tmp_path):
+    _assert_deterministic(tmp_path, FLOW_CFG, FLOW_REPORTS)
+
+
+def test_map_outputs_are_deterministic(tmp_path):
+    _assert_deterministic(tmp_path, MAP_CFG, ("probe_jacobians.npy", "invariance.json"))
+
+
+def test_jacobians_npy_is_the_kept_flow_jacobians(tmp_path):
+    code, out = _run(tmp_path, FLOW_CFG)
+    assert code == 0
+    traj = integrate_flow(
+        builtin_system("harmonic_oscillator"), np.array([1.0, 0.0, 0.0, 0.0]), 2.0, 1e-3,
+        with_variational=True,
+    )
+    jac = np.load(out / "jacobians.npy", allow_pickle=False)
+    assert jac.dtype == np.float64 and jac.shape == traj.jac.shape
+    assert jac.tobytes() == traj.jac.tobytes()
+    inv = json.loads((out / "invariance.json").read_text())
+    assert inv["flow_jacobians"]["jacobian_steps"] == traj.jac_steps.tolist()
+    assert inv["flow_jacobians"]["n_factored"] == len(jac)
+    assert len(np.load(out / "probe_jacobians.npy")) == inv["rho_transform"]["n_probes"] == 10
+
+
+def _read_off(J):
+    """(sigma, w, r, tr) of a Jacobi matrix, read from its entries."""
+    k = J.shape[0] - 2
+    tr = 1 if J[-1, -1] > 0 else -1
+    return J[:k, :k], tr * J[:k, -1], tr * J[k, -1] / 2, tr
+
+
+@pytest.mark.parametrize("text", [FLOW_CFG, MAP_CFG], ids=["flow", "map"])
+def test_npy_entries_are_the_factor_parameters(tmp_path, text):
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    stacks = [np.load(p, allow_pickle=False) for p in sorted(out.glob("*.npy"))]
+    assert stacks
+    for J in np.concatenate(stacks):
+        g = jacobi_factor(J, tol=1e-5)
+        sigma, w, r, tr = _read_off(J)
+        assert g.sigma.sigma.tobytes() == sigma.tobytes()
+        assert g.w.tobytes() == w.tobytes()
+        assert np.float64(g.r).tobytes() == np.float64(r).tobytes() and g.tr == tr
 
 
 def test_seed_override_changes_probes(tmp_path):
@@ -271,6 +336,26 @@ def test_unusable_out_dir_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
         assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [(FLOW_CFG, "jacobians.npy"), (FLOW_CFG, "probe_jacobians.npy"), (MAP_CFG, "probe_jacobians.npy")],
+    ids=["flow-jacobians", "flow-probe_jacobians", "map-probe_jacobians"],
+)
+def test_npy_report_that_is_a_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, text, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was checked")
+
+    for work in ("integrate_flow", "check_invariance"):
+        monkeypatch.setattr(cli, work, no_work)
+    assert main(["--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write report {str(out / name)!r}: it exists and is not a regular file\n"
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):
     # argparse alone reads "-1e-3" as an option and fails with a usage block
     out = tmp_path / "st"
@@ -344,7 +429,7 @@ def _dumps(obj):
 
 
 # the three flow scenarios of the benchmark's certify_flow workload, at its
-# 5000 steps: the n = 16 one writes 501 factorizations of 1024-entry lists
+# 5000 steps: the n = 16 one keeps 501 Jacobians of 34 x 34
 CERTIFY_FLOW_CFGS = [
     "system = driven_oscillator\nn = 1\nmethod = rk4\nz0 = 0.4 -0.7 0.0 0.0\nseed = 11\n",
     "system = harmonic_oscillator\nn = 4\nmethod = leapfrog\n"
@@ -371,6 +456,81 @@ def test_write_json_matches_json_dumps_on_every_report(tmp_path, monkeypatch):
     assert main(["--config", cfg, "--out", str(tmp_path / "map")]) == 0
     assert main(["--selftest", "--out", str(tmp_path / "selftest")]) == 0
     assert written == ["invariance.json", "ledger.json"] * 3 + ["invariance.json", "selftest.json"]
+
+
+# the keys of a check in invariance.json before the Jacobians moved to .npy files
+OLD_CHECK_KEYS = {
+    "classification", "omega_residual_max", "lambda_residual_max", "omega_residuals",
+    "lambda_residuals", "tol_omega", "tol_lambda", "n_probes", "factorization",
+}
+
+
+@pytest.mark.parametrize("text", CERTIFY_FLOW_CFGS, ids=["driven_n1", "harmonic_n4", "driven_n16"])
+def test_flow_reports_change_only_by_the_factor_list(tmp_path, text):
+    # the reports as the checks through the library give them, with the factor
+    # list that invariance.json carried: trajectory.csv and ledger.json keep
+    # every byte, invariance.json every value but the list, which the .npy
+    # files hold bit for bit
+    code, out = _run(tmp_path, text)
+    assert code == 0
+    cfg, present = parse_config(str(tmp_path / "scenario.cfg"))
+    cfg = validate_config(cfg, present)
+    system = builtin_system(cfg["system"], n=cfg["n"])
+    traj = integrate_flow(
+        system, block_to_interleaved(np.asarray(cfg["z0"])), cfg["t_end"], cfg["dt"],
+        method=cfg["method"], with_variational=True,
+    )
+    write_csv(traj, str(tmp_path / "ref.csv"))
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    ledger = energy_ledger(traj, system)
+    config = cli._resolved(cfg, {})
+    assert (out / "ledger.json").read_bytes() == _dumps(
+        {"version": __version__, "config": config, "ledger": ledger.to_dict(), "passed": True}
+    )
+
+    tols = {"tol_omega": cfg["tol_omega"], "tol_lambda": cfg["tol_lambda"]}
+    probes = trajectory_probes(traj, cfg["probes"], np.random.default_rng(cfg["seed"]))
+    reps = {
+        "flow_jacobians": check_flow_jacobians(traj, **tols),
+        "rho_transform": check_invariance(make_rho(traj, system).as_map(), probes, **tols),
+    }
+    assert (out / "invariance.json").stat().st_size < 100_000
+    inv = json.loads((out / "invariance.json").read_text())
+    assert inv["flow_jacobians"].pop("jacobian_steps") == traj.jac_steps.tolist()
+    for (key, rep), name in zip(reps.items(), ("jacobians.npy", "probe_jacobians.npy")):
+        old = {k: v for k, v in rep.to_dict().items() if k in OLD_CHECK_KEYS}
+        old["factorization"] = [g.to_dict() for g in rep.factorization]
+        assert set(old) == OLD_CHECK_KEYS
+        new = inv[key]
+        assert (new.pop("n_factored"), new.pop("factor_error")) == (len(rep.factorization), None)
+        old = json.loads(json.dumps(old))
+        factors = old.pop("factorization")
+        assert new == old
+        stack = np.load(out / name, allow_pickle=False)
+        assert [jacobi_factor(J, tol=1e-5).to_dict() for J in stack] == factors
+    assert inv == json.loads(json.dumps({
+        "version": __version__, "config": config, "dt_actual": traj.dt,
+        "flow_jacobians": inv["flow_jacobians"], "rho_transform": inv["rho_transform"],
+        "hamilton_residual": hamilton_residual(traj, system),
+        "passed": dict.fromkeys(("flow_jacobians", "rho_transform", "hamilton_residual", "energy_ledger"), True),
+        "all_passed": True,
+    }))
+
+
+def test_map_run_holds_at_most_two_and_a_half_probe_stacks(tmp_path):
+    n, count = 30, 300
+    stack = count * (2 * n + 2) ** 2 * 8
+    cfg = _write(tmp_path, f"mode = map\nmap = rotation\nn = {n}\nprobes = {count}\n")
+    main(["--config", cfg, "--out", str(tmp_path / "warm")])  # the form caches are shared
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "out" / "probe_jacobians.npy").stat().st_size > stack
+    assert peak <= 2.5 * stack
 
 
 @pytest.mark.parametrize(

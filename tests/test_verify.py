@@ -111,8 +111,29 @@ def test_report_to_dict_is_json_ready():
     data = json.loads(blob)
     assert data["classification"] == "Jacobimorphism"
     assert data["n_probes"] == 3
-    assert len(data["factorization"]) == 3
-    assert data["factorization"][0]["eps"] == 1
+    # the factors are summarised; their parameters are the Jacobians' entries
+    assert "factorization" not in data
+    assert data["n_factored"] == 3
+    assert data["factor_error"] is None
+    assert report.factorization[0].tr == 1
+    assert report.jacobians.shape == (3, 4, 4)
+
+
+def test_pattern_violation_within_both_form_residuals_is_reported():
+    # scaling p by 0.1 shrinks the symplectic residual of an eps-column entry
+    # delta to 0.1 delta, so both forms pass while the block pattern misses by delta
+    J = np.diag([10.0, 0.1, 1.0, 1.0])
+    J[0, 2] = 5e-6
+    handle = MapHandle(lambda z: J @ z, 1, jacobian=lambda z: J)
+    report = check_invariance(handle, _probes(count=3), tol_omega=1e-6, tol_lambda=1e-8)
+    assert report.omega_residual_max <= 1e-6
+    assert report.lambda_residual_max <= 1e-8
+    assert report.classification == "Symplectomorphism"
+    assert report.factorization is None
+    assert report.factor_error == "PatternViolation: block pattern deviates by 5.000e-06 > 1.0e-06"
+    data = json.loads(json.dumps(report.to_dict()))
+    assert data["factor_error"] == report.factor_error
+    assert data["n_factored"] == 0
 
 
 def test_flow_jacobians_certify():
@@ -354,5 +375,5 @@ def test_check_invariance_holds_one_probe_stack_beyond_its_report():
     finally:
         tracemalloc.stop()
     assert report.classification == "Jacobimorphism"
-    # the Jacobian stack and the residual temporaries, over the factors the report keeps
+    # the residual temporaries, over the Jacobian stack and the factors the report keeps
     assert peak - retained <= 1.25 * stack
