@@ -375,5 +375,7 @@ def test_check_invariance_holds_one_probe_stack_beyond_its_report():
     finally:
         tracemalloc.stop()
     assert report.classification == "Jacobimorphism"
-    # the residual temporaries, over the Jacobian stack and the factors the report keeps
-    assert peak - retained <= 1.25 * stack
+    # the Jacobian stack and the residual temporaries, over the factors the report
+    # keeps; the report also keeps the stack, which is not counted twice
+    assert report.jacobians.nbytes == stack
+    assert peak - (retained - stack) <= 1.25 * stack
