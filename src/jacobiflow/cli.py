@@ -31,7 +31,14 @@ from . import __version__
 from .forms import MapHandle, as_dimension, block_to_interleaved
 from .selftest import FACTOR_TOL, run_checks
 from .systems import BUILTIN_SYSTEMS, builtin_system
-from .dynamics import _STAGE_CHUNK, integrate_flow, make_rho, step_count, write_csv
+from .dynamics import (
+    _INCREMENT_STACKS,
+    _STAGE_CHUNK,
+    integrate_flow,
+    make_rho,
+    step_count,
+    write_csv,
+)
 from .verify import (
     box_probes,
     check_flow_jacobians,
@@ -56,7 +63,8 @@ _MIN_FLOW_STEPS = 4
 # size limit on the (2n+2)^2 x 8-byte Jacobians of a run.  A flow counts
 # steps + 1 samples (the size of the full stack, which is not stored, but the
 # kept Jacobians, jacobians.npy and the CSV grow with it), the stage
-# Jacobians of one chunk of steps and the probes; a map counts its probes
+# Jacobians of one chunk of steps, the stacks that chunk's step increments
+# are formed in, and the probes; a map counts its probes
 _MAX_JACOBIAN_BYTES = 2**30
 # each probe costs a finite-difference Jacobian and a factorization
 _MAX_PROBES = 10_000
@@ -170,9 +178,13 @@ def validate_config(cfg, present):
                 f" (t_end {cfg['t_end']}, initial time {t0}, dt {cfg['dt']})"
             )
         stages = 4 if cfg["method"] == "rk4" else 1
-        jacobians += steps + 1 + stages * min(_STAGE_CHUNK, steps)
+        jacobians += steps + 1 + (stages + _INCREMENT_STACKS) * min(_STAGE_CHUNK, steps)
     if jacobians * d * d * 8 > _MAX_JACOBIAN_BYTES:
-        what = "samples, stage Jacobians and probes" if cfg["mode"] == "flow" else "probes"
+        what = (
+            "samples, stage Jacobians, step increments and probes"
+            if cfg["mode"] == "flow"
+            else "probes"
+        )
         raise ConfigError(
             f"the run's {jacobians:.3g} Jacobians of {d} x {d} ({what}) exceed the size"
             f" limit of {_MAX_JACOBIAN_BYTES} bytes at 8 bytes per entry"

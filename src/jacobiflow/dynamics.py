@@ -18,17 +18,27 @@ first non-finite step as a blow-up.
 
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
-step's own stages (RK4 applies its stages to J' = A J; leapfrog multiplies
-the tangents of its kick, drift and kick).  A's time row is identically zero
-and its energy column is identically zero, so J keeps an exact
-(0, ..., 0, 1) time row and e_eps energy column.  Once a chunk's state pass
-is checked, one field-Jacobian call evaluates A at all its stage states
-(RK4: z, z2, z3, z4; leapfrog: the half-kick state (q1, p_half, t1)), and a
-tangent pass then applies them to J step by step, with the same arithmetic
-as a Jacobian taken inside the step.  The tangent pass writes the chunk's
-Jacobians into one (`_STAGE_CHUNK` + 1, d, d) stack, whose first row carries
-J in from the chunk before; from that stack it takes the symplectic and
-time-metric residual of every J in one stacked pass, and keeps only every
+step's own stages.  Each step's tangent is J <- J + D J, with D the step's
+increment:
+
+* RK4 applies its stages to J' = A J, which gives L2 = A2 + h A2 A1,
+  L3 = A3 + h A3 L2, L4 = A4 + dt A4 L3 and D = (A1 + 2 L2 + 2 L3 + L4) dt/6,
+  with h = dt/2 and A1..A4 at the stage states z, z2, z3, z4;
+* leapfrog's tangent is (I + c)(I + b)(I + a) for its opening kick a, drift
+  b and closing kick c, which gives u = a + b + b a and D = u + c + c u.
+  The kicks are h A on the (p, eps) rows and the drift dt A on the q rows;
+  A at the half-kick state (q1, p_half, t1) gives b and c, and the previous
+  step's gives a.
+
+A's time row and energy column are identically zero, hence so are D's, and
+J keeps an exact (0, ..., 0, 1) time row and e_eps energy column.  Once a
+chunk's state pass is checked, one field-Jacobian call evaluates A at all its
+stage states, stacked products form all its increments at once, and the
+tangent pass chains them, one product and one sum per step (adding D J to J
+keeps the round-off of I + D out of the chain).  The tangent pass writes the
+chunk's Jacobians into one (`_STAGE_CHUNK` + 1, d, d) stack, whose first row
+carries J in from the chunk before; from that stack it takes the symplectic
+and time-metric residual of every J in one stacked pass, and keeps only every
 `jac_every`-th J and the last one.  The certification layer factors those
 into the matrix group.  The full (steps + 1, d, d) stack is never stored.
 """
@@ -45,6 +55,8 @@ from .forms import MapHandle, eta_residual, numeric_jacobian, zeta_residual
 # (chunk, stages, d, d) stack that stays near 1 MB at n = 16, and one
 # stacked residual pass per chunk
 _STAGE_CHUNK = 32
+# (chunk, d, d) stacks the tangent pass forms a chunk's step increments in
+_INCREMENT_STACKS = 3
 _CSV_BLOCK = 1024  # rows per block of write_csv's formatting
 
 
@@ -242,14 +254,14 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     S = np.empty((_STAGE_CHUNK, stages, d))  # stage states of the chunk's steps
     K2, K3, K4 = np.empty((3, d))
     if not rk4 and with_variational:
-        # the tangent of kick-drift-kick is K2 D K1 with K = I + h A on the
-        # (p, eps) rows and D = I + dt A on the q rows
+        # the tangent of kick-drift-kick is (I + c)(I + b)(I + a): the kicks
+        # a and c are h A on the (p, eps) rows, the drift b is dt A on the q rows
         kick_rows = np.zeros((d, 1))
         kick_rows[1:k:2] = h
         kick_rows[k] = h
         drift_rows = np.zeros((d, 1))
         drift_rows[0:k:2] = dt
-        A = _jacobian(sys, z)
+        A_open = _jacobian(sys, z)  # A of the chunk's first opening kick
     for start in range(0, n_steps, _STAGE_CHUNK):
         stop = min(start + _STAGE_CHUNK, n_steps)
         # step i writes rows i + 1 of Z and XS; over/invalid/divide each leave
@@ -292,7 +304,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                         Xn[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
                         Xn[-1] = 1.0
                         if with_variational:
-                            # A at (q1, p_h, t1) gives D, the closing kick and the next opening kick
+                            # A at (q1, p_h, t1) gives the drift, the closing kick and the
+                            # next opening kick
                             zh = S[i - start, 0]
                             zh[:] = zn
                             zh[1:k:2] = p_h
@@ -314,20 +327,43 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         if rk4:
             S[:m, 0] = Z[start:stop]
         As = _jacobian(sys, S[:m].reshape(m * stages, d)).reshape(m, stages, d, d)
-        for j in range(m):
-            J = Jc[j]
-            if rk4:
-                A1, A2, A3, A4 = As[j]
-                L1 = A1 @ J
-                L2 = A2 @ (J + h * L1)
-                L3 = A3 @ (J + h * L2)
-                L4 = A4 @ (J + dt * L3)
-                np.add(J, w * (L1 + 2.0 * L2 + 2.0 * L3 + L4), out=Jc[j + 1])
-            else:
-                A_open, A = A, As[j, 0]
-                J = J + kick_rows * (A_open @ J)
-                J = J + drift_rows * (A @ J)
-                np.add(J, kick_rows * (A @ J), out=Jc[j + 1])
+        # every step's increment D at once, in place over three (m, d, d) stacks;
+        # a step's tangent is then J <- J + D J
+        if rk4:
+            A1, A2, A3, A4 = As.swapaxes(0, 1)
+            D = A2 @ A1  # L2 = A2 + h A2 A1
+            D *= h
+            D += A2
+            L3 = A3 @ D  # L3 = A3 + h A3 L2
+            L3 *= h
+            L3 += A3
+            L4 = A4 @ L3  # L4 = A4 + dt A4 L3
+            L4 *= dt
+            L4 += A4
+            D *= 2.0  # D = w (A1 + 2 L2 + 2 L3 + L4)
+            D += A1
+            L3 *= 2.0
+            D += L3
+            D += L4
+            D *= w
+        else:
+            # the opening kick takes A from the previous step's half-kick state
+            A = As[:, 0]
+            D = np.empty((m, d, d))
+            np.multiply(kick_rows, A_open, out=D[0])
+            np.multiply(kick_rows, A[:-1], out=D[1:])
+            A_open = A[-1]
+            b = drift_rows * A
+            u = b @ D  # u = a + b + b a, with a the opening kick
+            D += b
+            D += u
+            c = np.multiply(kick_rows, A, out=b)
+            np.matmul(c, D, out=u)  # D = u + c + c u
+            D += c
+            D += u
+        for D_j, J, J_next in zip(D, Jc[:m], Jc[1 : m + 1]):
+            np.matmul(D_j, J, out=J_next)
+            J_next += J
         res_o[start + 1 : stop + 1] = zeta_residual(Jc[1 : m + 1])
         res_l[start + 1 : stop + 1] = eta_residual(Jc[1 : m + 1])
         lo, hi = np.searchsorted(jac_steps, (start + 1, stop + 1))

@@ -115,7 +115,10 @@ def zeta_residual(J):
     no input checks: J must be a float array with d = 2n + 2 >= 4.
     """
     zeta = canonical_zeta((J.shape[-1] - 2) // 2)
-    return abs(J.swapaxes(-1, -2) @ zeta @ J - zeta).max(axis=(-2, -1))
+    # in place, so that a stack's pass holds two stack-sized temporaries
+    R = J.swapaxes(-1, -2) @ zeta @ J
+    R -= zeta
+    return np.abs(R, out=R).max(axis=(-2, -1))
 
 
 def eta_residual(J):
@@ -130,7 +133,7 @@ def eta_residual(J):
     """
     a = abs(J[..., -1, :])
     b = a[..., :-1].max(axis=-1)
-    a_t = a[..., -1]
+    a_t = a[..., -1][()]  # a scalar for one matrix, whose arithmetic is faster
     return np.maximum(np.maximum(b * b, b * a_t), abs(a_t * a_t - 1.0))
 
 

@@ -357,15 +357,86 @@ def jacobi_inv(a):
     )
 
 
+def _square(M, stack=False):
+    M = np.asarray(M, dtype=float)
+    ndims, stacks = ((2, 3), ", or a stack of them") if stack else ((2,), "")
+    if M.ndim not in ndims or M.shape[-1] != M.shape[-2] or M.shape[-1] < 4 or M.shape[-1] % 2:
+        raise ValueError(f"expected a square matrix of even dimension >= 4{stacks}, got {M.shape}")
+    return M
+
+
+def _not_finite(M):
+    bad = np.argwhere(~np.isfinite(M)).tolist()
+    return FactorError(f"{len(bad)} of {M.size} entries are not finite: (row, column) {bad[:6]}")
+
+
 def _factor_input(M):
     # non-finite input is rejected first, by its own error naming the entries
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 4 or M.shape[0] % 2:
-        raise ValueError(f"expected a square matrix of even dimension >= 4, got {M.shape}")
+    M = _square(M)
     if not np.isfinite(M).all():
-        bad = np.argwhere(~np.isfinite(M)).tolist()
-        raise FactorError(f"{len(bad)} of {M.size} entries are not finite: (row, column) {bad[:6]}")
+        raise _not_finite(M)
     return M
+
+
+def _check(S, res, tol, error, what, failure):
+    """The matrices of S before the first one whose residual exceeds tol, and its error.
+
+    `res` holds a residual for each matrix of a stack S, or one for a single
+    matrix S; without a failing matrix, S and `failure` return unchanged.
+    The error, `error("<what> <residual> > <tol>")`, is raised at once when
+    no matrix comes before the failing one.
+    """
+    ok = res <= tol
+    if ok.ndim == 0:  # one matrix
+        if ok:
+            return S, failure
+        raise error(f"{what} {res:.3e} > {tol:.1e}")
+    if np.count_nonzero(ok) == len(ok):
+        return S, failure
+    i = int(ok.argmin())
+    failure = error(f"{what} {res[i]:.3e} > {tol:.1e}")
+    if not i:
+        raise failure
+    return S[:i], failure
+
+
+@lru_cache(maxsize=None)
+def _pattern(k):
+    # flat indices of a normal form's eps row up to the eps column, its t row
+    # and the eps column above the eps row, so that the entries that should
+    # be 1 come last
+    d = k + 2
+    eps_row = k * d + np.arange(k)
+    t_row = (d - 1) * d + np.arange(d - 1)
+    eps_col = np.arange(k) * d + k
+    return np.concatenate([eps_row, t_row, eps_col, [k * d + k, d * d - 1]])
+
+
+def _pattern_deviation(G, w):
+    """Largest deviation of G, or of each matrix of a stack, from the normal form.
+
+    The normal form has (w^T zeta° Sigma, 1) in the eps row, (0, ..., 0, 1)
+    in the t row and zeros above the eps row in the eps column, with w the
+    top of G's last column.
+    """
+    d = G.shape[-1]
+    k = d - 2
+    dev = G.reshape(G.shape[:-2] + (d * d,))[..., _pattern(k)]
+    dev[..., :k] -= ((w @ zeta_reduced(k // 2))[..., None, :] @ G[..., :k, :k])[..., 0, :]
+    dev[..., -2:] -= 1.0
+    return abs(dev).max(axis=-1)
+
+
+def _element(sigma, w, r, tr, n):
+    # a factor, from arrays that are owned already
+    return _trusted(
+        JacobiElement,
+        sigma=_trusted(SymplecticBlock, sigma=sigma, n=n),
+        w=w,
+        r=float(r),
+        tr=int(tr),
+        n=n,
+    )
 
 
 def jacobi_factor(M, tol=TOL_EXACT):
@@ -381,39 +452,43 @@ def jacobi_factor(M, tol=TOL_EXACT):
 
     Parameters are read as tr = sign M[t, t], w = tr * (top 2n entries of
     the last column), 2r = tr * M[eps, t].
+
+    M may also be a (B, d, d) stack, factored into a tuple of B elements
+    with the same arithmetic per matrix.  Each check runs on the matrices
+    that passed the checks before it, so a stack raises the error of its
+    first failing matrix, the one the call on that matrix alone raises.
     """
-    M = _factor_input(M)
-    k = M.shape[0] - 2
+    M = _square(M, stack=True)
+    d = M.shape[-1]
+    k = d - 2
+    # a failing matrix cuts the stack before it: the last cut is at the first
+    # failing matrix, and the check that made it is the first one it fails
+    S, failure = M, None
+    if not np.isfinite(M).all():
+        i = int(np.isfinite(M).all(axis=(-2, -1)).argmin())
+        failure = _not_finite(M.reshape(-1, d, d)[i])
+        if not i:
+            raise failure
+        S = M[:i]
+    S, failure = _check(S, eta_residual(S), tol, NotTimePreserving, "time-metric residual", failure)
+    # [()] reads one matrix's entries as scalars, whose arithmetic is faster
+    corner = S[..., -1, -1][()]
+    s = np.sign(corner) - (corner == 0)  # tr: 1 if M[t, t] > 0, else -1
+    G = S.copy()
+    col = G[..., -1].T  # the last column, one column of it per matrix
+    col *= s
+    w = G[..., :k, -1].copy()
+    G, failure = _check(
+        G, _pattern_deviation(G, w), tol, PatternViolation, "block pattern deviates by", failure
+    )
+    _, failure = _check(G, zeta_residual(G), tol, NotSymplectic, "symplectic residual", failure)
+    if failure is not None:
+        raise failure
     n = k // 2
-    res_eta = eta_residual(M)
-    if not res_eta <= tol:
-        raise NotTimePreserving(f"time-metric residual {res_eta:.3e} > {tol:.1e}")
-    s = 1 if M[-1, -1] > 0 else -1
-    G = M.copy()
-    G[:, -1] *= s
-    sigma = G[:k, :k]
-    w = G[:k, -1].copy()
-    r = 0.5 * G[k, -1]
-    bad = max(
-        abs(G[-1, :-1]).max(),
-        abs(G[-1, -1] - 1.0),
-        abs(G[:k, k]).max(),
-        abs(G[k, k] - 1.0),
-        abs(G[k, :k] - (w @ zeta_reduced(n)) @ sigma).max(),
-    )
-    if not bad <= tol:
-        raise PatternViolation(f"block pattern deviates by {bad:.3e} > {tol:.1e}")
-    res_zeta = zeta_residual(G)
-    if not res_zeta <= tol:
-        raise NotSymplectic(f"symplectic residual {res_zeta:.3e} > {tol:.1e}")
-    return _trusted(
-        JacobiElement,
-        sigma=_trusted(SymplecticBlock, sigma=_owned(sigma.copy()), n=n),
-        w=_owned(w),
-        r=float(r),
-        tr=s,
-        n=n,
-    )
+    sigma, w, r = _owned(G[..., :k, :k].copy()), _owned(w), 0.5 * G[..., k, -1][()]
+    if M.ndim == 2:
+        return _element(sigma, w, r, s, n)
+    return tuple(_element(*f, n) for f in zip(sigma, w, r, s))
 
 
 def igl_factor(L, tol=TOL_EXACT):

@@ -35,7 +35,7 @@ from .groups import (
 )
 
 CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", "Neither")
-_CHUNK = 32  # probe Jacobians per symplectic-residual pass of check_invariance
+_CHUNK = 32  # Jacobians per stacked symplectic-residual pass and per stacked factorization
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ class InvarianceReport:
     lambda_residual_max: float
     n_probes: int
     classification: str
-    factorization: tuple = None
+    # how many Jacobians factored into the group: all of them, or 0
+    n_factored: int = 0
     omega_residuals: tuple = ()
     lambda_residuals: tuple = ()
     tol_omega: float = 1e-6
@@ -54,6 +55,13 @@ class InvarianceReport:
     # the (count, d, d) stack of checked Jacobians: the probe Jacobians of a
     # map, the kept Jacobians of a flow; the factors are read off its entries
     jacobians: np.ndarray = field(default=None, compare=False, repr=False)
+
+    @property
+    def factorization(self):
+        """The factors of `jacobians`, derived on each access; None unless all of them factored."""
+        if not self.n_factored:
+            return None
+        return jacobi_factor(self.jacobians, tol=max(self.tol_omega, self.tol_lambda))
 
     def to_dict(self):
         return {
@@ -65,7 +73,7 @@ class InvarianceReport:
             "tol_omega": self.tol_omega,
             "tol_lambda": self.tol_lambda,
             "n_probes": self.n_probes,
-            "n_factored": 0 if self.factorization is None else len(self.factorization),
+            "n_factored": self.n_factored,
             "factor_error": self.factor_error,
         }
 
@@ -102,24 +110,27 @@ def _report(res_o, res_l, matrices, listed, n_probes, tol_omega, tol_lambda):
     """Report from per-matrix residuals.
 
     The maxima run over every residual; `matrices` are the ones factored,
-    and the residuals at the indices `listed` are the ones reported with them.
+    in stacked chunks whose temporaries stay small next to them, and the
+    residuals at the indices `listed` are the ones reported with them.
     """
     omega_ok = res_o.max() <= tol_omega
     lambda_ok = res_l.max() <= tol_lambda
-    factors = error = None
+    n_factored, error = 0, None
     if omega_ok and lambda_ok:
         tol_factor = max(tol_omega, tol_lambda)
         try:
-            factors = tuple(jacobi_factor(M, tol=tol_factor) for M in matrices)
+            for i in range(0, len(matrices), _CHUNK):
+                jacobi_factor(matrices[i : i + _CHUNK], tol=tol_factor)
+            n_factored = len(matrices)
         except FactorError as e:
             error = f"{type(e).__name__}: {e}"
-    cls = _classify(omega_ok, lambda_ok, factors is not None)
+    cls = _classify(omega_ok, lambda_ok, error is None)
     return InvarianceReport(
         omega_residual_max=float(res_o.max()),
         lambda_residual_max=float(res_l.max()),
         n_probes=n_probes,
         classification=cls,
-        factorization=factors,
+        n_factored=n_factored,
         omega_residuals=tuple(res_o[listed].tolist()),
         lambda_residuals=tuple(res_l[listed].tolist()),
         tol_omega=tol_omega,

@@ -262,6 +262,8 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "t_end = 1e305\n",
         "n = 16\nt_end = 200\n",
         "n = 1000\nt_end = 0.032\n",  # 4 x 32 RK4 stage Jacobians of one chunk
+        # 22 Jacobians: 5 samples, 4 stage Jacobians, 3 x 4 step increments, 1 probe
+        "n = 1234\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n",
         "mode = map\nn = 100\nprobes = 10000\n",
         # parameters must be finite and give a finite 1/m and m om^2
         "mass = nan\n",
@@ -298,6 +300,23 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert err.startswith("config error:") and err.count("\n") == 1
     # rejected before any report or selftest.json is written
     assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("n, fits", [(1233, True), (1234, False)])
+def test_jacobian_limit_counts_the_step_increments(tmp_path, n, fits):
+    # 4 leapfrog steps and 1 probe count 5 samples, 4 stage Jacobians, 3 stacks
+    # of 4 step increments and the probe: 22 Jacobians of (2n+2)^2 x 8 bytes,
+    # which first exceed 1 GiB at n = 1234; without the increments, 10 would
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"n = {n}\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n")
+    cfg, present = parse_config(path)
+    assert 10 * (2 * n + 2) ** 2 * 8 < 2**30
+    if fits:
+        validate_config(cfg, present)
+    else:
+        with pytest.raises(ConfigError, match=r"the run's 22 Jacobians of 2470 x 2470 \(samples, stage"
+                           r" Jacobians, step increments and probes\)"):
+            validate_config(cfg, present)
 
 
 # the report each mode writes last, so that a late failure to write it would waste all the work

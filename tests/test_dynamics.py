@@ -247,11 +247,13 @@ def test_variational_matches_closed_form_rotation():
     assert np.max(np.abs(traj.jac[-1] - expected)) < 1e-10
 
 
-def _variational_vs_flow_differentiation(method):
+def _variational_vs_flow_differentiation(
+    method, sys=None, z0=(0.5, 0.2, 0.0, 0.0), T=1.0, dt=1e-3
+):
     # J against finite differences of the time-T flow map
-    sys = builtin_system("driven_oscillator")
-    z0 = np.array([0.5, 0.2, 0.0, 0.0])
-    T, dt = 1.0, 1e-3
+    sys = builtin_system("driven_oscillator") if sys is None else sys
+    z0 = np.array(z0)
+    d = len(z0)
     traj = integrate_flow(sys, z0, T, dt, method=method, with_variational=True)
 
     def flow_map(z):
@@ -262,12 +264,12 @@ def _variational_vs_flow_differentiation(method):
         return integrate_flow(sys, zt, T, dt, method=method).z[-1]
 
     h = 1e-6
-    J_fd = np.empty((4, 4))
-    for c in range(3):  # skip the t column, flow_map pins t0
-        e = np.zeros(4)
+    J_fd = np.empty((d, d))
+    for c in range(d - 1):  # skip the t column, flow_map pins t0
+        e = np.zeros(d)
         e[c] = h
         J_fd[:, c] = (flow_map(z0 + e) - flow_map(z0 - e)) / (2.0 * h)
-    return np.max(np.abs(traj.jac[-1][:, :3] - J_fd[:, :3]))
+    return np.max(np.abs(traj.jac[-1][:, :-1] - J_fd[:, :-1]))
 
 
 def test_variational_matches_flow_differentiation():
@@ -277,6 +279,53 @@ def test_variational_matches_flow_differentiation():
 def test_leapfrog_variational_matches_flow_differentiation():
     # the exact tangent of the discrete map leaves only the differencing error
     assert _variational_vs_flow_differentiation("leapfrog") < 1e-8
+
+
+def _anharmonic(n=2, beta=0.8):
+    """The driven oscillator plus (beta/4) sum(q^4), with its analytic field Jacobian.
+
+    Its force Jacobian -(om^2 + 3 beta q^2) changes within a step, so every
+    stage's Jacobian, taken at its own state, enters the tangent.
+    """
+    base = builtin_system("driven_oscillator", n=n)
+    k = 2 * n
+    p_rows, q_cols = np.arange(1, k, 2), np.arange(0, k, 2)
+
+    def vf_jacobian(z):
+        # one state (d,) or a stack (B, d), like the family's
+        A = base.vf_jacobian(z)
+        q = z[..., 0:k:2]
+        A[..., p_rows, q_cols] -= 3.0 * beta * q * q
+        return A
+
+    return dataclasses.replace(
+        base,
+        value=lambda q, p, t: base.value(q, p, t) + 0.25 * beta * float(np.sum(q**4)),
+        grad_q=lambda q, p, t: base.grad_q(q, p, t) + beta * q**3,
+        vf_jacobian=vf_jacobian,
+        name="anharmonic",
+    )
+
+
+def test_anharmonic_field_jacobian_is_the_field_derivative():
+    sys = _anharmonic()
+    rng = np.random.default_rng(41)
+    Z = rng.uniform(-1.0, 1.0, (5, 6))
+    stacked = sys.vf_jacobian(Z)
+    for z, A in zip(Z, stacked):
+        assert np.array_equal(field_jacobian(sys, z), A)
+        assert np.max(np.abs(A - numeric_jacobian(lambda w: extended_vector_field(sys, w), z))) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+def test_anharmonic_variational_matches_flow_differentiation(method):
+    # the tangent is the exact derivative of the discrete step for both
+    # methods, so at dt = 0.01 only the differencing error is left; 120 steps
+    # cross three chunk boundaries of the tangent pass
+    err = _variational_vs_flow_differentiation(
+        method, _anharmonic(), z0=(0.9, -0.3, -0.6, 0.4, 0.0, 0.2), T=1.2, dt=0.01
+    )
+    assert err < 1e-8
 
 
 @pytest.mark.parametrize("name", ["harmonic_oscillator", "driven_oscillator"])

@@ -25,7 +25,7 @@ from jacobiflow import (
     random_symplectic,
     vfr_convert,
 )
-from jacobiflow.groups import VfrView, heisenberg_from_vfr
+from jacobiflow.groups import VfrView, _realize, heisenberg_from_vfr
 
 
 def test_heisenberg_half_cocycle():
@@ -201,6 +201,81 @@ def test_factor_detects_structural_perturbation():
 def test_factor_rejects_bad_shape():
     with pytest.raises(ValueError):
         jacobi_factor(np.eye(5))
+    for shape in ((3, 5, 5), (2, 3, 4, 4), (4,)):
+        with pytest.raises(ValueError, match="stack of them"):
+            jacobi_factor(np.zeros(shape))
+
+
+def _member_stack(count=9, n=2, seed=12):
+    rng = np.random.default_rng(seed)
+    return [random_jacobi(n, rng, tr=(1, -1)[i % 2]) for i in range(count)]
+
+
+def _broken(g, kind):
+    # g's matrix made to fail one membership check first, n = 2
+    M = g.matrix()
+    if kind == "non_finite":
+        M[1, 3] = np.nan
+    elif kind == "time_metric":
+        M[-1, 0] = 1e-3
+    elif kind == "pattern":
+        M[0, 4] = 1e-3  # the eps column above the eps row is a structural zero
+    else:  # a scaled Sigma keeps the block pattern but leaves the symplectic group
+        M = _realize(1.01 * g.sigma.sigma, g.w, g.r, g.tr)
+    return M
+
+
+_FIRST_FAILURE = {
+    "non_finite": FactorError,
+    "time_metric": NotTimePreserving,
+    "pattern": PatternViolation,
+    "symplectic": NotSymplectic,
+}
+
+
+def test_stacked_factor_matches_the_calls_on_each_matrix():
+    els = _member_stack(count=40)
+    stack = np.array([g.matrix() for g in els])
+    factors = jacobi_factor(stack, tol=1e-9)
+    assert type(factors) is tuple and len(factors) == 40
+    for M, g, f in zip(stack, els, factors):
+        one = jacobi_factor(M, tol=1e-9)
+        for a, b in ((f.sigma.sigma, one.sigma.sigma), (f.w, one.w)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not np.shares_memory(a, stack)
+        assert type(f.r) is float and f.r == one.r
+        assert type(f.tr) is int and f.tr == one.tr == g.tr
+        assert f.n == f.sigma.n == 2
+    assert jacobi_factor(stack[:0]) == ()
+
+
+@pytest.mark.parametrize("kind", sorted(_FIRST_FAILURE))
+def test_stacked_factor_raises_the_failing_matrix_error(kind):
+    els = _member_stack()
+    stack = np.array([g.matrix() for g in els])
+    stack[4] = _broken(els[4], kind)
+    with pytest.raises(FactorError) as alone:
+        jacobi_factor(stack[4], tol=1e-9)
+    with pytest.raises(FactorError) as stacked:
+        jacobi_factor(stack, tol=1e-9)
+    assert type(alone.value) is type(stacked.value) is _FIRST_FAILURE[kind]
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("first", sorted(_FIRST_FAILURE))
+@pytest.mark.parametrize("later", sorted(_FIRST_FAILURE))
+def test_stacked_factor_reports_the_first_failing_matrix(first, later):
+    # a later matrix that fails an earlier check does not take its place
+    els = _member_stack()
+    stack = np.array([g.matrix() for g in els])
+    stack[3] = _broken(els[3], first)
+    stack[6] = _broken(els[6], later)
+    with pytest.raises(FactorError) as alone:
+        jacobi_factor(stack[3], tol=1e-9)
+    with pytest.raises(FactorError) as stacked:
+        jacobi_factor(stack, tol=1e-9)
+    assert type(stacked.value) is _FIRST_FAILURE[first]
+    assert str(stacked.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("factor", [jacobi_factor, igl_factor])

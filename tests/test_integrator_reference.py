@@ -3,12 +3,15 @@
 The reference evaluates every stage, every stage Jacobian and every stored
 sample through the public, validated field functions, one state at a time,
 so the integrator's reuse of evaluations and its batched stage Jacobians
-must reproduce it bit for bit.  The only state carried between steps is
-leapfrog's opening-kick Jacobian, which the method takes from the previous
-step's half-kick state.  The flows run across more than two of the
-integrator's chunk boundaries, where a stage Jacobian taken at the wrong
-state, or a step written to the wrong row, would first show; with and
-without the Jacobian, since both take the same chunked state pass.
+must reproduce it bit for bit.  Its tangent is written in increment form,
+one step at a time: each step's increment D comes from the step's stage
+Jacobians, and the step maps J to J + D J, the arithmetic the integrator
+applies to a whole chunk of stacked increments.  The only state carried
+between steps is leapfrog's opening-kick Jacobian, which the method takes
+from the previous step's half-kick state.  The flows run across more than
+two of the integrator's chunk boundaries, where a stage Jacobian taken at
+the wrong state, or a step written to the wrong row, would first show; with
+and without the Jacobian, since both take the same chunked state pass.
 """
 
 import dataclasses
@@ -34,11 +37,14 @@ def _rk4_step(sys, z, t1, dt, J, A_open):
     K4 = extended_vector_field(sys, z4)
     zn = z + (dt / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
     zn[-1] = t1
-    L1 = field_jacobian(sys, z) @ J
-    L2 = field_jacobian(sys, z2) @ (J + (0.5 * dt) * L1)
-    L3 = field_jacobian(sys, z3) @ (J + (0.5 * dt) * L2)
-    L4 = field_jacobian(sys, z4) @ (J + dt * L3)
-    return zn, J + (dt / 6.0) * (L1 + 2.0 * L2 + 2.0 * L3 + L4), None
+    # the stages applied to J' = A J give J + D J, with
+    # D = (A1 + 2 L2 + 2 L3 + L4) dt/6 and L_i the stage's A applied to the last
+    A1, A2, A3, A4 = (field_jacobian(sys, s) for s in (z, z2, z3, z4))
+    L2 = A2 + (0.5 * dt) * (A2 @ A1)
+    L3 = A3 + (0.5 * dt) * (A3 @ L2)
+    L4 = A4 + dt * (A4 @ L3)
+    D = (dt / 6.0) * (A1 + 2.0 * L2 + 2.0 * L3 + L4)
+    return zn, J + D @ J, None
 
 
 def _leapfrog_step(sys, z, t1, dt, J, A_open):
@@ -54,9 +60,10 @@ def _leapfrog_step(sys, z, t1, dt, J, A_open):
     zn[1:k:2] = p1
     zn[-2] = eps1
     zn[-1] = t1
-    # tangent K2 D K1: the kicks move the (p, eps) rows by h A J, the drift
-    # the q rows by dt A J; A at the half-kick state (q1, p_h, eps1, t1) gives
-    # D and the closing kick, and the previous step's gives the opening kick
+    # tangent (I + c)(I + b)(I + a) = I + D: the kicks a and c move the
+    # (p, eps) rows by h A, the drift b the q rows by dt A; A at the half-kick
+    # state (q1, p_h, eps1, t1) gives b and the closing kick c, and the
+    # previous step's gives the opening kick a
     zh = zn.copy()
     zh[1:k:2] = p_h
     A = field_jacobian(sys, zh)
@@ -65,9 +72,10 @@ def _leapfrog_step(sys, z, t1, dt, J, A_open):
     kick[k] = 0.5 * dt
     drift = np.zeros((len(z), 1))
     drift[0:k:2] = dt
-    J = J + kick * (A_open @ J)
-    J = J + drift * (A @ J)
-    return zn, J + kick * (A @ J), A
+    a, b, c = kick * A_open, drift * A, kick * A
+    u = a + b + b @ a
+    D = u + c + c @ u
+    return zn, J + D @ J, A
 
 
 def _reference_flow(sys, z0, t_end, dt, method):

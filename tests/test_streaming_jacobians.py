@@ -82,8 +82,15 @@ def test_flow_check_factors_the_kept_jacobians_and_reads_the_stored_residuals(mo
     monkeypatch.setattr(verify, "jacobi_factor", counting)
     rep = check_flow_jacobians(traj)
     assert rep.classification == "Jacobimorphism"
-    assert len(factored) == len(traj.jac_steps) == 27
-    assert np.array(factored).tobytes() == traj.jac.tobytes()
+    # one stacked call per chunk of verify._CHUNK kept Jacobians
+    assert [len(M) for M in factored] == [27] and len(traj.jac_steps) == 27
+    assert np.concatenate(factored).tobytes() == traj.jac.tobytes()
+    assert rep.n_factored == 27
+    factored.clear()
+    every = _full(257, "rk4")
+    assert check_flow_jacobians(every).n_factored == 258
+    assert [len(M) for M in factored] == [32] * 8 + [2]
+    assert np.concatenate(factored).tobytes() == every.jac.tobytes()
     assert rep.omega_residual_max == traj.jac_omega.max()
     assert rep.omega_residuals == tuple(traj.jac_omega[traj.jac_steps].tolist())
     assert rep.lambda_residuals == tuple(traj.jac_lambda[traj.jac_steps].tolist())
