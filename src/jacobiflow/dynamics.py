@@ -218,7 +218,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         raise ValueError(f"dt must be positive, got {dt}")
     if not t_end > t0:
         raise ValueError(f"t_end ({t_end}) must exceed the initial time ({t0})")
-    method = method.lower()
+    method = method.lower() if isinstance(method, str) else method
     if method not in ("rk4", "leapfrog"):
         raise ValueError(f"unknown method {method!r}")
     if method == "leapfrog" and not sys.separable:

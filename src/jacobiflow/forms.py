@@ -140,6 +140,8 @@ def eta_residual(J):
 def block_to_interleaved(z):
     """Reorder a block-order state (q, p, eps, t), or each row of a stack, to interleaved order."""
     z = np.asarray(z)
+    if z.ndim < 1 or z.shape[-1] < 4 or z.shape[-1] % 2:
+        raise ValueError(f"a state (q, p, eps, t) has even length >= 4, got shape {z.shape}")
     n = (z.shape[-1] - 2) // 2
     idx = np.empty(2 * n + 2, dtype=int)
     idx[0 : 2 * n : 2] = np.arange(n)

@@ -22,13 +22,13 @@ exactly when the left factor has tr = +1; Delta(-1) itself preserves only
 the time metric, not the symplectic form.
 
 Validation happens where elements enter: the class constructors check
-shapes and signs, and `SymplecticBlock` (hence `JacobiElement.from_parts`,
-`from_dict` and `identity`) checks the symplectic residual against its
-`tol`.  Results that are members by construction (products, inverses,
-conjugates, the `vfr_convert`/`heisenberg_from_vfr` conversions, the
-random elements of `random_jacobi`, and the output of `jacobi_factor` once
-its own checks pass) are built by `_trusted`, which neither re-checks nor
-copies.
+shapes and signs, and `SymplecticBlock` (hence `JacobiElement.from_parts`
+and `identity`) checks the symplectic residual against its `tol`.  Results
+that are members by construction (products, inverses, conjugates, the
+`vfr_convert`/`heisenberg_from_vfr` conversions, the random elements of
+`random_jacobi`, and the output of `jacobi_factor` once its own checks
+pass) are built by `_trusted`, which neither re-checks nor copies.
+`_membership` runs those checks alone, for callers that only count members.
 """
 
 from dataclasses import dataclass, field
@@ -183,23 +183,6 @@ class JacobiElement:
     def heisenberg_part(self):
         return HeisenbergElement(w=self.w, r=self.r)
 
-    def to_dict(self):
-        """JSON-ready dict {n, sigma (row-major), w, r, eps}."""
-        return {
-            "n": self.n,
-            "sigma": self.sigma.sigma.ravel().tolist(),
-            "w": self.w.tolist(),
-            "r": float(self.r),
-            "eps": int(self.tr),
-        }
-
-    @classmethod
-    def from_dict(cls, d, tol=TOL_EXACT):
-        n = int(d["n"])
-        sigma = np.array(d["sigma"], dtype=float).reshape(2 * n, 2 * n)
-        return cls.from_parts(sigma, np.array(d["w"], dtype=float), d["r"], int(d["eps"]), tol=tol)
-
-
 @dataclass(frozen=True, eq=False)
 class IglElement:
     """Factored time-metric-preserving element: Lambda = [[Omega, eps*u], [0, eps]]."""
@@ -219,7 +202,7 @@ class IglElement:
         if self.eps not in (1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps!r}")
         if np.linalg.det(omega) == 0.0:
-            raise ValueError("Omega is singular")
+            raise FactorError("Omega is singular")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "eps", int(self.eps))
@@ -370,14 +353,6 @@ def _not_finite(M):
     return FactorError(f"{len(bad)} of {M.size} entries are not finite: (row, column) {bad[:6]}")
 
 
-def _factor_input(M):
-    # non-finite input is rejected first, by its own error naming the entries
-    M = _square(M)
-    if not np.isfinite(M).all():
-        raise _not_finite(M)
-    return M
-
-
 def _check(S, res, tol, error, what, failure):
     """The matrices of S before the first one whose residual exceeds tol, and its error.
 
@@ -439,24 +414,11 @@ def _element(sigma, w, r, tr, n):
     )
 
 
-def jacobi_factor(M, tol=TOL_EXACT):
-    """Factor a matrix into (Sigma, w, r, tr), verifying membership.
+def _membership(M, tol):
+    """The checks of `jacobi_factor` on a matrix or a (B, d, d) stack, raising its error.
 
-    Checks, in order: that every entry is finite (FactorError), the
-    time-metric residual (NotTimePreserving), the block pattern of the
-    normal form after stripping Delta(tr) (PatternViolation), and the
-    symplectic residual of the stripped factor (NotSymplectic).  The
-    pattern check runs before the symplectic one so that a structural
-    violation is reported as such even though it also breaks the
-    symplectic residual.
-
-    Parameters are read as tr = sign M[t, t], w = tr * (top 2n entries of
-    the last column), 2r = tr * M[eps, t].
-
-    M may also be a (B, d, d) stack, factored into a tuple of B elements
-    with the same arithmetic per matrix.  Each check runs on the matrices
-    that passed the checks before it, so a stack raises the error of its
-    first failing matrix, the one the call on that matrix alone raises.
+    Returns what the factors are read from: M with its last column times tr,
+    the top 2n entries of that column (w), and tr.
     """
     M = _square(M, stack=True)
     d = M.shape[-1]
@@ -484,9 +446,33 @@ def jacobi_factor(M, tol=TOL_EXACT):
     _, failure = _check(G, zeta_residual(G), tol, NotSymplectic, "symplectic residual", failure)
     if failure is not None:
         raise failure
+    return G, w, s
+
+
+def jacobi_factor(M, tol=TOL_EXACT):
+    """Factor a matrix into (Sigma, w, r, tr), verifying membership.
+
+    Checks, in order: that every entry is finite (FactorError), the
+    time-metric residual (NotTimePreserving), the block pattern of the
+    normal form after stripping Delta(tr) (PatternViolation), and the
+    symplectic residual of the stripped factor (NotSymplectic).  The
+    pattern check runs before the symplectic one so that a structural
+    violation is reported as such even though it also breaks the
+    symplectic residual.
+
+    Parameters are read as tr = sign M[t, t], w = tr * (top 2n entries of
+    the last column), 2r = tr * M[eps, t].
+
+    M may also be a (B, d, d) stack, factored into a tuple of B elements
+    with the same arithmetic per matrix.  Each check runs on the matrices
+    that passed the checks before it, so a stack raises the error of its
+    first failing matrix, the one the call on that matrix alone raises.
+    """
+    G, w, s = _membership(M, tol)
+    k = G.shape[-1] - 2
     n = k // 2
     sigma, w, r = _owned(G[..., :k, :k].copy()), _owned(w), 0.5 * G[..., k, -1][()]
-    if M.ndim == 2:
+    if G.ndim == 2:
         return _element(sigma, w, r, s, n)
     return tuple(_element(*f, n) for f in zip(sigma, w, r, s))
 
@@ -496,9 +482,12 @@ def igl_factor(L, tol=TOL_EXACT):
 
     Invariance of the time metric forces the bottom row to (0, ..., 0, eps)
     with eps = +-1; then Omega is the top-left block and u = eps * (top
-    entries of the last column).  A non-finite entry raises FactorError.
+    entries of the last column).  A non-finite entry or a singular Omega
+    raises FactorError.
     """
-    L = _factor_input(L)
+    L = _square(L)
+    if not np.isfinite(L).all():
+        raise _not_finite(L)
     res_eta = eta_residual(L)
     if not res_eta <= tol:
         raise NotTimePreserving(

@@ -1,7 +1,8 @@
 """Certification layer: invariance of the two forms, flow residuals, ledger.
 
-A map is certified by evaluating its Jacobian at probe points and measuring
-the residuals of both canonical forms; classification:
+A map is certified by evaluating its Jacobian at probe points, measuring the
+residuals of both canonical forms, and counting the Jacobians that pass the
+membership checks of `jacobi_factor` (`groups._membership`); classification:
 
 * Jacobimorphism: both residuals pass and the Jacobian factors into the
   matrix group at every probe;
@@ -11,7 +12,7 @@ the residuals of both canonical forms; classification:
 * Neither: both fail.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .forms import (
 from .groups import (
     FactorError,
     _check_same_n,
+    _membership,
     heisenberg_from_vfr,
     heisenberg_mul,
     jacobi_factor,
@@ -35,7 +37,7 @@ from .groups import (
 )
 
 CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", "Neither")
-_CHUNK = 32  # Jacobians per stacked symplectic-residual pass and per stacked factorization
+_CHUNK = 32  # Jacobians per stacked symplectic-residual pass and per stacked membership pass
 
 
 @dataclass(frozen=True)
@@ -44,17 +46,17 @@ class InvarianceReport:
     lambda_residual_max: float
     n_probes: int
     classification: str
-    # how many Jacobians factored into the group: all of them, or 0
-    n_factored: int = 0
-    omega_residuals: tuple = ()
-    lambda_residuals: tuple = ()
-    tol_omega: float = 1e-6
-    tol_lambda: float = 1e-8
-    # "Class: message" of the FactorError that stopped the factorization
-    factor_error: str = None
+    # how many Jacobians are members of the group: all of them, or 0
+    n_factored: int
+    omega_residuals: tuple
+    lambda_residuals: tuple
+    tol_omega: float
+    tol_lambda: float
+    # "Class: message" of the FactorError that stopped the membership pass
+    factor_error: str
     # the (count, d, d) stack of checked Jacobians: the probe Jacobians of a
     # map, the kept Jacobians of a flow; the factors are read off its entries
-    jacobians: np.ndarray = field(default=None, compare=False, repr=False)
+    jacobians: np.ndarray = field(compare=False, repr=False)
 
     @property
     def factorization(self):
@@ -64,18 +66,8 @@ class InvarianceReport:
         return jacobi_factor(self.jacobians, tol=max(self.tol_omega, self.tol_lambda))
 
     def to_dict(self):
-        return {
-            "classification": self.classification,
-            "omega_residual_max": self.omega_residual_max,
-            "lambda_residual_max": self.lambda_residual_max,
-            "omega_residuals": list(self.omega_residuals),
-            "lambda_residuals": list(self.lambda_residuals),
-            "tol_omega": self.tol_omega,
-            "tol_lambda": self.tol_lambda,
-            "n_probes": self.n_probes,
-            "n_factored": self.n_factored,
-            "factor_error": self.factor_error,
-        }
+        """Every field but the `jacobians` stack, which the CLI writes to a .npy file."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jacobians"}
 
 
 @dataclass(frozen=True)
@@ -87,13 +79,7 @@ class EnergyLedger:
     residual: float
 
     def to_dict(self):
-        return {
-            "delta_H": self.delta_H,
-            "kinetic_term": self.kinetic_term,
-            "work_term": self.work_term,
-            "power_term": self.power_term,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def _classify(omega_ok, lambda_ok, factored):
@@ -106,12 +92,12 @@ def _classify(omega_ok, lambda_ok, factored):
     return "Neither"
 
 
-def _report(res_o, res_l, matrices, listed, n_probes, tol_omega, tol_lambda):
+def _report(res_o, res_l, matrices, listed, tol_omega, tol_lambda):
     """Report from per-matrix residuals.
 
-    The maxima run over every residual; `matrices` are the ones factored,
-    in stacked chunks whose temporaries stay small next to them, and the
-    residuals at the indices `listed` are the ones reported with them.
+    The maxima run over every residual; `matrices` are counted as group
+    members in stacked chunks whose temporaries stay small next to them,
+    and the residuals at the indices `listed` are reported with them.
     """
     omega_ok = res_o.max() <= tol_omega
     lambda_ok = res_l.max() <= tol_lambda
@@ -120,7 +106,7 @@ def _report(res_o, res_l, matrices, listed, n_probes, tol_omega, tol_lambda):
         tol_factor = max(tol_omega, tol_lambda)
         try:
             for i in range(0, len(matrices), _CHUNK):
-                jacobi_factor(matrices[i : i + _CHUNK], tol=tol_factor)
+                _membership(matrices[i : i + _CHUNK], tol_factor)
             n_factored = len(matrices)
         except FactorError as e:
             error = f"{type(e).__name__}: {e}"
@@ -128,7 +114,7 @@ def _report(res_o, res_l, matrices, listed, n_probes, tol_omega, tol_lambda):
     return InvarianceReport(
         omega_residual_max=float(res_o.max()),
         lambda_residual_max=float(res_l.max()),
-        n_probes=n_probes,
+        n_probes=len(matrices),
         classification=cls,
         n_factored=n_factored,
         omega_residuals=tuple(res_o[listed].tolist()),
@@ -148,30 +134,30 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     f : MapHandle or callable
         The map; an analytic Jacobian on the handle is used when present,
         otherwise central differences.
-    probes : sequence of state vectors, or an array with one per row
+    probes : (count, 2n+2) array, one state vector per row
         At least one; classification is the AND over probes.
     tol_omega, tol_lambda : float
         Residual thresholds for the symplectic form and the time metric.
     """
-    arrays = [np.asarray(pr, dtype=float) for pr in probes]
-    if not arrays:
+    probes = np.asarray(probes, dtype=float)
+    if not probes.size:
         raise ValueError("need at least one probe point")
+    if probes.ndim != 2 or probes.shape[1] < 4 or probes.shape[1] % 2:
+        raise ValueError(f"probes must be a (count, 2n+2) array, n >= 1; got shape {probes.shape}")
+    count, d = probes.shape
     jac = f.jacobian if isinstance(f, MapHandle) and f.jacobian is not None else None
-    d = 2 * as_dimension((len(arrays[0]) - 2) // 2) + 2
     # one stack, filled in place, and its symplectic residuals in chunks, whose
     # temporaries stay small next to it
-    jacobians = np.empty((len(arrays), d, d))
-    for J, z in zip(jacobians, arrays):
+    jacobians = np.empty((count, d, d))
+    for J, z in zip(jacobians, probes):
         J_z = np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z)
         if J_z.shape != J.shape:
-            shape = (len(arrays), *J_z.shape)
+            shape = (count, *J_z.shape)
             raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {shape}")
         J[...] = J_z
-    chunks = range(0, len(arrays), _CHUNK)
+    chunks = range(0, count, _CHUNK)
     res_o = np.concatenate([zeta_residual(jacobians[i : i + _CHUNK]) for i in chunks])
-    return _report(
-        res_o, eta_residual(jacobians), jacobians, slice(None), len(arrays), tol_omega, tol_lambda
-    )
+    return _report(res_o, eta_residual(jacobians), jacobians, slice(None), tol_omega, tol_lambda)
 
 
 def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
@@ -180,14 +166,11 @@ def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
     The residual maxima run over the residuals that `integrate_flow`
     recorded at every sample; the kept Jacobians, at the samples
     `traj.jac_steps` (every 10th sample and the last one by default), are
-    factored and their residuals listed.
+    counted as group members and their residuals listed.
     """
     if traj.jac is None:
         raise ValueError("trajectory carries no variational Jacobians")
-    return _report(
-        traj.jac_omega, traj.jac_lambda, traj.jac, traj.jac_steps, len(traj.jac_steps),
-        tol_omega, tol_lambda,
-    )
+    return _report(traj.jac_omega, traj.jac_lambda, traj.jac, traj.jac_steps, tol_omega, tol_lambda)
 
 
 def trajectory_probes(traj, count, rng):

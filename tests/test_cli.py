@@ -486,10 +486,10 @@ OLD_CHECK_KEYS = {
 
 @pytest.mark.parametrize("text", CERTIFY_FLOW_CFGS, ids=["driven_n1", "harmonic_n4", "driven_n16"])
 def test_flow_reports_change_only_by_the_factor_list(tmp_path, text):
-    # the reports as the checks through the library give them, with the factor
-    # list that invariance.json carried: trajectory.csv and ledger.json keep
-    # every byte, invariance.json every value but the list, which the .npy
-    # files hold bit for bit
+    # the reports as the checks through the library give them: trajectory.csv
+    # and ledger.json keep every byte, invariance.json every value but the
+    # factor list it carried, which README's read-off rule gives from the
+    # .npy files bit for bit
     code, out = _run(tmp_path, text)
     assert code == 0
     cfg, present = parse_config(str(tmp_path / "scenario.cfg"))
@@ -518,15 +518,19 @@ def test_flow_reports_change_only_by_the_factor_list(tmp_path, text):
     assert inv["flow_jacobians"].pop("jacobian_steps") == traj.jac_steps.tolist()
     for (key, rep), name in zip(reps.items(), ("jacobians.npy", "probe_jacobians.npy")):
         old = {k: v for k, v in rep.to_dict().items() if k in OLD_CHECK_KEYS}
-        old["factorization"] = [g.to_dict() for g in rep.factorization]
-        assert set(old) == OLD_CHECK_KEYS
+        assert set(old) == OLD_CHECK_KEYS - {"factorization"}
         new = inv[key]
         assert (new.pop("n_factored"), new.pop("factor_error")) == (len(rep.factorization), None)
-        old = json.loads(json.dumps(old))
-        factors = old.pop("factorization")
-        assert new == old
+        assert new == json.loads(json.dumps(old))
         stack = np.load(out / name, allow_pickle=False)
-        assert [jacobi_factor(J, tol=1e-5).to_dict() for J in stack] == factors
+        k = stack.shape[-1] - 2
+        for J, listed in zip(stack, rep.factorization, strict=True):
+            # tr = sign J[-1, -1], sigma = J[:k, :k], w = tr * J[:k, -1], r = tr * J[k, -1] / 2
+            tr = np.sign(J[-1, -1])
+            for g in (jacobi_factor(J, tol=1e-5), listed):
+                assert g.tr == tr and g.sigma.sigma.tobytes() == J[:k, :k].tobytes()
+                assert g.w.tobytes() == (tr * J[:k, -1]).tobytes()
+                assert np.float64(g.r).tobytes() == (tr * J[k, -1] / 2).tobytes()
     assert inv == json.loads(json.dumps({
         "version": __version__, "config": config, "dt_actual": traj.dt,
         "flow_jacobians": inv["flow_jacobians"], "rho_transform": inv["rho_transform"],

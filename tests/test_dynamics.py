@@ -125,6 +125,8 @@ def test_integrate_flow_validation():
         integrate_flow(sys, z0, 0.0, 0.1)  # t_end must exceed t0
     with pytest.raises(ValueError):
         integrate_flow(sys, z0, 1.0, 0.1, method="euler")
+    with pytest.raises(ValueError, match="^unknown method None$"):
+        integrate_flow(sys, z0, 1.0, 0.1, method=None)
     with pytest.raises(ValueError):
         integrate_flow(sys, np.zeros(6), 1.0, 0.1)  # wrong state length
     with pytest.raises(ValueError):

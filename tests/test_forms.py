@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,13 @@ def test_block_order():
     assert np.array_equal(block_to_interleaved(z), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     z = np.array([1.0, 2.0, 3.0, 4.0])  # n = 1: block and interleaved order agree
     assert np.array_equal(block_to_interleaved(z), z)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2,), (0,), (3, 7), ()])
+def test_block_to_interleaved_rejects_a_length_that_is_no_state(shape):
+    # an odd length or one below 4 (n = 0) is no (q, p, eps, t) state
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        block_to_interleaved(np.zeros(shape))
 
 
 def test_converters_work_on_rows():

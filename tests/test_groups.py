@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -362,6 +360,13 @@ def test_igl_rejects_singular_omega():
         IglElement(omega=np.zeros((3, 3)), u=np.zeros(3), eps=1)
 
 
+def test_igl_factor_rejects_singular_omega_as_a_membership_error():
+    # the bottom row passes the time-metric check; the typed error is still a ValueError
+    with pytest.raises(FactorError, match="^Omega is singular$") as info:
+        igl_factor(np.diag([0.0, 1.0, 1.0, 1.0]))
+    assert type(info.value) is FactorError and isinstance(info.value, ValueError)
+
+
 def test_generators_hand_matrices():
     W1, W2, R = heisenberg_generators(1)
     for g in (W1, W2, R):
@@ -465,29 +470,6 @@ def test_vfr_views():
 def test_vfr_view_validation():
     with pytest.raises(ValueError):
         VfrView(v=np.array([1.0]), f=np.array([1.0, 2.0]), r_phys=0.0)
-
-
-def test_serialization_roundtrip():
-    rng = np.random.default_rng(14)
-    for n in (1, 2, 3):
-        g = random_jacobi(n, rng)
-        d = json.loads(json.dumps(g.to_dict()))
-        back = JacobiElement.from_dict(d, tol=1e-9)
-        assert np.array_equal(back.sigma.sigma, g.sigma.sigma)
-        assert np.array_equal(back.w, g.w)
-        assert back.r == g.r and back.tr == g.tr
-
-
-def test_serialization_fields():
-    g = JacobiElement.from_parts(np.eye(2), np.array([1.0, 2.0]), 0.5, tr=-1)
-    d = g.to_dict()
-    assert d == {
-        "n": 1,
-        "sigma": [1.0, 0.0, 0.0, 1.0],
-        "w": [1.0, 2.0],
-        "r": 0.5,
-        "eps": -1,
-    }
 
 
 def test_random_symplectic_membership():

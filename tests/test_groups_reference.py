@@ -266,10 +266,6 @@ def test_from_parts_still_validates():
     sigma[0, 0] = 1.5  # not symplectic
     with pytest.raises(NotSymplectic):
         JacobiElement.from_parts(sigma, np.zeros(4), 0.0)
-    with pytest.raises(NotSymplectic):
-        JacobiElement.from_dict(
-            {"n": 2, "sigma": sigma.ravel().tolist(), "w": [0.0] * 4, "r": 0.0, "eps": 1}
-        )
     g = JacobiElement.from_parts(sigma, np.zeros(4), 0.0, tol=np.inf)
     assert g.sigma.sigma[0, 0] == 1.5
 

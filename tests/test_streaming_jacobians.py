@@ -7,8 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jacobiflow import builtin_system, check_flow_jacobians, integrate_flow
-from jacobiflow import verify
+from jacobiflow import (
+    MapHandle,
+    box_probes,
+    builtin_system,
+    check_flow_jacobians,
+    check_invariance,
+    integrate_flow,
+)
+from jacobiflow import groups, verify
 from jacobiflow.forms import eta_residual, zeta_residual
 
 DT = 1e-3
@@ -72,25 +79,25 @@ def test_bad_stride_is_rejected(jac_every):
 
 def test_flow_check_factors_the_kept_jacobians_and_reads_the_stored_residuals(monkeypatch):
     traj = _flow(257, "rk4", 10)
-    factored = []
+    checked = []
 
     def counting(M, tol):
-        factored.append(M)
-        return factor(M, tol=tol)
+        checked.append(M)
+        return membership(M, tol)
 
-    factor = verify.jacobi_factor
-    monkeypatch.setattr(verify, "jacobi_factor", counting)
+    membership = verify._membership
+    monkeypatch.setattr(verify, "_membership", counting)
     rep = check_flow_jacobians(traj)
     assert rep.classification == "Jacobimorphism"
-    # one stacked call per chunk of verify._CHUNK kept Jacobians
-    assert [len(M) for M in factored] == [27] and len(traj.jac_steps) == 27
-    assert np.concatenate(factored).tobytes() == traj.jac.tobytes()
+    # one stacked membership pass per chunk of verify._CHUNK kept Jacobians
+    assert [len(M) for M in checked] == [27] and len(traj.jac_steps) == 27
+    assert np.concatenate(checked).tobytes() == traj.jac.tobytes()
     assert rep.n_factored == 27
-    factored.clear()
+    checked.clear()
     every = _full(257, "rk4")
     assert check_flow_jacobians(every).n_factored == 258
-    assert [len(M) for M in factored] == [32] * 8 + [2]
-    assert np.concatenate(factored).tobytes() == every.jac.tobytes()
+    assert [len(M) for M in checked] == [32] * 8 + [2]
+    assert np.concatenate(checked).tobytes() == every.jac.tobytes()
     assert rep.omega_residual_max == traj.jac_omega.max()
     assert rep.omega_residuals == tuple(traj.jac_omega[traj.jac_steps].tolist())
     assert rep.lambda_residuals == tuple(traj.jac_lambda[traj.jac_steps].tolist())
@@ -99,6 +106,18 @@ def test_flow_check_factors_the_kept_jacobians_and_reads_the_stored_residuals(mo
     worse = dataclasses.replace(traj, jac_omega=np.full_like(traj.jac_omega, 1.0))
     assert check_flow_jacobians(worse).omega_residual_max == 1.0
     assert check_flow_jacobians(worse).classification == "TimePreservingOnly"
+
+
+def test_checks_count_members_without_building_an_element(monkeypatch):
+    built = []
+    element = groups._element
+    monkeypatch.setattr(groups, "_element", lambda *args: built.append(args) or element(*args))
+    assert check_flow_jacobians(_flow(257, "rk4", 10)).n_factored == 27
+    identity = MapHandle(lambda z: z.copy(), 2, jacobian=lambda z: np.eye(6))
+    rep = check_invariance(identity, box_probes(2, 5, np.random.default_rng(3)))
+    assert rep.n_factored == 5 and built == []
+    # the factors are built only when asked for
+    assert len(rep.factorization) == 5 and len(built) == 5
 
 
 def test_default_stride_keeps_the_flow_far_below_the_full_stack():

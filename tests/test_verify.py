@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,14 @@ def test_check_invariance_requires_probes():
     handle = MapHandle(lambda z: z.copy(), 1)
     with pytest.raises(ValueError):
         check_invariance(handle, [])
+
+
+@pytest.mark.parametrize("probes", [np.zeros(4), np.zeros((2, 3))], ids=["one_state", "width_3"])
+def test_check_invariance_names_a_probe_array_of_the_wrong_shape(probes):
+    handle = MapHandle(lambda z: z.copy(), 1)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {probes.shape}")) as info:
+        check_invariance(handle, probes)
+    assert "(count, 2n+2) array" in str(info.value)
 
 
 def test_report_to_dict_is_json_ready():
