@@ -11,11 +11,12 @@ unknown and duplicate keys are rejected).  Two modes:
   write the report and the probe Jacobians (probe_jacobians.npy).
 
 --selftest runs the group-law suites of `selftest` from the seed and writes
-their checks to selftest.json.  Every config value and flag is checked,
-and the output directory created, before any work starts.  Exit codes: 0
-all checks pass, 1 a verification failed (reports are still written), 2
-bad configuration or usage (one "config error:" line on stderr for a
-rejected value or an unusable output directory).
+their checks to selftest.json.  Every config value, system parameter and
+flag is checked (a flag of the other mode is rejected), and the output
+directory created, before any work starts.  Exit codes: 0 all checks pass,
+1 a verification failed (reports are still written), 2 bad configuration or
+usage (one "config error:" line on stderr for a rejected value or an
+unusable output directory).
 """
 
 import argparse
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .forms import MapHandle, as_dimension, block_to_interleaved
 from .selftest import FACTOR_TOL, run_checks
-from .systems import BUILTIN_SYSTEMS, builtin_system
+from .systems import BUILTIN_SYSTEMS, _require, builtin_system
 from .dynamics import (
     _INCREMENT_STACKS,
     _STAGE_CHUNK,
@@ -66,7 +67,7 @@ _MIN_FLOW_STEPS = 4
 # Jacobians of one chunk of steps, the stacks that chunk's step increments
 # are formed in, and the probes; a map counts its probes
 _MAX_JACOBIAN_BYTES = 2**30
-# each probe costs a finite-difference Jacobian and a factorization
+# each probe costs a map Jacobian and a membership check
 _MAX_PROBES = 10_000
 # the Lie-algebra suite's cost grows as --n cubed; --n 16 takes about 1.2 s
 _MAX_SELFTEST_N = 16
@@ -106,9 +107,9 @@ def _parse_value(key, val, lineno):
 def parse_config(path):
     """Read a config file; returns (cfg dict, set of keys present in the file)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}") from None
     cfg = dict(_DEFAULTS)
     present = set()
@@ -156,6 +157,11 @@ def validate_config(cfg, present):
         raise ConfigError(
             f"system must be one of {sorted(BUILTIN_SYSTEMS)}, got {cfg['system']!r}"
         )
+    try:
+        params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
+        _require(params, BUILTIN_SYSTEMS[cfg["system"]], cfg["system"])
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     d = 2 * cfg["n"] + 2
     if cfg["z0"] is None:
         cfg["z0"] = [1.0] * cfg["n"] + [0.0] * cfg["n"] + [0.0, 0.0]
@@ -236,10 +242,7 @@ def _map_catalog(n):
 
 
 def run_flow(cfg, params, out_dir):
-    try:
-        system = builtin_system(cfg["system"], n=cfg["n"], **params)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    system = builtin_system(cfg["system"], n=cfg["n"], **params)
     z0 = block_to_interleaved(np.asarray(cfg["z0"], dtype=float))
     try:
         traj = integrate_flow(
@@ -250,10 +253,7 @@ def run_flow(cfg, params, out_dir):
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    try:
-        probes = trajectory_probes(traj, cfg["probes"], np.random.default_rng(cfg["seed"]))
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    probes = trajectory_probes(traj, cfg["probes"], np.random.default_rng(cfg["seed"]))
     write_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     rho = make_rho(traj, system)
     rho_rep = check_invariance(
@@ -417,18 +417,25 @@ def main(argv=None):
         help="selftest: perturb one matrix entry and require detection",
     )
     parser.add_argument(
-        "--n", type=int, default=3, help="selftest: largest n for the algebra suite"
+        "--n", type=int, default=None, help="selftest: largest n for the algebra suite (default 3)"
     )
     args = parser.parse_args(argv)
 
     if not (args.selftest or args.config):
         print("error: either --config or --selftest is required", file=sys.stderr)
         return 2
+    # a flag of the other mode, which this one would ignore
+    other = ("config", "tol_omega", "tol_lambda") if args.selftest else ("fuzz", "n")
     try:
+        for name in other:
+            if getattr(args, name) is not None:
+                word = "does not apply to" if args.selftest else "needs"
+                raise ConfigError(f"--{name.replace('_', '-')} {word} --selftest")
         if args.selftest:
             seed = 0 if args.seed is None else args.seed
-            validate_selftest(seed, args.n, args.fuzz)
-            return run_selftest(seed, args.n, args.fuzz, args.out)
+            n_max = 3 if args.n is None else args.n
+            validate_selftest(seed, n_max, args.fuzz)
+            return run_selftest(seed, n_max, args.fuzz, args.out)
         cfg, present = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed

@@ -45,10 +45,11 @@ into the matrix group.  The full (steps + 1, d, d) stack is never stored.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .forms import MapHandle, eta_residual, numeric_jacobian, zeta_residual
+from .forms import MapHandle, complex_step_jacobian, eta_residual, numeric_jacobian, zeta_residual
 
 # steps per state pass and per finiteness check; with the variational flow,
 # one field-Jacobian call per chunk instead of one per stage, with a
@@ -60,8 +61,8 @@ _INCREMENT_STACKS = 3
 _CSV_BLOCK = 1024  # rows per block of write_csv's formatting
 
 
-def _as_state(z):
-    z = np.asarray(z, dtype=float)
+def _as_state(z, dtype=float):
+    z = np.asarray(z, dtype=dtype)
     if z.ndim != 1 or len(z) < 4 or len(z) % 2:
         raise ValueError(f"expected a state vector of even length >= 4, got shape {z.shape}")
     return z.copy()
@@ -412,30 +413,23 @@ class RhoTransform:
     (q, p).  The displacement is the cubic Hermite interpolant of the stored
     samples: at every sample time it equals the stored (q, p) and its rate
     equals the stored field (v, f), so the transform is exact at the samples
-    up to both ends of the table.  Defined for t inside the tabulated range
-    only.
+    up to both ends of the table.  Defined for Re t inside the tabulated
+    range only: a complex state is taken too, for the complex step.
     """
 
     sys: object
     tk: np.ndarray  # sample times, increasing
     table: np.ndarray  # (samples, 2, 2n): interleaved (q, p) and its rate (v, f)
 
-    def _check_t(self, t):
-        t0, t1 = self.tk[0], self.tk[-1]
-        if not (t0 <= t <= t1):
-            raise ValueError(f"t={t} outside the tabulated range [{t0}, {t1}]")
-
-    def _shift(self, t):
-        """Interleaved (xi, pi) at t."""
-        return self._hermite(t, 0) - self.table[0, 0]
-
     def _hermite(self, t, order):
         """Interleaved (q, p) of the table (order 0) or its rate (order 1) at t."""
         # the basis weights are written so that at s = 0 and s = 1 every weight
-        # but one is an exact zero: the nodes reproduce the table bitwise
-        self._check_t(t)
+        # but one is an exact zero: the nodes reproduce the table bitwise.  Re t
+        # picks the interval; a complex t carries Im t through s
         tk = self.tk
-        i = min(max(int(np.searchsorted(tk, t, side="right")) - 1, 0), len(tk) - 2)
+        if not (tk[0] <= t.real <= tk[-1]):
+            raise ValueError(f"t={t} outside the tabulated range [{tk[0]}, {tk[-1]}]")
+        i = min(max(int(np.searchsorted(tk, t.real, side="right")) - 1, 0), len(tk) - 2)
         h = tk[i + 1] - tk[i]
         s = (t - tk[i]) / h
         if order == 0:
@@ -447,16 +441,14 @@ class RhoTransform:
         return np.dot(w, self.table[i : i + 2].reshape(4, -1))
 
     def __call__(self, z):
-        z = _as_state(z)
+        z = _as_state(z, complex if np.iscomplexobj(z) else float)
         q, p, eps, t = _split(z)
-        zt = z.copy()
-        k = len(z) - 2
-        zt[:k] = z[:k] + self._shift(t)
-        zt[-2] = eps + float(self.sys.value(q, p, t))
-        return zt
+        z[-2] = eps + self.sys.value(q, p, t)
+        z[:-2] += self._hermite(t, 0) - self.table[0, 0]  # the shift (xi, pi)
+        return z
 
     def jacobian(self, z):
-        """Analytic Jacobian: identity block, gradient row, shift-rate column."""
+        """Analytic Jacobian: identity block, gradient row, shift-rate column; blind to `value`."""
         z = _as_state(z)
         q, p, _, t = _split(z)
         d = len(z)
@@ -469,9 +461,9 @@ class RhoTransform:
         return J
 
     def as_map(self):
-        # certification goes through finite differences on purpose, so the
-        # handle carries no analytic Jacobian
-        return MapHandle(func=self.__call__, n=self.sys.n, name="rho")
+        # the Jacobian is the complex step of the transform itself, which sees `value`
+        jacobian = partial(complex_step_jacobian, self)
+        return MapHandle(func=self, n=self.sys.n, jacobian=jacobian, name="rho")
 
 
 def make_rho(traj, sys):

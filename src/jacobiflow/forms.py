@@ -12,8 +12,9 @@ the degenerate time metric with matrix eta (a single 1 in the (t, t) entry).
 Invariance of either under a map is measured by `form_residual` applied to
 the map's Jacobian, or by `zeta_residual` and `eta_residual` over a stack of
 Jacobians.  `numeric_jacobian` takes a map's Jacobian by central differences;
-the certification layer uses it for maps without an analytic Jacobian, and
-the flow for a field without one.
+the certification layer uses it for maps without a Jacobian, and the flow
+for a field without one.  The shift transform's map handle certifies through
+`complex_step_jacobian`, whose error is round-off.
 """
 
 from dataclasses import dataclass
@@ -151,10 +152,8 @@ def block_to_interleaved(z):
 
 
 def default_step(z):
-    """Finite-difference step h = 1e-5 * max(1, |z|_inf); one step per row of a 2-d z."""
-    z = np.asarray(z, dtype=float)
-    h = 1e-5 * np.maximum(1.0, np.max(np.abs(z), axis=-1, initial=0.0))
-    return float(h) if h.ndim == 0 else h
+    """Finite-difference step h = 1e-5 * max(1, |z|_inf) at a state vector z."""
+    return 1e-5 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
 
 
 def numeric_jacobian(f, z, h=None):
@@ -191,3 +190,13 @@ def numeric_jacobian(f, z, h=None):
             raise ValueError(f"map evaluated to non-finite values near column {d}")
         J[:, d] = (fp - fm) / (2.0 * h)
     return J
+
+
+def complex_step_jacobian(func, z):
+    """Jacobian of a map at z by complex step: column c is Im func(z + i h e_c) / h, h = 1e-30.
+
+    Nothing is subtracted, so the error is round-off, and Re z stays put (Squire
+    & Trapp, SIAM Review 40:110, 1998).  func must be analytic in a complex state.
+    """
+    z = np.asarray(z, dtype=float)
+    return np.column_stack([np.imag(func(w)) for w in z + 1e-30j * np.eye(len(z))]) / 1e-30

@@ -21,9 +21,10 @@ class HamiltonianSystem:
     """Evaluable H(q, p, t) with gradients and a separability flag.
 
     value, grad_q, grad_p, d_t all take (q, p, t) with q, p arrays of
-    length n, and must not modify them.  separable means H = T(p) + V(q, t),
-    so grad_q and d_t ignore p and grad_p ignores q and t; leapfrog relies
-    on this to reuse one half kick's force and power for the next.
+    length n, and must not modify them; value also takes a complex (q, p, t),
+    for the complex step of `make_rho(...).as_map()`.  separable means
+    H = T(p) + V(q, t), so grad_q and d_t ignore p and grad_p ignores q and t;
+    leapfrog relies on this to reuse one half kick's force and power for the next.
     vf_jacobian, when supplied, evaluates the (2n+2)-dimensional Jacobian of
     the extended vector field at one flat state vector (d,), or at each row
     of a (B, d) stack, giving (B, d, d) with each matrix bitwise equal to the
@@ -94,13 +95,13 @@ def _family(name, n, params):
         A0[1:k:2, 0:k:2] = -spring * np.eye(n)
 
     def value(q, p, t):
-        h = 0.5 * float(p @ p) / m
+        h = 0.5 * (p @ p) / m
         if om is not None:
-            h = h + 0.5 * m * om * om * float(q @ q)
+            h = h + 0.5 * m * om * om * (q @ q)
         if g is not None:
-            h = h + g * float(q.sum())
+            h = h + g * q.sum()
         if amp is not None:
-            h = h + amp * float(q.sum()) * np.cos(wd * t)
+            h = h + amp * q.sum() * np.cos(wd * t)
         return h
 
     def grad_q(q, p, t):

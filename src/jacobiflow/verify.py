@@ -1,8 +1,10 @@
 """Certification layer: invariance of the two forms, flow residuals, ledger.
 
-A map is certified by evaluating its Jacobian at probe points, measuring the
-residuals of both canonical forms, and counting the Jacobians that pass the
-membership checks of `jacobi_factor` (`groups._membership`); classification:
+A map is certified by evaluating its Jacobian at probe points (the handle's
+own Jacobian when it has one, the complex step for the shift transform,
+else central differences), measuring the residuals of both canonical forms,
+and counting the Jacobians that pass the membership checks of
+`jacobi_factor` (`groups._membership`); classification:
 
 * Jacobimorphism: both residuals pass and the Jacobian factors into the
   matrix group at every probe;
@@ -20,7 +22,6 @@ from .dynamics import _check_system
 from .forms import (
     MapHandle,
     as_dimension,
-    default_step,
     eta_residual,
     form_residual,  # noqa: F401  (unused here; perfbench/tracing.py wraps verify.form_residual)
     numeric_jacobian,
@@ -132,8 +133,8 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     Parameters
     ----------
     f : MapHandle or callable
-        The map; an analytic Jacobian on the handle is used when present,
-        otherwise central differences.
+        The map; the handle's Jacobian is used when present (the shift
+        transform's is its complex step), otherwise central differences.
     probes : (count, 2n+2) array, one state vector per row
         At least one; classification is the AND over probes.
     tol_omega, tol_lambda : float
@@ -176,25 +177,14 @@ def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
 def trajectory_probes(traj, count, rng):
     """Probe points on a stored trajectory, one state vector per row.
 
-    Each probe is a stored sample with its energy coordinate redrawn from
-    [-2, 2], since no certified quantity depends on it.  Only samples whose
-    finite-difference stencil stays inside the table are drawn: t0 + h <= t_k
-    <= t1 - h, where h is the `default_step` of the probe for any drawn
-    energy.  Raises ValueError when no sample qualifies.
+    Each probe is a stored sample, either end of the table included, with
+    its energy coordinate redrawn from [-2, 2], since no certified quantity
+    depends on it.  The shift transform's complex step leaves Re t where it
+    is, so a probe needs no room for a difference stencil.
     """
-    widest = traj.z.copy()
-    widest[:, -2] = 2.0  # the draw with the largest default_step
-    h = default_step(widest)
-    t = traj.t
-    room = np.flatnonzero((t - t[0] >= h) & (t[-1] - t >= h))
-    if not room.size:
-        raise ValueError(
-            f"no trajectory sample leaves room for the probe difference step"
-            f" h >= {h.min():.3g} inside the span [{float(t[0])}, {float(t[-1])}]"
-        )
     out = np.empty((count, traj.z.shape[1]))
     for z in out:
-        z[:] = traj.z[room[rng.integers(room.size)]]
+        z[:] = traj.z[rng.integers(traj.n_samples)]
         z[-2] = rng.uniform(-2.0, 2.0)
     return out
 

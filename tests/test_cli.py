@@ -256,7 +256,6 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "t_end = 0.001\n",
         "t_end = 0.003\n",
         "z0 = 1 0 inf 0\n",
-        "z0 = 0 0 0 100000\nt_end = 100001.5\ndt = 0.1\n",
         # Jacobian stacks over the byte limit, rejected before allocating
         "t_end = 1e300\n",
         "t_end = 1e305\n",
@@ -273,6 +272,12 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "system = constant_force\ng = nan\n",
         "system = driven_oscillator\namplitude = inf\n",
         "system = driven_oscillator\ndrive_frequency = nan\n",
+        # checked before --out is made, and in map mode too, which builds no
+        # system: map mode used to write "frequency": NaN, which is not JSON
+        "mass = -5\n",
+        "mode = map\nmass = -5\n",
+        "mode = map\nfrequency = nan\n",
+        "mode = map\ng = 1\n",
         # the drive's power and Jacobian scale with A om_d and A om_d^2
         "system = driven_oscillator\namplitude = 1e200\ndrive_frequency = 1e200\nt_end = 0.01\n",
         "system = driven_oscillator\namplitude = 1e100\ndrive_frequency = 1e150\nt_end = 0.01\n",
@@ -287,19 +292,28 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "--selftest --fuzz=-inf",
         "--selftest --fuzz 0",
         "--selftest --fuzz=-1e-9",
+        # a flag of the other mode; CFG stands for a config file that runs
+        "--config CFG --fuzz 1e-3",
+        "--config CFG --n 3",
+        "--config CFG --fuzz 1e-3 --n 99",
+        "--selftest --config CFG",
+        "--selftest --tol-omega 1e-5",
+        "--selftest --tol-lambda 1e-8",
+        "--selftest --tol-omega -1 --config /nonexistent.cfg",
     ],
 )
 def test_bad_configs_exit_2(tmp_path, text, capsys):
     # a case starting with "--" is a command line instead of a config file
     if text.startswith("--"):
-        code = main([*text.split(), "--out", str(tmp_path / "out")])
+        argv = [_write(tmp_path, FLOW_CFG) if arg == "CFG" else arg for arg in text.split()]
+        code = main([*argv, "--out", str(tmp_path / "out")])
     else:
         code, _ = _run(tmp_path, text)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
-    # rejected before any report or selftest.json is written
-    assert not list((tmp_path / "out").glob("*"))
+    # rejected before --out is made
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("n, fits", [(1233, True), (1234, False)])
@@ -390,15 +404,44 @@ def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"seed = 1 # caf\xe9\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file: 'utf-8' codec")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _assert_rho_is_round_off(out, stdout):
+    rho = json.loads((out / "invariance.json").read_text())["rho_transform"]
+    assert rho["classification"] == "Jacobimorphism"
+    assert rho["omega_residual_max"] <= 1e-15 and rho["lambda_residual_max"] == 0.0
+    assert "rho transform: Jacobimorphism" in stdout
+
+
+# a central difference step grows with |t|; at these start times its error
+# classified the shift transform as TimePreservingOnly, and the run exited 1.
+# The complex step leaves Re t where it is
+@pytest.mark.parametrize("t0", [1000, 10000])
+def test_late_start_flows_certify_the_shift_transform(tmp_path, t0, capsys):
+    code, out = _run(tmp_path, f"system = driven_oscillator\nz0 = 1 0 0 {t0}\nt_end = {t0 + 5}\n")
+    assert code == 0
+    _assert_rho_is_round_off(out, capsys.readouterr().out)
+
+
 def test_late_start_flow_keeps_probes_inside_the_table(tmp_path, capsys):
-    # at t0 = 1e5 the probe difference step is about 1.0, so the stencil of a
-    # probe near either end would leave the tabulated range
+    # at t0 = 1e5 a central difference step is about 1.0; the probes are
+    # stored samples, either end included, and need no room around them
     code, out = _run(tmp_path, "z0 = 0.5 0.1 0.0 100000\nt_end = 100005\n")
-    assert code in (0, 1)
-    assert capsys.readouterr().err == ""
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
     inv = json.loads((out / "invariance.json").read_text())
     assert inv["rho_transform"]["n_probes"] == 20
     assert inv["flow_jacobians"]["classification"] == "Jacobimorphism"
+    _assert_rho_is_round_off(out, captured.out)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -22,7 +22,14 @@ from jacobiflow import (
     numeric_jacobian,
     random_jacobi,
 )
-from jacobiflow.forms import as_dimension, default_step, eta_residual, zeta_reduced, zeta_residual
+from jacobiflow.forms import (
+    as_dimension,
+    complex_step_jacobian,
+    default_step,
+    eta_residual,
+    zeta_reduced,
+    zeta_residual,
+)
 
 
 def test_zeta_n1_matrix():
@@ -204,7 +211,27 @@ def test_numeric_jacobian_nonfinite_map():
 def test_default_step_scales_with_state():
     assert default_step(np.zeros(4)) == 1e-5
     assert default_step(np.array([0.0, 100.0, 0.0, 0.0])) == 1e-3
-    assert np.array_equal(default_step(np.array([[0.0, 0.0], [0.0, -100.0]])), [1e-5, 1e-3])
+
+
+def test_complex_step_jacobian_is_exact_to_round_off():
+    # a map whose entries are far apart in scale; central differences would
+    # lose digits to cancellation at t = 1e5, the complex step loses none
+    def f(z):
+        q, p, eps, t = z
+        return np.array([np.sin(q) * p, np.exp(p) + eps * t, q * q * t, np.cos(1e-3 * t) * q])
+
+    z = np.array([0.3, -1.2, 0.7, 1e5])
+    q, p, eps, t = z
+    exact = np.array([
+        [np.cos(q) * p, np.sin(q), 0.0, 0.0],
+        [0.0, np.exp(p), t, eps],
+        [2.0 * q * t, 0.0, 0.0, q * q],
+        [np.cos(1e-3 * t), 0.0, 0.0, -1e-3 * np.sin(1e-3 * t) * q],
+    ])
+    J = complex_step_jacobian(f, z)
+    assert J.dtype == np.float64 and J.shape == (4, 4)
+    assert np.all(np.abs(J - exact) <= 4e-16 * np.maximum(1.0, np.abs(exact)))
+    assert np.max(np.abs(numeric_jacobian(f, z) - exact)) > 1e-6
 
 
 def test_as_dimension_returns_a_python_int():

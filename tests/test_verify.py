@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -21,7 +22,8 @@ from jacobiflow import (
     trajectory_probes,
 )
 from jacobiflow.cli import _map_catalog
-from jacobiflow.forms import canonical_zeta, default_step
+from jacobiflow.forms import canonical_zeta
+from jacobiflow.systems import BUILTIN_SYSTEMS
 
 
 def _probes(n=1, count=8, seed=7):
@@ -296,27 +298,29 @@ def test_noncommutativity_rejects_dimension_mismatch():
         noncommutativity_check(a, b)
 
 
-def test_trajectory_probes_interior():
+def test_trajectory_probes_draw_every_sample_ends_included():
     traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 5.0, 1e-3)
-    rng = np.random.default_rng(3)
-    probes = trajectory_probes(traj, 50, rng)
-    assert len(probes) == 50
+    probes = trajectory_probes(traj, 50, np.random.default_rng(3))
     assert probes.shape == (50, 4)
     for z in probes:
-        h = default_step(z)
-        assert traj.t[0] + h <= z[-1] <= traj.t[-1] - h
+        k = np.flatnonzero(traj.t == z[-1])
+        assert len(k) == 1 and np.array_equal(z[:2], traj.z[k[0], :2])
         assert -2.0 <= z[-2] <= 2.0
-    # every sample but the two ends leaves room for the difference stencil
+    # the complex step needs no stencil room, so both end samples are drawn
     short = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 0.5, 0.1)
     drawn = set(trajectory_probes(short, 200, np.random.default_rng(0))[:, -1])
-    assert drawn == set(short.t[1:-1])
+    assert drawn == set(short.t)
 
 
-def test_trajectory_probes_need_room():
-    # at t0 = 1e5 the probe step is about 1.0, wider than half of the 1.5 span
-    traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 1e5]), 1e5 + 1.5, 0.1)
-    with pytest.raises(ValueError, match=r"h >= 1 inside the span \[100000.0, 100001.5\]"):
-        trajectory_probes(traj, 5, np.random.default_rng(0))
+def test_late_short_trajectory_probes_certify_the_shift_transform():
+    # at t0 = 1e5 a central difference step is about 1.0, wider than half of
+    # the 1.5 span, so no sample left room for its stencil
+    sys = _sys_ho()
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 1e5]), 1e5 + 1.5, 0.1)
+    probes = trajectory_probes(traj, 20, np.random.default_rng(0))
+    report = check_invariance(make_rho(traj, sys).as_map(), probes, tol_omega=1e-12)
+    assert report.classification == "Jacobimorphism"
+    assert report.omega_residual_max <= 1e-15 and report.lambda_residual_max == 0.0
 
 
 def test_box_probes_shape_and_range():
@@ -326,6 +330,75 @@ def test_box_probes_shape_and_range():
     # one state per draw of 6, the stream the map-mode probes always used
     rng = np.random.default_rng(1)
     assert np.array_equal(probes, [rng.uniform(-1.5, 1.5, 6) for _ in range(10)])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_complex_step_matches_the_analytic_rho_jacobian(name, method, n):
+    sys = builtin_system(name, n=n)
+    z0 = np.zeros(2 * n + 2)
+    z0[: 2 * n] = np.linspace(-0.8, 0.9, 2 * n)
+    traj = integrate_flow(sys, z0, 2.0, 1e-2, method=method)
+    rho = make_rho(traj, sys)
+    handle = rho.as_map()
+    N = traj.n_samples
+    rng = np.random.default_rng(5)
+    for k in (0, 1, N // 3, N // 2, N - 2, N - 1):
+        z = traj.z[k].copy()
+        z[-2] = rng.uniform(-2.0, 2.0)
+        J = rho.jacobian(z)
+        assert np.max(np.abs(handle.jacobian(z) - J)) <= 1e-15
+        assert np.array_equal(rho(z), handle(z))
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_rho_residuals_are_round_off_at_the_cli_defaults(name, method):
+    sys = builtin_system(name)
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 5.0, 1e-3, method=method)
+    probes = trajectory_probes(traj, 20, np.random.default_rng(0))
+    report = check_invariance(make_rho(traj, sys).as_map(), probes, tol_omega=1e-5, tol_lambda=1e-8)
+    assert report.classification == "Jacobimorphism"
+    assert report.omega_residual_max <= 1e-15
+    assert report.lambda_residual_max == 0.0
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("wrong", ["mass", "value"])
+def test_rho_of_a_wrong_hamiltonian_fails_where_the_true_one_certifies(wrong, method):
+    # a rho of a mass-1 orbit, certified with the H of mass 1 + delta, or with
+    # a value that disagrees with the gradients by the factor 1 + delta
+    delta = 1e-9
+    sys = _sys_ho()
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 5.0, 1e-3, method=method)
+    if wrong == "mass":
+        other = builtin_system("harmonic_oscillator", mass=1.0 + delta)
+    else:
+        other = dataclasses.replace(sys, value=lambda q, p, t: (1.0 + delta) * sys.value(q, p, t))
+    probes = trajectory_probes(traj, 20, np.random.default_rng(0))
+    tols = {"tol_omega": 1e-12, "tol_lambda": 1e-12}
+    true = check_invariance(make_rho(traj, sys).as_map(), probes, **tols)
+    assert true.classification == "Jacobimorphism"
+    rho = make_rho(traj, other)
+    report = check_invariance(rho.as_map(), probes, **tols)
+    assert report.classification == "TimePreservingOnly"
+    assert 1e-10 < report.omega_residual_max < 1e-8
+    if wrong == "value":
+        # the analytic Jacobian is built from the gradients, so it is blind to this
+        analytic = MapHandle(rho, 1, jacobian=rho.jacobian, name="rho")
+        assert check_invariance(analytic, probes, **tols).classification == "Jacobimorphism"
+
+
+def test_rho_of_a_system_whose_value_casts_to_float_fails_loudly():
+    # the complex step needs value to take a complex (q, p, t); a float() cast
+    # drops the imaginary part, with numpy's ComplexWarning, an error under
+    # the suite's RuntimeWarning filter
+    base = _sys_ho()
+    sys = dataclasses.replace(base, value=lambda q, p, t: float(base.value(q, p, t)))
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 1e-2)
+    with pytest.raises(np.exceptions.ComplexWarning):
+        check_invariance(make_rho(traj, sys).as_map(), traj.z[:3])
 
 
 def test_rho_certifies_on_trajectory():
