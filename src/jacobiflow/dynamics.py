@@ -11,10 +11,16 @@ A trajectory is two (samples, 2n+2) arrays: the states z and the field
 samples X = (v, f, r, 1) at them.  The coordinates (q, p, eps, t), the time
 tau = t and the samples (v, f, r) are views of those two arrays.
 
-The steps run in chunks of `_STAGE_CHUNK`.  A state pass writes each step's
-state and field sample in place, with numpy's floating-point warnings off:
-one finiteness check over the chunk's rows, after the pass, reports the
-first non-finite step as a blow-up.
+The steps run in chunks of `_STAGE_CHUNK`.  A state pass advances one state
+and its field sample in place, in fixed buffers whose (q, p) and (v, f)
+views are made once per call, and copies them to the step's rows, with
+numpy's floating-point warnings off: one finiteness check over the chunk's
+rows, after the pass, reports the first non-finite step as a blow-up.  RK4
+evaluates the field with one call of the system's writer `field(q, p, t,
+v, f) -> r` per stage (composed from the gradients for a system without
+one) and combines its four stages in one row sum of a (4, 2n+2) buffer;
+leapfrog calls grad_p, grad_q and d_t, since its kicks and drift take v and
+f at different states.
 
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
@@ -73,21 +79,31 @@ def _split(z):
     return z[0:k:2], z[1:k:2], z[-2], z[-1]
 
 
-def _field(sys, z, X):
-    """Field (v, f, r, 1), written into X, at a state vector that is already validated."""
-    k = len(z) - 2
-    q, p, t = z[0:k:2], z[1:k:2], z.item(-1)
-    X[0:k:2] = sys.grad_p(q, p, t)
-    np.negative(sys.grad_q(q, p, t), out=X[1:k:2])
-    X[-2] = sys.d_t(q, p, t)
-    X[-1] = 1.0
-    return X
+def _system_state(sys, z):
+    z = _as_state(z)
+    if 2 * sys.n + 2 != len(z):
+        raise ValueError(f"state length {len(z)} does not match system n={sys.n}")
+    return z
+
+
+def _gradient_field(sys):
+    """The field writer `field(q, p, t, v, f) -> r` composed from the system's gradients."""
+
+    def field(q, p, t, v, f):
+        v[...] = sys.grad_p(q, p, t)
+        np.negative(sys.grad_q(q, p, t), out=f)
+        return sys.d_t(q, p, t)
+
+    return field
 
 
 def extended_vector_field(sys, z):
-    """Field (v, f, r, 1) at z, in canonical ordering."""
-    z = _as_state(z)
-    X = _field(sys, z, np.empty(len(z)))
+    """Field (v, f, r, 1) at z, in canonical ordering, from the system's gradients."""
+    z = _system_state(sys, z)
+    k = len(z) - 2
+    X = np.empty(len(z))
+    X[-2] = _gradient_field(sys)(z[0:k:2], z[1:k:2], z.item(-1), X[0:k:2], X[1:k:2])
+    X[-1] = 1.0
     if not np.all(np.isfinite(X)):
         raise ValueError("Hamiltonian gradients evaluated to non-finite values")
     return X
@@ -104,7 +120,7 @@ def _jacobian(sys, z):
 
 def field_jacobian(sys, z):
     """Jacobian A = dX/dz of the extended field: analytic if the system has one."""
-    return _jacobian(sys, _as_state(z))
+    return _jacobian(sys, _system_state(sys, z))
 
 
 @dataclass(frozen=True)
@@ -211,7 +227,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     chunk's state pass (whose floating-point warnings are suppressed), also
     when a system callable then raises later in the chunk.
     """
-    z = _as_state(z0)
+    z = _system_state(sys, z0)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"initial state must be finite, got {z.tolist()}")
     t0 = z[-1]
@@ -224,8 +240,6 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         raise ValueError(f"unknown method {method!r}")
     if method == "leapfrog" and not sys.separable:
         raise ValueError("leapfrog requires a separable system")
-    if 2 * sys.n + 2 != len(z):
-        raise ValueError(f"state length {len(z)} does not match system n={sys.n}")
     if with_variational and not (isinstance(jac_every, (int, np.integer)) and jac_every >= 1):
         raise ValueError(f"jac_every must be an integer >= 1, got {jac_every!r}")
 
@@ -233,10 +247,21 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     dt = (t_end - t0) / n_steps
     d = len(z)
     k = d - 2
+    field = sys.field or _gradient_field(sys)
     Z = np.empty((n_steps + 1, d))
     XS = np.empty((n_steps + 1, d))  # field samples (v, f, r, 1) at each Z row
-    Z[0] = z
-    if not np.isfinite(_field(sys, z, XS[0])).all():
+    # the step's working buffers, with their (q, p) and (v, f) views made once:
+    # the state z, the stage states Zs and, in R, the fields X, K2, K3, K4 at z
+    # and at the stages; each field's time entry stays 1
+    Zs = np.empty((3, d))
+    R = np.empty((4, d))
+    R[:, -1] = 1.0
+    tmp = np.empty(d)
+    X = R[0]
+    q, p, v, f = z[0:k:2], z[1:k:2], X[0:k:2], X[1:k:2]
+    X[-2] = field(q, p, z.item(-1), v, f)
+    Z[0], XS[0] = z, X
+    if not np.isfinite(X).all():
         raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
     jac_steps = Js = res_o = res_l = None
     if with_variational:
@@ -253,7 +278,16 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     rk4 = method == "rk4"
     stages = 4 if rk4 else 1
     S = np.empty((_STAGE_CHUNK, stages, d))  # stage states of the chunk's steps
-    K2, K3, K4 = np.empty((3, d))
+    # the step sizes as 0-d arrays, which numpy multiplies by without a scalar conversion
+    hc, dtc, wc = np.array(h), np.array(dt), np.array(w)
+    # RK4 stage s + 2 is the field at Zs[s] = z + c K_{s+1}, with K1 = X:
+    # (K_{s+1}, c, Zs[s], its q and p, K_{s+2}, its v and f)
+    rk4_stages = [
+        (R[s], c, Zs[s], Zs[s, 0:k:2], Zs[s, 1:k:2], R[s + 1], R[s + 1, 0:k:2], R[s + 1, 1:k:2])
+        for s, c in enumerate((hc, hc, dtc))
+    ]
+    K23 = R[1:3]
+    p_h, dq = np.empty((2, k // 2))  # leapfrog's half-kick momenta and drift
     if not rk4 and with_variational:
         # the tangent of kick-drift-kick is (I + c)(I + b)(I + a): the kicks
         # a and c are h A on the (p, eps) rows, the drift b is dt A on the q rows
@@ -265,51 +299,57 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         A_open = _jacobian(sys, z)  # A of the chunk's first opening kick
     for start in range(0, n_steps, _STAGE_CHUNK):
         stop = min(start + _STAGE_CHUNK, n_steps)
-        # step i writes rows i + 1 of Z and XS; over/invalid/divide each leave
-        # a non-finite value there, which the check after the pass reports
+        # step i advances z and X to step i + 1 and copies them to rows i + 1 of
+        # Z and XS; over/invalid/divide each leave a non-finite value there,
+        # which the check after the pass reports
         cause = None
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for i in range(start, stop):
-                    z, X, zn, Xn = Z[i], XS[i], Z[i + 1], XS[i + 1]
                     t1 = t0 + (i + 1) * dt
                     if rk4:
                         # X, the field at z, is both the stored sample and K1
-                        z2, z3, z4 = S[i - start, 1], S[i - start, 2], S[i - start, 3]
-                        np.add(z, h * X, z2)
-                        _field(sys, z2, K2)
-                        np.add(z, h * K2, z3)
-                        _field(sys, z3, K3)
-                        np.add(z, dt * K3, z4)
-                        _field(sys, z4, K4)
-                        np.add(X, 2.0 * K2, zn)
-                        zn += 2.0 * K3
-                        zn += K4
-                        zn *= w
-                        np.add(z, zn, zn)
-                        zn[-1] = t1
-                        _field(sys, zn, Xn)
+                        for K, c, z_s, q_s, p_s, K_s, v_s, f_s in rk4_stages:
+                            np.multiply(K, c, out=tmp)
+                            np.add(z, tmp, out=z_s)
+                            K_s[-2] = field(q_s, p_s, z_s.item(-1), v_s, f_s)
+                        # K + K is 2 K exactly; the rows are summed in order from
+                        # -0.0, the exact identity of +, which gives ((X + 2 K2) +
+                        # 2 K3) + K4 bit for bit (numpy's default start, +0.0, turns
+                        # a column of -0.0 into +0.0); the time entries reset to 1
+                        np.add(K23, K23, out=K23)
+                        np.add.reduce(R, axis=0, out=tmp, initial=-0.0)
+                        K23[0, -1] = K23[1, -1] = 1.0
+                        tmp *= wc
+                        z += tmp
+                        z[-1] = t1
+                        X[-2] = field(q, p, z.item(-1), v, f)
+                        if with_variational:
+                            S[i - start, 1:] = Zs
                     else:
                         # separable: grad_q and d_t ignore p, so the force and power of the
                         # stored sample at z give the opening half kick, and those of the
                         # closing half kick give the sample at the new state
-                        p_h = z[1:k:2] + h * X[1:k:2]
+                        np.multiply(f, hc, out=p_h)
+                        p_h += p
                         eps_h = z.item(-2) + h * X.item(-2)
-                        zn[0:k:2] = z[0:k:2] + dt * np.asarray(sys.grad_p(z[0:k:2], p_h, z[-1]), dtype=float)
-                        q1 = zn[0:k:2]
-                        np.negative(sys.grad_q(q1, p_h, t1), out=Xn[1:k:2])
-                        Xn[-2] = sys.d_t(q1, p_h, t1)
-                        zn[1:k:2] = p_h + h * Xn[1:k:2]
-                        zn[-2] = eps_h + h * Xn.item(-2)
-                        zn[-1] = t1
-                        Xn[0:k:2] = sys.grad_p(q1, zn[1:k:2], t1)
-                        Xn[-1] = 1.0
+                        np.multiply(sys.grad_p(q, p_h, z.item(-1)), dtc, out=dq)
+                        q += dq
+                        np.negative(sys.grad_q(q, p_h, t1), out=f)
+                        X[-2] = sys.d_t(q, p_h, t1)
+                        np.multiply(f, hc, out=p)
+                        p += p_h
+                        z[-2] = eps_h + h * X.item(-2)
+                        z[-1] = t1
+                        v[...] = sys.grad_p(q, p, t1)
                         if with_variational:
                             # A at (q1, p_h, t1) gives the drift, the closing kick and the
                             # next opening kick
                             zh = S[i - start, 0]
-                            zh[:] = zn
+                            zh[:] = z
                             zh[1:k:2] = p_h
+                    Z[i + 1] = z
+                    XS[i + 1] = X
         except Exception as e:
             # a callable may raise on the non-finite state of an earlier step
             cause, stop = e, i
@@ -421,8 +461,8 @@ class RhoTransform:
     tk: np.ndarray  # sample times, increasing
     table: np.ndarray  # (samples, 2, 2n): interleaved (q, p) and its rate (v, f)
 
-    def _hermite(self, t, order):
-        """Interleaved (q, p) of the table (order 0) or its rate (order 1) at t."""
+    def _hermite(self, t):
+        """Interleaved (q, p) of the table at t."""
         # the basis weights are written so that at s = 0 and s = 1 every weight
         # but one is an exact zero: the nodes reproduce the table bitwise.  Re t
         # picks the interval; a complex t carries Im t through s
@@ -432,33 +472,16 @@ class RhoTransform:
         i = min(max(int(np.searchsorted(tk, t.real, side="right")) - 1, 0), len(tk) - 2)
         h = tk[i + 1] - tk[i]
         s = (t - tk[i]) / h
-        if order == 0:
-            w = ((2.0 * s - 3.0) * s * s + 1.0, h * ((s - 2.0) * s + 1.0) * s,
-                 (3.0 - 2.0 * s) * s * s, h * (s - 1.0) * s * s)
-        else:
-            w = (6.0 * (s - 1.0) * s / h, (3.0 * s - 4.0) * s + 1.0,
-                 6.0 * (1.0 - s) * s / h, (3.0 * s - 2.0) * s)
+        w = ((2.0 * s - 3.0) * s * s + 1.0, h * ((s - 2.0) * s + 1.0) * s,
+             (3.0 - 2.0 * s) * s * s, h * (s - 1.0) * s * s)
         return np.dot(w, self.table[i : i + 2].reshape(4, -1))
 
     def __call__(self, z):
         z = _as_state(z, complex if np.iscomplexobj(z) else float)
         q, p, eps, t = _split(z)
         z[-2] = eps + self.sys.value(q, p, t)
-        z[:-2] += self._hermite(t, 0) - self.table[0, 0]  # the shift (xi, pi)
+        z[:-2] += self._hermite(t) - self.table[0, 0]  # the shift (xi, pi)
         return z
-
-    def jacobian(self, z):
-        """Analytic Jacobian: identity block, gradient row, shift-rate column; blind to `value`."""
-        z = _as_state(z)
-        q, p, _, t = _split(z)
-        d = len(z)
-        k = d - 2
-        J = np.eye(d)
-        J[:k, -1] = self._hermite(t, 1)
-        J[k, 0:k:2] = np.asarray(self.sys.grad_q(q, p, t), dtype=float)
-        J[k, 1:k:2] = np.asarray(self.sys.grad_p(q, p, t), dtype=float)
-        J[k, -1] = float(self.sys.d_t(q, p, t))
-        return J
 
     def as_map(self):
         # the Jacobian is the complex step of the transform itself, which sees `value`

@@ -33,7 +33,7 @@ from .groups import (
     _membership,
     heisenberg_from_vfr,
     heisenberg_mul,
-    jacobi_factor,
+    jacobi_factor,  # noqa: F401  (unused here; perfbench/tracing.py wraps verify.jacobi_factor)
     vfr_convert,
 )
 
@@ -58,13 +58,6 @@ class InvarianceReport:
     # the (count, d, d) stack of checked Jacobians: the probe Jacobians of a
     # map, the kept Jacobians of a flow; the factors are read off its entries
     jacobians: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def factorization(self):
-        """The factors of `jacobians`, derived on each access; None unless all of them factored."""
-        if not self.n_factored:
-            return None
-        return jacobi_factor(self.jacobians, tol=max(self.tol_omega, self.tol_lambda))
 
     def to_dict(self):
         """Every field but the `jacobians` stack, which the CLI writes to a .npy file."""

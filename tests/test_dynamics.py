@@ -16,6 +16,7 @@ from jacobiflow import (
     write_csv,
 )
 from jacobiflow.dynamics import _CSV_BLOCK
+from reference_helpers import rho_jacobian
 
 
 def _ho():
@@ -39,6 +40,21 @@ def test_field_autonomous_energy_component():
         sys = builtin_system(name, n=2)
         X = extended_vector_field(sys, rng.uniform(-2, 2, 6))
         assert X[-2] == 0.0 and X[-1] == 1.0
+
+
+@pytest.mark.parametrize("n, length", [(1, 6), (2, 4), (2, 8)])
+def test_field_functions_reject_a_state_of_another_dimension(n, length):
+    # a driven n=1 preset returned a 6-vector for a length-6 state, and an n=2
+    # preset a 6x6 Jacobian for a length-4 state
+    sys = builtin_system("driven_oscillator", n=n)
+    z = np.linspace(-1.0, 1.0, length)
+    message = f"^state length {length} does not match system n={n}$"
+    with pytest.raises(ValueError, match=message):
+        extended_vector_field(sys, z)
+    with pytest.raises(ValueError, match=message):
+        field_jacobian(sys, z)
+    with pytest.raises(ValueError, match=message):
+        integrate_flow(sys, z, 1.0, 0.1)
 
 
 def test_free_particle_closed_form():
@@ -300,11 +316,14 @@ def _anharmonic(n=2, beta=0.8):
         A[..., p_rows, q_cols] -= 3.0 * beta * q * q
         return A
 
+    # the family's field writer gives the driven oscillator's force, so it goes
+    # with the replaced grad_q: the integrator composes the field from the gradients
     return dataclasses.replace(
         base,
         value=lambda q, p, t: base.value(q, p, t) + 0.25 * beta * float(np.sum(q**4)),
         grad_q=lambda q, p, t: base.grad_q(q, p, t) + beta * q**3,
         vf_jacobian=vf_jacobian,
+        field=None,
         name="anharmonic",
     )
 
@@ -344,14 +363,19 @@ def test_leapfrog_jacobian_is_symplectic(name):
 
 def _counting(sys):
     # a vf_jacobian call counts the states it evaluates: one per row of a
-    # (B, d) stack, one for a single state
-    calls = dict.fromkeys(("grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
+    # (B, d) stack, one for a single state; a field writer call is counted
+    # as "field" and as one evaluation of each of grad_p, grad_q and d_t,
+    # the three it gives
+    calls = dict.fromkeys(("field", "grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
 
     def counted(name):
         fn = getattr(sys, name)
 
         def wrapper(*args):
             calls[name] += len(args[0]) if name == "vf_jacobian" and args[0].ndim == 2 else 1
+            if name == "field":
+                for grad in ("grad_p", "grad_q", "d_t"):
+                    calls[grad] += 1
             return fn(*args)
 
         return wrapper
@@ -362,15 +386,17 @@ def _counting(sys):
 @pytest.mark.parametrize(
     "method, with_variational, expected",
     [
-        # 4 field and 4 Jacobian evaluations per step; the field at each new
-        # state is both the stored sample and the next step's first stage
-        ("rk4", True, {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
+        # 4 field and 4 Jacobian evaluations per step, each field one writer
+        # call; the field at each new state is both the stored sample and the
+        # next step's first stage
+        ("rk4", True, {"field": 401, "grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
         # per step a drift, the sample's v, one half kick shared with the next
-        # step and one Jacobian; plus the opening sample and Jacobian
-        ("leapfrog", True, {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
+        # step and one Jacobian, through the gradients; plus the opening sample
+        # (one writer call) and Jacobian
+        ("leapfrog", True, {"field": 1, "grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
         # the state pass alone makes the same field evaluations and no Jacobian
-        ("rk4", False, {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 0}),
-        ("leapfrog", False, {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 0}),
+        ("rk4", False, {"field": 401, "grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 0}),
+        ("leapfrog", False, {"field": 1, "grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 0}),
     ],
 )
 def test_evaluations_per_100_steps(method, with_variational, expected):
@@ -434,7 +460,7 @@ def test_rho_free_particle_shifts():
     xi, pi = rho(z)[:2]
     assert abs(xi - 3.0) < 1e-9  # xi(t) = p0 t
     assert abs(pi) < 1e-12
-    assert np.array_equal(rho.jacobian(z)[:2, -1], traj.X[150, :2])  # (xi_dot, pi_dot) = (v, f)
+    assert np.array_equal(rho_jacobian(rho, z)[:2, -1], traj.X[150, :2])  # (xi_dot, pi_dot) = (v, f)
 
 
 def test_rho_at_start_time():
@@ -462,7 +488,7 @@ def test_rho_jacobian_structure_and_fd_agreement():
     traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 2.0, 1e-3)
     rho = make_rho(traj, sys)
     z = traj.z[traj.n_samples // 2].copy()
-    J = rho.jacobian(z)
+    J = rho_jacobian(rho, z)
     assert np.array_equal(J[:2, :2], np.eye(2))
     assert np.array_equal(J[-1], [0.0, 0.0, 0.0, 1.0])
     assert J[2, 2] == 1.0
@@ -479,7 +505,7 @@ def test_rho_rejects_time_outside_range():
     with pytest.raises(ValueError):
         rho(np.array([0.0, 0.0, 0.0, -0.5]))
     with pytest.raises(ValueError):
-        rho.jacobian(np.array([0.0, 0.0, 0.0, -0.5]))
+        rho_jacobian(rho, np.array([0.0, 0.0, 0.0, -0.5]))
 
 
 def test_make_rho_needs_samples():

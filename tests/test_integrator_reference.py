@@ -116,9 +116,27 @@ def test_finite_difference_fallback_matches_reference_bitwise(method):
     _assert_matches_reference(sys, 5, method)
 
 
-def _assert_matches_reference(sys, seed, method, with_variational=True):
-    rng = np.random.default_rng(seed)
-    z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n + 1), [T0]])
+@pytest.mark.parametrize("with_variational", [True, False])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+def test_gradient_field_fallback_matches_reference_bitwise(method, with_variational):
+    # without a field writer each stage's field is composed from the gradients
+    sys = dataclasses.replace(builtin_system("driven_oscillator", n=2), field=None)
+    _assert_matches_reference(sys, 7, method, with_variational=with_variational)
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_flow_from_signed_zeros_matches_reference_bitwise(name, method):
+    # a -0.0 coordinate whose increments are all -0.0, as the free particle's
+    # momentum under its force -0.0, stays -0.0
+    z0 = np.array([-0.0, -0.0, 0.5, -0.0, -0.0, 0.7, -0.0, T0])
+    _assert_matches_reference(builtin_system(name, n=3), None, method, z0=z0)
+
+
+def _assert_matches_reference(sys, seed, method, with_variational=True, z0=None):
+    if z0 is None:
+        rng = np.random.default_rng(seed)
+        z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n + 1), [T0]])
     traj = integrate_flow(sys, z0, T_END, DT, method=method, with_variational=with_variational, jac_every=1)
     z, v, f, r, Js = _reference_flow(sys, z0, T_END, DT, method)
     assert len(z) > 2 * _STAGE_CHUNK + 1
