@@ -16,11 +16,10 @@ and its field sample in place, in fixed buffers whose (q, p) and (v, f)
 views are made once per call, and copies them to the step's rows, with
 numpy's floating-point warnings off: one finiteness check over the chunk's
 rows, after the pass, reports the first non-finite step as a blow-up.  RK4
-evaluates the field with one call of the system's writer `field(q, p, t,
-v, f) -> r` per stage (composed from the gradients for a system without
-one) and combines its four stages in one row sum of a (4, 2n+2) buffer;
-leapfrog calls grad_p, grad_q and d_t, since its kicks and drift take v and
-f at different states.
+writes each stage's field (grad_p, -grad_q, d_t) into a row of a (4, 2n+2)
+buffer and combines its four stages in one row sum of that buffer; leapfrog
+calls grad_p, grad_q and d_t one at a time, since its kicks and drift take v
+and f at different states.
 
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
@@ -86,23 +85,19 @@ def _system_state(sys, z):
     return z
 
 
-def _gradient_field(sys):
-    """The field writer `field(q, p, t, v, f) -> r` composed from the system's gradients."""
-
-    def field(q, p, t, v, f):
-        v[...] = sys.grad_p(q, p, t)
-        np.negative(sys.grad_q(q, p, t), out=f)
-        return sys.d_t(q, p, t)
-
-    return field
+def _field(sys, q, p, t, v, f):
+    """Write v = grad_p and f = -grad_q at (q, p, t) into the views v and f; return r = d_t."""
+    v[...] = sys.grad_p(q, p, t)
+    np.negative(sys.grad_q(q, p, t), out=f)
+    return sys.d_t(q, p, t)
 
 
 def extended_vector_field(sys, z):
-    """Field (v, f, r, 1) at z, in canonical ordering, from the system's gradients."""
+    """Field (v, f, r, 1) at z, in canonical ordering."""
     z = _system_state(sys, z)
     k = len(z) - 2
     X = np.empty(len(z))
-    X[-2] = _gradient_field(sys)(z[0:k:2], z[1:k:2], z.item(-1), X[0:k:2], X[1:k:2])
+    X[-2] = _field(sys, z[0:k:2], z[1:k:2], z.item(-1), X[0:k:2], X[1:k:2])
     X[-1] = 1.0
     if not np.all(np.isfinite(X)):
         raise ValueError("Hamiltonian gradients evaluated to non-finite values")
@@ -247,7 +242,6 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     dt = (t_end - t0) / n_steps
     d = len(z)
     k = d - 2
-    field = sys.field or _gradient_field(sys)
     Z = np.empty((n_steps + 1, d))
     XS = np.empty((n_steps + 1, d))  # field samples (v, f, r, 1) at each Z row
     # the step's working buffers, with their (q, p) and (v, f) views made once:
@@ -259,7 +253,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     tmp = np.empty(d)
     X = R[0]
     q, p, v, f = z[0:k:2], z[1:k:2], X[0:k:2], X[1:k:2]
-    X[-2] = field(q, p, z.item(-1), v, f)
+    X[-2] = _field(sys, q, p, z.item(-1), v, f)
     Z[0], XS[0] = z, X
     if not np.isfinite(X).all():
         raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
@@ -312,7 +306,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                         for K, c, z_s, q_s, p_s, K_s, v_s, f_s in rk4_stages:
                             np.multiply(K, c, out=tmp)
                             np.add(z, tmp, out=z_s)
-                            K_s[-2] = field(q_s, p_s, z_s.item(-1), v_s, f_s)
+                            K_s[-2] = _field(sys, q_s, p_s, z_s.item(-1), v_s, f_s)
                         # K + K is 2 K exactly; the rows are summed in order from
                         # -0.0, the exact identity of +, which gives ((X + 2 K2) +
                         # 2 K3) + K4 bit for bit (numpy's default start, +0.0, turns
@@ -323,7 +317,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                         tmp *= wc
                         z += tmp
                         z[-1] = t1
-                        X[-2] = field(q, p, z.item(-1), v, f)
+                        X[-2] = _field(sys, q, p, z.item(-1), v, f)
                         if with_variational:
                             S[i - start, 1:] = Zs
                     else:

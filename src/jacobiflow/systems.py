@@ -2,9 +2,8 @@
 
 A HamiltonianSystem bundles the scalar value with its gradients and the
 time derivative.  Every built-in system is one family,
-H = |p|^2/2m + m om^2 |q|^2/2 + (g + A cos om_d t) sum(q), with an in-place
-field writer for the integrator's stages and an analytic field Jacobian for
-the variational flow; the catalog names (free particle,
+H = |p|^2/2m + m om^2 |q|^2/2 + (g + A cos om_d t) sum(q), with an analytic
+field Jacobian for the variational flow; the catalog names (free particle,
 harmonic oscillator, constant force, driven oscillator) are presets that
 switch its terms on and give their parameter defaults.
 """
@@ -32,13 +31,6 @@ class HamiltonianSystem:
     single-state call; the integrator hands it every stage state of a run of
     steps at once, and falls back to central differences, row by row,
     without it.
-    field, when supplied, is field(q, p, t, v, f) -> r: it writes v = grad_p
-    and f = -grad_q into the given length-n views in place and returns
-    r = d_t, bit for bit what the three callables give, so that RK4 makes one
-    call per stage; without it the integrator composes the same from the
-    gradients.  A system derived from another by replacing a gradient must
-    replace or drop (None) field and vf_jacobian too, or they keep the old
-    Hamiltonian's field.
     """
 
     n: int
@@ -48,7 +40,6 @@ class HamiltonianSystem:
     d_t: object
     separable: bool = True
     vf_jacobian: object = None
-    field: object = None
     name: str = ""
     params: dict = dc_field(default_factory=dict)
 
@@ -102,6 +93,9 @@ def _family(name, n, params):
     if om is not None:
         spring = m * om * om
         A0[1:k:2, 0:k:2] = -spring * np.eye(n)
+    # 0-d arrays, which numpy divides and multiplies by without a scalar conversion
+    m0 = np.array(m, dtype=float)
+    spring0 = None if om is None else np.array(spring, dtype=float)
 
     def value(q, p, t):
         h = 0.5 * (p @ p) / m
@@ -113,40 +107,19 @@ def _family(name, n, params):
             h = h + amp * q.sum() * np.cos(wd * t)
         return h
 
-    def uniform(t):
-        """The uniform force g + A cos(om_d t), None with neither term."""
-        if amp is None:
-            return g
-        # math.cos and math.sin of the scalar t, and np.add.reduce in d_t, give
-        # numpy's cos, sin and q.sum() bit for bit without their call overhead
-        drive = amp * math.cos(wd * t)
-        return drive if g is None else g + drive
-
     def grad_q(q, p, t):
-        u = uniform(t)
+        u = g  # the uniform force g + A cos(om_d t), None with neither term
+        if amp is not None:
+            # math.cos and math.sin of the scalar t, and np.add.reduce in d_t, give
+            # numpy's cos, sin and q.sum() bit for bit without their call overhead
+            drive = amp * math.cos(wd * t)
+            u = drive if u is None else u + drive
         if om is None:
             return np.zeros(n) if u is None else u * np.ones(n)
-        return spring * q if u is None else spring * q + u
+        return spring0 * q if u is None else spring0 * q + u
 
     def d_t(q, p, t):
         return 0.0 if amp is None else -amp * wd * float(np.add.reduce(q)) * math.sin(wd * t)
-
-    # 0-d arrays, which numpy divides and multiplies by without a scalar conversion
-    m0 = np.array(m, dtype=float)
-    spring0 = None if om is None else np.array(spring, dtype=float)
-
-    def field(q, p, t, v, f):
-        # grad_p and -grad_q in place, each with the gradient's own operations
-        np.divide(p, m0, out=v)
-        u = uniform(t)
-        if om is None:
-            f[...] = 0.0 if u is None else u
-        else:
-            np.multiply(q, spring0, out=f)
-            if u is not None:
-                f += u
-        np.negative(f, out=f)
-        return d_t(q, p, t)
 
     def vf_jacobian(z):
         # one state (d,) or a stack (B, d), with the same arithmetic per row
@@ -163,11 +136,10 @@ def _family(name, n, params):
         n=n,
         value=value,
         grad_q=grad_q,
-        grad_p=lambda q, p, t: p / m,
+        grad_p=lambda q, p, t: p / m0,
         d_t=d_t,
         separable=True,
         vf_jacobian=vf_jacobian,
-        field=field,
         name=name,
         params=params,
     )

@@ -13,10 +13,8 @@ from jacobiflow import jacobi_factor
 
 
 def rho_rate(rho, t):
-    """Rate (v, f), interleaved, of the shift transform's Hermite interpolant at a real t."""
+    """Rate (v, f), interleaved, of the shift transform's Hermite interpolant at a real t in its table."""
     tk = rho.tk
-    if not (tk[0] <= t <= tk[-1]):
-        raise ValueError(f"t={t} outside the tabulated range [{tk[0]}, {tk[-1]}]")
     i = min(max(int(np.searchsorted(tk, t, side="right")) - 1, 0), len(tk) - 2)
     h = tk[i + 1] - tk[i]
     s = (t - tk[i]) / h

@@ -316,14 +316,11 @@ def _anharmonic(n=2, beta=0.8):
         A[..., p_rows, q_cols] -= 3.0 * beta * q * q
         return A
 
-    # the family's field writer gives the driven oscillator's force, so it goes
-    # with the replaced grad_q: the integrator composes the field from the gradients
     return dataclasses.replace(
         base,
         value=lambda q, p, t: base.value(q, p, t) + 0.25 * beta * float(np.sum(q**4)),
         grad_q=lambda q, p, t: base.grad_q(q, p, t) + beta * q**3,
         vf_jacobian=vf_jacobian,
-        field=None,
         name="anharmonic",
     )
 
@@ -349,6 +346,20 @@ def test_anharmonic_variational_matches_flow_differentiation(method):
     assert err < 1e-8
 
 
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+def test_replaced_gradient_is_the_field_the_flow_integrates(method):
+    # a preset whose grad_q is replaced by the force of frequency 2, and
+    # nothing else, flows as the frequency-2 preset, bit for bit
+    base = builtin_system("harmonic_oscillator", n=2)
+    replaced = dataclasses.replace(base, grad_q=lambda q, p, t: 4.0 * q)
+    target = builtin_system("harmonic_oscillator", n=2, frequency=2.0)
+    z0 = np.array([0.9, -0.3, -0.6, 0.4, 0.0, 0.2])
+    got = integrate_flow(replaced, z0, 3.0, 0.01, method=method)
+    want = integrate_flow(target, z0, 3.0, 0.01, method=method)
+    assert got.z.tobytes() == want.z.tobytes() and got.X.tobytes() == want.X.tobytes()
+    assert got.z.tobytes() != integrate_flow(base, z0, 3.0, 0.01, method=method).z.tobytes()
+
+
 @pytest.mark.parametrize("name", ["harmonic_oscillator", "driven_oscillator"])
 def test_leapfrog_jacobian_is_symplectic(name):
     # the tangent of a symplectic step is symplectic to round-off
@@ -363,19 +374,14 @@ def test_leapfrog_jacobian_is_symplectic(name):
 
 def _counting(sys):
     # a vf_jacobian call counts the states it evaluates: one per row of a
-    # (B, d) stack, one for a single state; a field writer call is counted
-    # as "field" and as one evaluation of each of grad_p, grad_q and d_t,
-    # the three it gives
-    calls = dict.fromkeys(("field", "grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
+    # (B, d) stack, one for a single state
+    calls = dict.fromkeys(("grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
 
     def counted(name):
         fn = getattr(sys, name)
 
         def wrapper(*args):
             calls[name] += len(args[0]) if name == "vf_jacobian" and args[0].ndim == 2 else 1
-            if name == "field":
-                for grad in ("grad_p", "grad_q", "d_t"):
-                    calls[grad] += 1
             return fn(*args)
 
         return wrapper
@@ -386,17 +392,15 @@ def _counting(sys):
 @pytest.mark.parametrize(
     "method, with_variational, expected",
     [
-        # 4 field and 4 Jacobian evaluations per step, each field one writer
-        # call; the field at each new state is both the stored sample and the
-        # next step's first stage
-        ("rk4", True, {"field": 401, "grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
+        # 4 field and 4 Jacobian evaluations per step; the field at each new
+        # state is both the stored sample and the next step's first stage
+        ("rk4", True, {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 400}),
         # per step a drift, the sample's v, one half kick shared with the next
-        # step and one Jacobian, through the gradients; plus the opening sample
-        # (one writer call) and Jacobian
-        ("leapfrog", True, {"field": 1, "grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
+        # step and one Jacobian; plus the opening sample and Jacobian
+        ("leapfrog", True, {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 101}),
         # the state pass alone makes the same field evaluations and no Jacobian
-        ("rk4", False, {"field": 401, "grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 0}),
-        ("leapfrog", False, {"field": 1, "grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 0}),
+        ("rk4", False, {"grad_p": 401, "grad_q": 401, "d_t": 401, "vf_jacobian": 0}),
+        ("leapfrog", False, {"grad_p": 201, "grad_q": 101, "d_t": 101, "vf_jacobian": 0}),
     ],
 )
 def test_evaluations_per_100_steps(method, with_variational, expected):
@@ -505,7 +509,7 @@ def test_rho_rejects_time_outside_range():
     with pytest.raises(ValueError):
         rho(np.array([0.0, 0.0, 0.0, -0.5]))
     with pytest.raises(ValueError):
-        rho_jacobian(rho, np.array([0.0, 0.0, 0.0, -0.5]))
+        rho.as_map().jacobian(np.array([0.0, 0.0, 0.0, -0.5]))
 
 
 def test_make_rho_needs_samples():

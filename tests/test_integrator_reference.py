@@ -116,14 +116,6 @@ def test_finite_difference_fallback_matches_reference_bitwise(method):
     _assert_matches_reference(sys, 5, method)
 
 
-@pytest.mark.parametrize("with_variational", [True, False])
-@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-def test_gradient_field_fallback_matches_reference_bitwise(method, with_variational):
-    # without a field writer each stage's field is composed from the gradients
-    sys = dataclasses.replace(builtin_system("driven_oscillator", n=2), field=None)
-    _assert_matches_reference(sys, 7, method, with_variational=with_variational)
-
-
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_flow_from_signed_zeros_matches_reference_bitwise(name, method):
