@@ -31,19 +31,13 @@ import numpy as np
 from . import __version__
 from .forms import MapHandle, as_dimension, block_to_interleaved
 from .selftest import FACTOR_TOL, run_checks
-from .systems import BUILTIN_SYSTEMS, _require, builtin_system
-from .dynamics import (
-    _INCREMENT_STACKS,
-    _STAGE_CHUNK,
-    integrate_flow,
-    make_rho,
-    step_count,
-    write_csv,
-)
+from .systems import BUILTIN_SYSTEMS, builtin_system
+from .dynamics import integrate_flow, make_rho, step_count, variational_matrices, write_csv
 from .verify import (
     box_probes,
     check_flow_jacobians,
     check_invariance,
+    check_matrices,
     energy_ledger,
     hamilton_residual,
     trajectory_probes,
@@ -61,11 +55,7 @@ _FLOAT_KEYS = {"t_end", "dt", "tol_omega", "tol_lambda", "tol_hamilton", "tol_le
 _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
 # hamilton_residual takes interior differences, which need 5 samples
 _MIN_FLOW_STEPS = 4
-# size limit on the (2n+2)^2 x 8-byte Jacobians of a run.  A flow counts
-# steps + 1 samples (the size of the full stack, which is not stored, but the
-# kept Jacobians, jacobians.npy and the CSV grow with it), the stage
-# Jacobians of one chunk of steps, the stacks that chunk's step increments
-# are formed in, and the probes; a map counts its probes
+# size limit on the (2n+2)^2 x 8-byte matrices a run holds at once
 _MAX_JACOBIAN_BYTES = 2**30
 # each probe costs a map Jacobian and a membership check
 _MAX_PROBES = 10_000
@@ -133,12 +123,12 @@ def parse_config(path):
 
 
 def validate_config(cfg, present):
+    # the library calls that own the dimension, system and flow-time checks raise
+    # their ValueError; the system is built last, once the size limit bounds n
     if cfg["mode"] not in ("flow", "map"):
         raise ConfigError(f"mode must be 'flow' or 'map', got {cfg['mode']!r}")
     if cfg["method"] not in ("rk4", "leapfrog"):
         raise ConfigError(f"method must be 'rk4' or 'leapfrog', got {cfg['method']!r}")
-    if cfg["n"] < 1:
-        raise ConfigError(f"n must be >= 1, got {cfg['n']}")
     for key in ("t_end", "dt"):
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
@@ -153,48 +143,33 @@ def validate_config(cfg, present):
             raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
     if cfg["map"] not in _MAP_NAMES:
         raise ConfigError(f"map must be one of {_MAP_NAMES}, got {cfg['map']!r}")
-    if cfg["system"] not in BUILTIN_SYSTEMS:
-        raise ConfigError(
-            f"system must be one of {sorted(BUILTIN_SYSTEMS)}, got {cfg['system']!r}"
-        )
-    try:
-        params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
-        _require(params, BUILTIN_SYSTEMS[cfg["system"]], cfg["system"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    d = 2 * cfg["n"] + 2
+    d = 2 * as_dimension(cfg["n"]) + 2
     if cfg["z0"] is None:
         cfg["z0"] = [1.0] * cfg["n"] + [0.0] * cfg["n"] + [0.0, 0.0]
     elif len(cfg["z0"]) != d:
         raise ConfigError(f"z0 must have {d} entries (q1..qn p1..pn eps t), got {len(cfg['z0'])}")
     elif not all(math.isfinite(x) for x in cfg["z0"]):
         raise ConfigError(f"z0 must be finite, got {cfg['z0']}")
-    jacobians = cfg["probes"]
-    if cfg["mode"] == "flow":
+    # the probes and their check; a flow's working set also covers the
+    # check of its kept Jacobians, which comes after it and is smaller
+    matrices = cfg["probes"] + check_matrices(cfg["probes"])
+    if cfg["mode"] == "map":
+        matrices += 4  # the catalog's four linear maps
+    else:
         t0 = cfg["z0"][-1]
-        if not cfg["t_end"] > t0:
-            raise ConfigError(f"t_end ({cfg['t_end']}) must exceed the initial time ({t0})")
-        try:
-            steps = step_count(t0, cfg["t_end"], cfg["dt"])
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        steps = step_count(t0, cfg["t_end"], cfg["dt"])
         if steps < _MIN_FLOW_STEPS:
             raise ConfigError(
                 f"the flow needs at least {_MIN_FLOW_STEPS} steps, got {steps}"
                 f" (t_end {cfg['t_end']}, initial time {t0}, dt {cfg['dt']})"
             )
-        stages = 4 if cfg["method"] == "rk4" else 1
-        jacobians += steps + 1 + (stages + _INCREMENT_STACKS) * min(_STAGE_CHUNK, steps)
-    if jacobians * d * d * 8 > _MAX_JACOBIAN_BYTES:
-        what = (
-            "samples, stage Jacobians, step increments and probes"
-            if cfg["mode"] == "flow"
-            else "probes"
-        )
+        matrices += variational_matrices(steps, cfg["method"])
+    if matrices * d * d * 8 > _MAX_JACOBIAN_BYTES:
         raise ConfigError(
-            f"the run's {jacobians:.3g} Jacobians of {d} x {d} ({what}) exceed the size"
+            f"the run's {matrices:.3g} Jacobians of {d} x {d} exceed the size"
             f" limit of {_MAX_JACOBIAN_BYTES} bytes at 8 bytes per entry"
         )
+    builtin_system(cfg["system"], n=cfg["n"], **{k: cfg[k] for k in _PARAM_KEYS if k in present})
     return cfg
 
 
@@ -350,7 +325,10 @@ def _make_out_dir(out_dir, reports):
 
 
 def run_scenario(cfg, present, out_dir):
-    cfg = validate_config(cfg, present)
+    try:
+        cfg = validate_config(cfg, present)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
     if cfg["mode"] == "map":
         _make_out_dir(out_dir, ("probe_jacobians.npy", "invariance.json"))

@@ -40,12 +40,12 @@ J keeps an exact (0, ..., 0, 1) time row and e_eps energy column.  Once a
 chunk's state pass is checked, one field-Jacobian call evaluates A at all its
 stage states, stacked products form all its increments at once, and the
 tangent pass chains them, one product and one sum per step (adding D J to J
-keeps the round-off of I + D out of the chain).  The tangent pass writes the
-chunk's Jacobians into one (`_STAGE_CHUNK` + 1, d, d) stack, whose first row
-carries J in from the chunk before; from that stack it takes the symplectic
-and time-metric residual of every J in one stacked pass, and keeps only every
-`jac_every`-th J and the last one.  The certification layer factors those
-into the matrix group.  The full (steps + 1, d, d) stack is never stored.
+keeps the round-off of I + D out of the chain).  The tangent pass writes
+each J over the increment that produced it, so the increment stack becomes
+the chunk's Jacobians; from it the pass takes the symplectic and time-metric
+residual of every J in one stacked pass, and keeps only every `jac_every`-th
+J and the last one.  The certification layer factors those into the matrix
+group.  The full (steps + 1, d, d) stack is never stored.
 """
 
 import math
@@ -61,8 +61,6 @@ from .forms import MapHandle, complex_step_jacobian, eta_residual, numeric_jacob
 # (chunk, stages, d, d) stack that stays near 1 MB at n = 16, and one
 # stacked residual pass per chunk
 _STAGE_CHUNK = 32
-# (chunk, d, d) stacks the tangent pass forms a chunk's step increments in
-_INCREMENT_STACKS = 3
 _CSV_BLOCK = 1024  # rows per block of write_csv's formatting
 
 
@@ -182,10 +180,25 @@ def _check_system(traj, sys):
 
 def step_count(t0, t_end, dt):
     """Number of steps `integrate_flow` takes: round((t_end - t0)/dt), at least 1."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not t_end > t0:
+        raise ValueError(f"t_end ({t_end}) must exceed the initial time ({t0})")
     ratio = (t_end - t0) / dt
     if not math.isfinite(ratio):
         raise ValueError(f"step count (t_end - t0)/dt = {ratio} is not finite")
     return max(1, round(ratio))
+
+
+def variational_matrices(n_steps, method="rk4"):
+    """The most (d, d) matrices a variational `integrate_flow` of n_steps holds at once.
+
+    steps + 1 samples, the size of the full stack, which is not stored but
+    which the kept Jacobians grow with; per step of one chunk, the stage
+    Jacobians, the three increment stacks and the two temporaries of their residual.
+    """
+    stages = 4 if method == "rk4" else 1
+    return n_steps + 1 + (stages + 5) * min(_STAGE_CHUNK, n_steps)
 
 
 def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac_every=10):
@@ -226,16 +239,13 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     if not np.all(np.isfinite(z)):
         raise ValueError(f"initial state must be finite, got {z.tolist()}")
     t0 = z[-1]
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not t_end > t0:
-        raise ValueError(f"t_end ({t_end}) must exceed the initial time ({t0})")
     method = method.lower() if isinstance(method, str) else method
     if method not in ("rk4", "leapfrog"):
         raise ValueError(f"unknown method {method!r}")
     if method == "leapfrog" and not sys.separable:
         raise ValueError("leapfrog requires a separable system")
-    if with_variational and not (isinstance(jac_every, (int, np.integer)) and jac_every >= 1):
+    whole = isinstance(jac_every, (int, np.integer)) and not isinstance(jac_every, bool)
+    if with_variational and not (whole and jac_every >= 1):
         raise ValueError(f"jac_every must be an integer >= 1, got {jac_every!r}")
 
     n_steps = step_count(t0, t_end, dt)
@@ -263,10 +273,9 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         Js = np.empty((len(jac_steps), d, d))
         res_o = np.empty(n_steps + 1)
         res_l = np.empty(n_steps + 1)
-        # row j holds J at sample start + j of the current chunk
-        Jc = np.empty((_STAGE_CHUNK + 1, d, d))
-        Jc[0] = Js[0] = np.eye(d)
-        res_o[0], res_l[0] = zeta_residual(Jc[0]), eta_residual(Jc[0])
+        J = Js[0] = np.eye(d)  # carried into the next chunk
+        JD = np.empty((d, d))
+        res_o[0], res_l[0] = zeta_residual(J), eta_residual(J)
     h = 0.5 * dt
     w = dt / 6.0
     rk4 = method == "rk4"
@@ -381,6 +390,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             D += L3
             D += L4
             D *= w
+            del As, A1, A2, A3, A4  # freed before the next chunk's stage Jacobians are formed
         else:
             # the opening kick takes A from the previous step's half-kick state
             A = As[:, 0]
@@ -396,14 +406,15 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             np.matmul(c, D, out=u)  # D = u + c + c u
             D += c
             D += u
-        for D_j, J, J_next in zip(D, Jc[:m], Jc[1 : m + 1]):
-            np.matmul(D_j, J, out=J_next)
-            J_next += J
-        res_o[start + 1 : stop + 1] = zeta_residual(Jc[1 : m + 1])
-        res_l[start + 1 : stop + 1] = eta_residual(Jc[1 : m + 1])
+        for D_j in D:
+            np.matmul(D_j, J, out=JD)
+            np.add(JD, J, out=D_j)
+            J = D_j
+        J = J.copy()  # so that the chunk's stack is freed with D
+        res_o[start + 1 : stop + 1] = zeta_residual(D)
+        res_l[start + 1 : stop + 1] = eta_residual(D)
         lo, hi = np.searchsorted(jac_steps, (start + 1, stop + 1))
-        Js[lo:hi] = Jc[jac_steps[lo:hi] - start]
-        Jc[0] = Jc[m]
+        Js[lo:hi] = D[jac_steps[lo:hi] - start - 1]
     return Trajectory(
         z=Z,
         X=XS,

@@ -35,7 +35,7 @@ def _freeze(a):
 
 def as_dimension(n):
     """The number n of position degrees of freedom as a Python int; n must be a positive integer."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     return int(n)
 

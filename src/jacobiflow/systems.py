@@ -22,9 +22,9 @@ class HamiltonianSystem:
 
     value, grad_q, grad_p, d_t all take (q, p, t) with q, p arrays of
     length n, and must not modify them; value also takes a complex (q, p, t),
-    for the complex step of `make_rho(...).as_map()`.  separable means
-    H = T(p) + V(q, t), so grad_q and d_t ignore p and grad_p ignores q and t;
-    leapfrog relies on this to reuse one half kick's force and power for the next.
+    for the complex step of `make_rho(...).as_map()`.  separable, False unless
+    declared, means H = T(p) + V(q, t), so grad_q and d_t ignore p and grad_p
+    ignores q and t; leapfrog needs it, to reuse a half kick's force and power.
     vf_jacobian, when supplied, evaluates the (2n+2)-dimensional Jacobian of
     the extended vector field at one flat state vector (d,), or at each row
     of a (B, d) stack, giving (B, d, d) with each matrix bitwise equal to the
@@ -38,7 +38,7 @@ class HamiltonianSystem:
     grad_q: object
     grad_p: object
     d_t: object
-    separable: bool = True
+    separable: bool = False
     vf_jacobian: object = None
     name: str = ""
     params: dict = dc_field(default_factory=dict)

@@ -154,6 +154,16 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     return _report(res_o, eta_residual(jacobians), jacobians, slice(None), tol_omega, tol_lambda)
 
 
+def check_matrices(count):
+    """The most (d, d) matrices a check of `count` Jacobians holds beside their stack.
+
+    The membership pass holds a chunk's stripped copy and the two products
+    of its symplectic residual, beside the last probe's evaluated Jacobian;
+    one complex-step Jacobian of the shift transform holds about five.
+    """
+    return max(3 * min(count, _CHUNK) + 1, 5)
+
+
 def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):
     """Certify the variational Jacobians of a trajectory.
 
@@ -172,8 +182,7 @@ def trajectory_probes(traj, count, rng):
 
     Each probe is a stored sample, either end of the table included, with
     its energy coordinate redrawn from [-2, 2], since no certified quantity
-    depends on it.  The shift transform's complex step leaves Re t where it
-    is, so a probe needs no room for a difference stencil.
+    depends on it.
     """
     out = np.empty((count, traj.z.shape[1]))
     for z in out:

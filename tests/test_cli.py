@@ -24,6 +24,8 @@ from jacobiflow import (
     write_csv,
 )
 from jacobiflow.cli import ConfigError, main, parse_config, validate_config
+from jacobiflow.dynamics import variational_matrices
+from jacobiflow.verify import check_matrices
 from jacobiflow.selftest import run_checks
 from reference_helpers import factorization
 
@@ -262,7 +264,7 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "t_end = 1e305\n",
         "n = 16\nt_end = 200\n",
         "n = 1000\nt_end = 0.032\n",  # 4 x 32 RK4 stage Jacobians of one chunk
-        # 22 Jacobians: 5 samples, 4 stage Jacobians, 3 x 4 step increments, 1 probe
+        # 35 Jacobians: 5 samples, a 4-step chunk's 24, 1 probe and its check's 5
         "n = 1234\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n",
         "mode = map\nn = 100\nprobes = 10000\n",
         # parameters must be finite and give a finite 1/m and m om^2
@@ -317,21 +319,58 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("n, fits", [(1233, True), (1234, False)])
+@pytest.mark.parametrize("n, fits", [(978, True), (979, False)])
 def test_jacobian_limit_counts_the_step_increments(tmp_path, n, fits):
-    # 4 leapfrog steps and 1 probe count 5 samples, 4 stage Jacobians, 3 stacks
-    # of 4 step increments and the probe: 22 Jacobians of (2n+2)^2 x 8 bytes,
-    # which first exceed 1 GiB at n = 1234; without the increments, 10 would
+    # 4 leapfrog steps and 1 probe count 5 samples; per step of the chunk, a
+    # stage Jacobian, 3 increment stacks and the 2 temporaries of their
+    # residual; the probe and the 5 matrices of its complex step: 35 Jacobians
+    # of (2n+2)^2 x 8 bytes, which first exceed 1 GiB at n = 979
     path = tmp_path / "scenario.cfg"
     path.write_text(f"n = {n}\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n")
     cfg, present = parse_config(path)
-    assert 10 * (2 * n + 2) ** 2 * 8 < 2**30
+    assert variational_matrices(4, "leapfrog") + 1 + check_matrices(1) == 5 + 6 * 4 + 1 + 5 == 35
     if fits:
         validate_config(cfg, present)
     else:
-        with pytest.raises(ConfigError, match=r"the run's 22 Jacobians of 2470 x 2470 \(samples, stage"
-                           r" Jacobians, step increments and probes\)"):
+        with pytest.raises(ConfigError, match=r"the run's 35 Jacobians of 1960 x 1960 exceed"):
             validate_config(cfg, present)
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("steps", [4, 31, 33, 100])
+@pytest.mark.parametrize("probes", [1, 20])
+def test_flow_run_holds_at_most_the_counted_jacobians(tmp_path, n, method, steps, probes):
+    # the count the size limit applies: the flow's working set and the probes with their check
+    d = 2 * n + 2
+    counted = (variational_matrices(steps, method) + probes + check_matrices(probes)) * d * d * 8
+    cfg = _write(tmp_path, f"system = driven_oscillator\nn = {n}\nmethod = {method}\n"
+                           f"t_end = {steps * 1e-3}\ndt = 1e-3\nprobes = {probes}\n")
+    main(["--config", cfg, "--out", str(tmp_path / "warm")])  # the form caches are shared
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert np.load(tmp_path / "out" / "probe_jacobians.npy").shape == (probes, d, d)
+    assert peak <= counted
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 0\n", "dimension must be a positive integer, got 0"),
+        ("system = teleporter\n", "unknown system 'teleporter'; available: ['constant_force',"
+         " 'driven_oscillator', 'free_particle', 'harmonic_oscillator']"),
+    ],
+)
+def test_config_errors_carry_the_library_message(tmp_path, capsys, text, message):
+    code, out = _run(tmp_path, text)
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 # the report each mode writes last, so that a late failure to write it would waste all the work

@@ -15,7 +15,7 @@ from jacobiflow import (
     numeric_jacobian,
     write_csv,
 )
-from jacobiflow.dynamics import _CSV_BLOCK
+from jacobiflow.dynamics import _CSV_BLOCK, step_count
 from reference_helpers import rho_jacobian
 
 
@@ -165,6 +165,40 @@ def test_leapfrog_requires_separable():
         integrate_flow(coupled, np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 0.1, method="leapfrog")
 
 
+def test_a_system_is_not_separable_unless_it_says_so():
+    # H = (p^2 + q^2)/2 + q p/2 couples q and p; leapfrog would integrate it
+    # at first order, so it must be refused unless the system declares itself separable
+    coupled = HamiltonianSystem(
+        n=1,
+        value=lambda q, p, t: 0.5 * float(p @ p + q @ q + q @ p),
+        grad_q=lambda q, p, t: q + 0.5 * p,
+        grad_p=lambda q, p, t: p + 0.5 * q,
+        d_t=lambda q, p, t: 0.0,
+    )
+    assert not coupled.separable
+    with pytest.raises(ValueError, match="^leapfrog requires a separable system$"):
+        integrate_flow(coupled, np.array([1.0, 0.0, 0.0, 0.0]), 5.0, 1e-2, method="leapfrog")
+    assert np.isfinite(integrate_flow(coupled, np.array([1.0, 0.0, 0.0, 0.0]), 5.0, 1e-2).z).all()
+
+
+@pytest.mark.parametrize(
+    "t0, t_end, dt, message",
+    [
+        (0.0, 1.0, -0.1, r"^dt must be positive, got -0.1$"),
+        (0.0, 1.0, 0.0, r"^dt must be positive, got 0.0$"),
+        (0.0, 1.0, np.nan, r"^dt must be positive, got nan$"),
+        (1.0, 0.0, 0.1, r"^t_end \(0.0\) must exceed the initial time \(1.0\)$"),
+        (1.0, 1.0, 0.1, r"^t_end \(1.0\) must exceed the initial time \(1.0\)$"),
+    ],
+)
+def test_step_count_owns_the_flow_time_checks(t0, t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        step_count(t0, t_end, dt)
+    # integrate_flow raises the same error through it
+    with pytest.raises(ValueError, match=message):
+        integrate_flow(_ho(), np.array([1.0, 0.0, 0.0, t0]), t_end, dt)
+
+
 def test_blow_up_detection():
     # dq/dtau = q^2 escapes in finite time
     unstable = HamiltonianSystem(
@@ -199,6 +233,7 @@ def _turns_infinite(t_bad, term, strict):
         grad_q=grad_q,
         grad_p=lambda q, p, t: p + (velocity if t >= t_bad else 0.0),
         d_t=lambda q, p, t: 0.0,
+        separable=True,
     )
 
 

@@ -261,7 +261,7 @@ def test_every_n_is_a_plain_int():
         assert type(x.n) is int and x.n == 2, type(x).__name__
 
 
-@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, 2.7, "3"])
+@pytest.mark.parametrize("n", [0, -1, 1.5, 2.0, 2.7, "3", True, np.True_])
 def test_dimension_that_is_not_a_positive_integer_is_rejected(n):
     with pytest.raises(ValueError, match="positive integer"):
         as_dimension(n)

@@ -69,7 +69,7 @@ def test_no_variational_data_without_the_jacobian():
     assert traj.jac is traj.jac_steps is traj.jac_omega is traj.jac_lambda is None
 
 
-@pytest.mark.parametrize("jac_every", [0, -3, 2.5, None])
+@pytest.mark.parametrize("jac_every", [0, -3, 2.5, None, True])
 def test_bad_stride_is_rejected(jac_every):
     with pytest.raises(ValueError, match="jac_every"):
         integrate_flow(
