@@ -154,7 +154,7 @@ def validate_config(cfg, present):
     # check of its kept Jacobians, which comes after it and is smaller
     matrices = cfg["probes"] + check_matrices(cfg["probes"])
     if cfg["mode"] == "map":
-        matrices += 4  # the catalog's four linear maps
+        matrices += 1  # the catalog map's matrix
     else:
         t0 = cfg["z0"][-1]
         steps = step_count(t0, cfg["t_end"], cfg["dt"])
@@ -163,10 +163,13 @@ def validate_config(cfg, present):
                 f"the flow needs at least {_MIN_FLOW_STEPS} steps, got {steps}"
                 f" (t_end {cfg['t_end']}, initial time {t0}, dt {cfg['dt']})"
             )
-        matrices += variational_matrices(steps, cfg["method"])
+        matrices += variational_matrices(steps, cfg["method"], d)
     if matrices * d * d * 8 > _MAX_JACOBIAN_BYTES:
+        # a count past the largest float cannot convert to one; only a rejected run imports this
+        from decimal import Decimal
+
         raise ConfigError(
-            f"the run's {matrices:.3g} Jacobians of {d} x {d} exceed the size"
+            f"the run's {Decimal(matrices):.3g} Jacobians of {d} x {d} exceed the size"
             f" limit of {_MAX_JACOBIAN_BYTES} bytes at 8 bytes per entry"
         )
     builtin_system(cfg["system"], n=cfg["n"], **{k: cfg[k] for k in _PARAM_KEYS if k in present})
@@ -186,34 +189,25 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _map_catalog(n):
-    """Hand-built check maps; all but t_doubling are lifted canonical maps."""
+def _catalog_map(n, name):
+    """The hand-built check map `name`; all but t_doubling are lifted canonical maps."""
     n = as_dimension(n)
-    d = 2 * n + 2
-
-    def linear(M, name):
-        return MapHandle(func=lambda z, M=M: M @ np.asarray(z, dtype=float), n=n, name=name)
-
-    T = np.eye(d)
-    T[-1, -1] = 2.0
-    c, s = np.cos(0.7), np.sin(0.7)
-    R = np.eye(d)
-    S = np.eye(d)
-    C = np.eye(d)
-    for i in range(n):
-        R[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[c, -s], [s, c]]
-        S[2 * i, 2 * i + 1] = 0.5
-        C[2 * i, 2 * i] = 2.0
-        C[2 * i + 1, 2 * i + 1] = 0.5
-    return {
-        "identity": MapHandle(
-            func=lambda z: np.asarray(z, dtype=float).copy(), n=n, name="identity"
-        ),
-        "t_doubling": linear(T, "t_doubling"),
-        "rotation": linear(R, "rotation"),
-        "shear": linear(S, "shear"),
-        "scaling": linear(C, "scaling"),
-    }
+    if name == "identity":
+        return MapHandle(func=lambda z: np.asarray(z, dtype=float).copy(), n=n, name=name)
+    M = np.eye(2 * n + 2)
+    q = np.arange(0, 2 * n, 2)  # the q rows and columns; p's are q + 1
+    if name == "t_doubling":
+        M[-1, -1] = 2.0
+    elif name == "rotation":
+        c, s = np.cos(0.7), np.sin(0.7)
+        M[q, q], M[q, q + 1], M[q + 1, q], M[q + 1, q + 1] = c, -s, s, c
+    elif name == "shear":
+        M[q, q + 1] = 0.5
+    elif name == "scaling":
+        M[q, q], M[q + 1, q + 1] = 2.0, 0.5
+    else:
+        raise ValueError(f"unknown map {name!r}")
+    return MapHandle(func=lambda z: M @ np.asarray(z, dtype=float), n=n, name=name)
 
 
 def run_flow(cfg, params, out_dir):
@@ -287,7 +281,7 @@ def run_flow(cfg, params, out_dir):
 
 
 def run_map(cfg, params, out_dir):
-    handle = _map_catalog(cfg["n"])[cfg["map"]]
+    handle = _catalog_map(cfg["n"], cfg["map"])
     rng = np.random.default_rng(cfg["seed"])
     probes = box_probes(cfg["n"], cfg["probes"], rng)
     rep = check_invariance(

@@ -19,7 +19,9 @@ rows, after the pass, reports the first non-finite step as a blow-up.  RK4
 writes each stage's field (grad_p, -grad_q, d_t) into a row of a (4, 2n+2)
 buffer and combines its four stages in one row sum of that buffer; leapfrog
 calls grad_p, grad_q and d_t one at a time, since its kicks and drift take v
-and f at different states.
+and f at different states.  The pass binds its callables once, passes every
+ufunc output positionally, and has no ufunc write over its own length-1
+input, which numpy charges about twice the cost of a call without the alias.
 
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
@@ -84,7 +86,10 @@ def _system_state(sys, z):
 
 
 def _field(sys, q, p, t, v, f):
-    """Write v = grad_p and f = -grad_q at (q, p, t) into the views v and f; return r = d_t."""
+    """Write v = grad_p and f = -grad_q at (q, p, t) into the views v and f; return r = d_t.
+
+    The RK4 loop of `integrate_flow` composes the same three calls inline.
+    """
     v[...] = sys.grad_p(q, p, t)
     np.negative(sys.grad_q(q, p, t), out=f)
     return sys.d_t(q, p, t)
@@ -190,15 +195,20 @@ def step_count(t0, t_end, dt):
     return max(1, round(ratio))
 
 
-def variational_matrices(n_steps, method="rk4"):
-    """The most (d, d) matrices a variational `integrate_flow` of n_steps holds at once.
+def variational_matrices(n_steps, method, d):
+    """The most (d, d) matrices a certified flow of n_steps holds at once.
 
     steps + 1 samples, the size of the full stack, which is not stored but
     which the kept Jacobians grow with; per step of one chunk, the stage
-    Jacobians, the three increment stacks and the two temporaries of their residual.
+    Jacobians, the three increment stacks and the two temporaries of their
+    residual; and, rounded up to whole matrices, the (d,) rows of the samples
+    that outlive the flow: each sample's state and field, the two rows of the
+    shift transform's table, and the three (steps - 1, d) temporaries of
+    `verify.hamilton_residual`.
     """
     stages = 4 if method == "rk4" else 1
-    return n_steps + 1 + (stages + 5) * min(_STAGE_CHUNK, n_steps)
+    rows = 4 * (n_steps + 1) + 3 * (n_steps - 1)
+    return n_steps + 1 + (stages + 5) * min(_STAGE_CHUNK, n_steps) + -(-rows // d)
 
 
 def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac_every=10):
@@ -238,7 +248,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     z = _system_state(sys, z0)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"initial state must be finite, got {z.tolist()}")
-    t0 = z[-1]
+    t0 = z.item(-1)
     method = method.lower() if isinstance(method, str) else method
     if method not in ("rk4", "leapfrog"):
         raise ValueError(f"unknown method {method!r}")
@@ -283,14 +293,18 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     S = np.empty((_STAGE_CHUNK, stages, d))  # stage states of the chunk's steps
     # the step sizes as 0-d arrays, which numpy multiplies by without a scalar conversion
     hc, dtc, wc = np.array(h), np.array(dt), np.array(w)
-    # RK4 stage s + 2 is the field at Zs[s] = z + c K_{s+1}, with K1 = X:
-    # (K_{s+1}, c, Zs[s], its q and p, K_{s+2}, its v and f)
+    # RK4 stage s + 2 is the field at Zs[s] = z + c K_{s+1}, at time t + c, with K1 = X:
+    # (K_{s+1}, c as a 0-d array and a float, Zs[s], its q and p, K_{s+2}, its v and f)
     rk4_stages = [
-        (R[s], c, Zs[s], Zs[s, 0:k:2], Zs[s, 1:k:2], R[s + 1], R[s + 1, 0:k:2], R[s + 1, 1:k:2])
+        (R[s], c, float(c), Zs[s], Zs[s, 0:k:2], Zs[s, 1:k:2],
+         R[s + 1], R[s + 1, 0:k:2], R[s + 1, 1:k:2])
         for s, c in enumerate((hc, hc, dtc))
     ]
     K23 = R[1:3]
-    p_h, dq = np.empty((2, k // 2))  # leapfrog's half-kick momenta and drift
+    p_h, dq, kick = np.empty((3, k // 2))  # leapfrog's half-kick momenta, drift and kick
+    grad_p, grad_q, d_t = sys.grad_p, sys.grad_q, sys.d_t
+    multiply, add, negative, add_reduce = np.multiply, np.add, np.negative, np.add.reduce
+    t1 = t0  # the time of z before each step, a float
     if not rk4 and with_variational:
         # the tangent of kick-drift-kick is (I + c)(I + b)(I + a): the kicks
         # a and c are h A on the (p, eps) rows, the drift b is dt A on the q rows
@@ -309,42 +323,47 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for i in range(start, stop):
-                    t1 = t0 + (i + 1) * dt
+                    t, t1 = t1, t0 + (i + 1) * dt
                     if rk4:
                         # X, the field at z, is both the stored sample and K1
-                        for K, c, z_s, q_s, p_s, K_s, v_s, f_s in rk4_stages:
-                            np.multiply(K, c, out=tmp)
-                            np.add(z, tmp, out=z_s)
-                            K_s[-2] = _field(sys, q_s, p_s, z_s.item(-1), v_s, f_s)
+                        for K, c, c_f, z_s, q_s, p_s, K_s, v_s, f_s in rk4_stages:
+                            multiply(K, c, tmp)
+                            add(z, tmp, z_s)
+                            t_s = t + c_f
+                            v_s[...] = grad_p(q_s, p_s, t_s)
+                            negative(grad_q(q_s, p_s, t_s), f_s)
+                            K_s[-2] = d_t(q_s, p_s, t_s)
                         # K + K is 2 K exactly; the rows are summed in order from
                         # -0.0, the exact identity of +, which gives ((X + 2 K2) +
                         # 2 K3) + K4 bit for bit (numpy's default start, +0.0, turns
                         # a column of -0.0 into +0.0); the time entries reset to 1
-                        np.add(K23, K23, out=K23)
-                        np.add.reduce(R, axis=0, out=tmp, initial=-0.0)
+                        add(K23, K23, K23)
+                        add_reduce(R, 0, None, tmp, False, -0.0)
                         K23[0, -1] = K23[1, -1] = 1.0
-                        tmp *= wc
-                        z += tmp
+                        multiply(tmp, wc, tmp)
+                        add(z, tmp, z)
                         z[-1] = t1
-                        X[-2] = _field(sys, q, p, z.item(-1), v, f)
+                        v[...] = grad_p(q, p, t1)
+                        negative(grad_q(q, p, t1), f)
+                        X[-2] = d_t(q, p, t1)
                         if with_variational:
                             S[i - start, 1:] = Zs
                     else:
                         # separable: grad_q and d_t ignore p, so the force and power of the
                         # stored sample at z give the opening half kick, and those of the
                         # closing half kick give the sample at the new state
-                        np.multiply(f, hc, out=p_h)
-                        p_h += p
+                        multiply(f, hc, kick)
+                        add(kick, p, p_h)
                         eps_h = z.item(-2) + h * X.item(-2)
-                        np.multiply(sys.grad_p(q, p_h, z.item(-1)), dtc, out=dq)
-                        q += dq
-                        np.negative(sys.grad_q(q, p_h, t1), out=f)
-                        X[-2] = sys.d_t(q, p_h, t1)
-                        np.multiply(f, hc, out=p)
-                        p += p_h
+                        multiply(grad_p(q, p_h, t), dtc, dq)
+                        q[...] = add(q, dq, kick)
+                        negative(grad_q(q, p_h, t1), f)
+                        X[-2] = d_t(q, p_h, t1)
+                        multiply(f, hc, kick)
+                        add(kick, p_h, p)
                         z[-2] = eps_h + h * X.item(-2)
                         z[-1] = t1
-                        v[...] = sys.grad_p(q, p, t1)
+                        v[...] = grad_p(q, p, t1)
                         if with_variational:
                             # A at (q1, p_h, t1) gives the drift, the closing kick and the
                             # next opening kick

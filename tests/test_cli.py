@@ -319,31 +319,43 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("n, fits", [(978, True), (979, False)])
+@pytest.mark.parametrize("n, fits", [(964, True), (965, False)])
 def test_jacobian_limit_counts_the_step_increments(tmp_path, n, fits):
     # 4 leapfrog steps and 1 probe count 5 samples; per step of the chunk, a
     # stage Jacobian, 3 increment stacks and the 2 temporaries of their
-    # residual; the probe and the 5 matrices of its complex step: 35 Jacobians
-    # of (2n+2)^2 x 8 bytes, which first exceed 1 GiB at n = 979
+    # residual; the 29 per-sample rows, rounded up to 1 matrix; the probe and
+    # the 5 matrices of its complex step: 36 Jacobians of (2n+2)^2 x 8 bytes,
+    # which first exceed 1 GiB at n = 965
     path = tmp_path / "scenario.cfg"
     path.write_text(f"n = {n}\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n")
     cfg, present = parse_config(path)
-    assert variational_matrices(4, "leapfrog") + 1 + check_matrices(1) == 5 + 6 * 4 + 1 + 5 == 35
+    d = 2 * n + 2
+    assert variational_matrices(4, "leapfrog", d) + 1 + check_matrices(1) == 5 + 6 * 4 + 1 + 1 + 5 == 36
     if fits:
         validate_config(cfg, present)
     else:
-        with pytest.raises(ConfigError, match=r"the run's 35 Jacobians of 1960 x 1960 exceed"):
+        with pytest.raises(ConfigError, match=r"the run's 36 Jacobians of 1932 x 1932 exceed"):
             validate_config(cfg, present)
 
 
-@pytest.mark.parametrize("n", [20, 50])
-@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-@pytest.mark.parametrize("steps", [4, 31, 33, 100])
-@pytest.mark.parametrize("probes", [1, 20])
+# short flows at n = 20 and 50, and long ones at n = 1 and 2, where the rows
+# of length d that every sample keeps outweigh the (d, d) matrices
+HELD_FLOWS = [
+    (n, method, steps, probes)
+    for probes in (1, 20)
+    for steps in (4, 31, 33, 100)
+    for method in ("rk4", "leapfrog")
+    for n in (20, 50)
+] + [(1, "rk4", 20_000, 1), (2, "rk4", 20_000, 1)]
+
+
+@pytest.mark.parametrize(
+    "n, method, steps, probes", HELD_FLOWS, ids=[f"{p}-{s}-{m}-{n}" for n, m, s, p in HELD_FLOWS]
+)
 def test_flow_run_holds_at_most_the_counted_jacobians(tmp_path, n, method, steps, probes):
     # the count the size limit applies: the flow's working set and the probes with their check
     d = 2 * n + 2
-    counted = (variational_matrices(steps, method) + probes + check_matrices(probes)) * d * d * 8
+    counted = (variational_matrices(steps, method, d) + probes + check_matrices(probes)) * d * d * 8
     cfg = _write(tmp_path, f"system = driven_oscillator\nn = {n}\nmethod = {method}\n"
                            f"t_end = {steps * 1e-3}\ndt = 1e-3\nprobes = {probes}\n")
     main(["--config", cfg, "--out", str(tmp_path / "warm")])  # the form caches are shared

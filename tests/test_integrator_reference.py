@@ -95,14 +95,14 @@ def _reference_flow(sys, z0, t_end, dt, method):
 
 
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 16])
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_flow_matches_reference_bitwise(name, n, method):
     _assert_matches_reference(builtin_system(name, n=n), 11 * n + len(name), method)
 
 
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 16])
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_flow_without_jacobian_matches_reference_bitwise(name, n, method):
     # the state pass alone, as ensemble runs take it
@@ -120,9 +120,11 @@ def test_finite_difference_fallback_matches_reference_bitwise(method):
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_flow_from_signed_zeros_matches_reference_bitwise(name, method):
     # a -0.0 coordinate whose increments are all -0.0, as the free particle's
-    # momentum under its force -0.0, stays -0.0
-    z0 = np.array([-0.0, -0.0, 0.5, -0.0, -0.0, 0.7, -0.0, T0])
-    _assert_matches_reference(builtin_system(name, n=3), None, method, z0=z0)
+    # momentum under its force -0.0, stays -0.0; at n = 1 the state pass works
+    # on length-1 q and p views
+    for z0 in ([-0.0, -0.0, 0.5, -0.0, -0.0, 0.7, -0.0, T0], [-0.0, -0.0, -0.0, T0]):
+        sys = builtin_system(name, n=len(z0) // 2 - 1)
+        _assert_matches_reference(sys, None, method, z0=np.array(z0))
 
 
 def _assert_matches_reference(sys, seed, method, with_variational=True, z0=None):

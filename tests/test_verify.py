@@ -22,7 +22,7 @@ from jacobiflow import (
     noncommutativity_check,
     trajectory_probes,
 )
-from jacobiflow.cli import _map_catalog
+from jacobiflow.cli import _catalog_map
 from jacobiflow.forms import canonical_zeta
 from jacobiflow.systems import BUILTIN_SYSTEMS
 from reference_helpers import factorization, rho_jacobian
@@ -449,7 +449,7 @@ def test_check_invariance_holds_one_probe_stack_beyond_its_report():
     n, count = 8, 100
     d = 2 * n + 2
     stack = count * d * d * 8
-    rotation = _map_catalog(n)["rotation"]
+    rotation = _catalog_map(n, "rotation")
     probes = box_probes(n, count, np.random.default_rng(0))
     canonical_zeta(n)  # the shared form cache is not part of the call's cost
     tracemalloc.start()
