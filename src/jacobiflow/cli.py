@@ -152,7 +152,7 @@ def validate_config(cfg, present):
         raise ConfigError(f"z0 must be finite, got {cfg['z0']}")
     # the probes and their check; a flow's working set also covers the
     # check of its kept Jacobians, which comes after it and is smaller
-    matrices = cfg["probes"] + check_matrices(cfg["probes"])
+    matrices = cfg["probes"] + check_matrices(cfg["probes"], d)
     if cfg["mode"] == "map":
         matrices += 1  # the catalog map's matrix
     else:

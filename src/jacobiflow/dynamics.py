@@ -7,21 +7,22 @@ never integrated numerically: the t component of every stored state is
 computed as t0 + k*dt, which keeps the time metric invariant by
 construction.
 
-A trajectory is two (samples, 2n+2) arrays: the states z and the field
-samples X = (v, f, r, 1) at them.  The coordinates (q, p, eps, t), the time
-tau = t and the samples (v, f, r) are views of those two arrays.
+A trajectory is one (samples, 2, 2n+2) array zX: each sample is its state z
+and the field X = (v, f, r, 1) at it.  z, X, the coordinates (q, p, eps, t),
+tau = t, (v, f, r) and the shift transform's table are views of it.
 
-The steps run in chunks of `_STAGE_CHUNK`.  A state pass advances one state
-and its field sample in place, in fixed buffers whose (q, p) and (v, f)
-views are made once per call, and copies them to the step's rows, with
-numpy's floating-point warnings off: one finiteness check over the chunk's
-rows, after the pass, reports the first non-finite step as a blow-up.  RK4
-writes each stage's field (grad_p, -grad_q, d_t) into a row of a (4, 2n+2)
-buffer and combines its four stages in one row sum of that buffer; leapfrog
-calls grad_p, grad_q and d_t one at a time, since its kicks and drift take v
-and f at different states.  The pass binds its callables once, passes every
-ufunc output positionally, and has no ufunc write over its own length-1
-input, which numpy charges about twice the cost of a call without the alias.
+The steps run in chunks of `_STAGE_CHUNK`.  A state pass advances the state
+and its field sample in place, in the first two rows of a fixed buffer whose
+(q, p) and (v, f) views are made once per call, and copies both rows to the
+step's sample at once, with numpy's floating-point warnings off: one
+finiteness check over the chunk's samples, after the pass, reports the first
+non-finite step as a blow-up.  RK4 writes each stage's field (grad_p,
+-grad_q, d_t) into a row of a (4, 2n+2) buffer and combines its four stages
+in one row sum of that buffer; leapfrog calls grad_p, grad_q and d_t one at
+a time, since its kicks and drift take v and f at different states.  The
+pass binds its callables once, passes every ufunc output positionally, and
+has no ufunc write over its own length-1 input, which numpy charges about
+twice the cost of a call without the alias.
 
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
@@ -123,25 +124,31 @@ def field_jacobian(sys, z):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow: states z and field samples X = (v, f, r, 1), one row per sample.
+    """Sampled flow: each sample's state z and field X = (v, f, r, 1) in one array zX.
 
-    q, p, eps, t and v, f, r are views of z and X; tau is t (the flow
-    parameter is time).  With the variational Jacobian, `jac` holds the kept
-    Jacobians, those at the sample indices `jac_steps` (every `jac_every`-th
-    sample and the last one), and `jac_omega`/`jac_lambda` hold the
-    symplectic and time-metric residual of the Jacobian at every sample.
-    Without it all four are None.
+    z, X, q, p, eps, t and v, f, r are views of zX, a (samples, 2, 2n+2)
+    array; tau is t (the flow parameter is time).  With the variational
+    Jacobian, `jac` holds the kept Jacobians, those at the sample indices
+    `jac_steps` (every `jac_every`-th sample and the last one), and
+    `jac_omega`/`jac_lambda` hold the symplectic and time-metric residual of
+    the Jacobian at every sample.  Without it all four are None.
     """
 
-    z: np.ndarray
-    X: np.ndarray
+    zX: np.ndarray
     dt: float
-    method: str
     n: int
     jac: np.ndarray = None
     jac_steps: np.ndarray = None
     jac_omega: np.ndarray = None
     jac_lambda: np.ndarray = None
+
+    @property
+    def z(self):
+        return self.zX[:, 0]
+
+    @property
+    def X(self):
+        return self.zX[:, 1]
 
     @property
     def q(self):
@@ -175,7 +182,7 @@ class Trajectory:
 
     @property
     def n_samples(self):
-        return self.z.shape[0]
+        return len(self.zX)
 
 
 def _check_system(traj, sys):
@@ -202,12 +209,12 @@ def variational_matrices(n_steps, method, d):
     which the kept Jacobians grow with; per step of one chunk, the stage
     Jacobians, the three increment stacks and the two temporaries of their
     residual; and, rounded up to whole matrices, the (d,) rows of the samples
-    that outlive the flow: each sample's state and field, the two rows of the
-    shift transform's table, and the three (steps - 1, d) temporaries of
+    that outlive the flow: each sample's state and field, which the shift
+    transform's table views, and the three (steps - 1, d) temporaries of
     `verify.hamilton_residual`.
     """
     stages = 4 if method == "rk4" else 1
-    rows = 4 * (n_steps + 1) + 3 * (n_steps - 1)
+    rows = 2 * (n_steps + 1) + 3 * (n_steps - 1)
     return n_steps + 1 + (stages + 5) * min(_STAGE_CHUNK, n_steps) + -(-rows // d)
 
 
@@ -262,19 +269,20 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     dt = (t_end - t0) / n_steps
     d = len(z)
     k = d - 2
-    Z = np.empty((n_steps + 1, d))
-    XS = np.empty((n_steps + 1, d))  # field samples (v, f, r, 1) at each Z row
-    # the step's working buffers, with their (q, p) and (v, f) views made once:
-    # the state z, the stage states Zs and, in R, the fields X, K2, K3, K4 at z
-    # and at the stages; each field's time entry stays 1
+    ZX = np.empty((n_steps + 1, 2, d))  # each sample's state and the field (v, f, r, 1) at it
+    # the step's buffers, with their (q, p) and (v, f) views made once: the
+    # sample B[:2] of the state z and the field X = R[0], and the fields K2, K3, K4
+    # at the stage states Zs in the rest of R; each field's time entry stays 1
+    B = np.empty((5, d))
+    B[0] = z
+    z, R, sample = B[0], B[1:], B[:2]
     Zs = np.empty((3, d))
-    R = np.empty((4, d))
     R[:, -1] = 1.0
     tmp = np.empty(d)
     X = R[0]
     q, p, v, f = z[0:k:2], z[1:k:2], X[0:k:2], X[1:k:2]
     X[-2] = _field(sys, q, p, z.item(-1), v, f)
-    Z[0], XS[0] = z, X
+    ZX[0] = sample
     if not np.isfinite(X).all():
         raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
     jac_steps = Js = res_o = res_l = None
@@ -316,8 +324,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         A_open = _jacobian(sys, z)  # A of the chunk's first opening kick
     for start in range(0, n_steps, _STAGE_CHUNK):
         stop = min(start + _STAGE_CHUNK, n_steps)
-        # step i advances z and X to step i + 1 and copies them to rows i + 1 of
-        # Z and XS; over/invalid/divide each leave a non-finite value there,
+        # step i advances z and X to step i + 1 and copies them to sample i + 1
+        # of ZX; over/invalid/divide each leave a non-finite value there,
         # which the check after the pass reports
         cause = None
         try:
@@ -370,13 +378,12 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                             zh = S[i - start, 0]
                             zh[:] = z
                             zh[1:k:2] = p_h
-                    Z[i + 1] = z
-                    XS[i + 1] = X
+                    ZX[i + 1] = sample
         except Exception as e:
             # a callable may raise on the non-finite state of an earlier step
             cause, stop = e, i
         rows = slice(start + 1, stop + 1)
-        ok = np.isfinite(Z[rows]).all(axis=1) & np.isfinite(XS[rows]).all(axis=1)
+        ok = np.isfinite(ZX[rows]).all(axis=(1, 2))
         if not ok.all():
             i = start + int(ok.argmin())
             raise ValueError(
@@ -388,7 +395,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             continue
         m = stop - start
         if rk4:
-            S[:m, 0] = Z[start:stop]
+            S[:m, 0] = ZX[start:stop, 0]
         As = _jacobian(sys, S[:m].reshape(m * stages, d)).reshape(m, stages, d, d)
         # every step's increment D at once, in place over three (m, d, d) stacks;
         # a step's tangent is then J <- J + D J
@@ -435,10 +442,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         lo, hi = np.searchsorted(jac_steps, (start + 1, stop + 1))
         Js[lo:hi] = D[jac_steps[lo:hi] - start - 1]
     return Trajectory(
-        z=Z,
-        X=XS,
+        zX=ZX,
         dt=dt,
-        method=method,
         n=sys.n,
         jac=Js,
         jac_steps=jac_steps,
@@ -483,7 +488,7 @@ class RhoTransform:
 
     sys: object
     tk: np.ndarray  # sample times, increasing
-    table: np.ndarray  # (samples, 2, 2n): interleaved (q, p) and its rate (v, f)
+    table: np.ndarray  # (samples, 2, 2n) view of zX: interleaved (q, p) and its rate (v, f)
 
     def _hermite(self, t):
         """Interleaved (q, p) of the table at t."""
@@ -516,13 +521,14 @@ class RhoTransform:
 def make_rho(traj, sys):
     """Build the shift transform from a trajectory of sys.
 
-    The interpolation table is the trajectory's own interleaved (q, p)
-    samples with the stored field (v, f) as their rates; nothing is fitted.
+    The interpolation table is a view of the trajectory's own interleaved
+    (q, p) samples with the stored field (v, f) as their rates; nothing is
+    fitted, and only the time grid is copied, since searchsorted needs it
+    contiguous.
     """
     _check_system(traj, sys)
     if traj.n_samples < 4:
         raise ValueError(
             f"need at least 4 samples to build the shift transform, got {traj.n_samples}"
         )
-    table = np.stack([traj.z[:, :-2], traj.X[:, :-2]], axis=1)
-    return RhoTransform(sys=sys, tk=traj.t.copy(), table=table)
+    return RhoTransform(sys=sys, tk=traj.t.copy(), table=traj.zX[:, :, :-2])

@@ -136,10 +136,6 @@ class SymplecticBlock:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "n", n)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(np.eye(2 * as_dimension(n)))
-
 
 @dataclass(frozen=True, eq=False)
 class JacobiElement:
@@ -315,14 +311,8 @@ def jacobi_mul(a, b):
     _check_same_n(a, b)
     z0 = zeta_reduced(a.n)
     shift = a.sigma.sigma @ (a.tr * b.w)
-    return _trusted(
-        JacobiElement,
-        sigma=_trusted(SymplecticBlock, sigma=_owned(a.sigma.sigma @ b.sigma.sigma), n=a.n),
-        w=_owned(a.w + shift),
-        r=a.r + b.r + 0.5 * float(a.w @ z0 @ shift),
-        tr=a.tr * b.tr,
-        n=a.n,
-    )
+    r = a.r + b.r + 0.5 * float(a.w @ z0 @ shift)
+    return _element(_owned(a.sigma.sigma @ b.sigma.sigma), _owned(a.w + shift), r, a.tr * b.tr, a.n)
 
 
 def jacobi_inv(a):
@@ -330,14 +320,7 @@ def jacobi_inv(a):
     z0 = zeta_reduced(a.n)
     # symplectic inverse without a linear solve: Sigma^{-1} = zeta°^{-1} Sigma^T zeta°
     sig_inv = -z0 @ a.sigma.sigma.T @ z0
-    return _trusted(
-        JacobiElement,
-        sigma=_trusted(SymplecticBlock, sigma=_owned(sig_inv), n=a.n),
-        w=_owned(-a.tr * (sig_inv @ a.w)),
-        r=-a.r,
-        tr=a.tr,
-        n=a.n,
-    )
+    return _element(_owned(sig_inv), _owned(-a.tr * (sig_inv @ a.w)), -a.r, a.tr, a.n)
 
 
 def _square(M, stack=False):
@@ -403,7 +386,7 @@ def _pattern_deviation(G, w):
 
 
 def _element(sigma, w, r, tr, n):
-    # a factor, from arrays that are owned already
+    # a member by construction, from arrays that are owned already
     return _trusted(
         JacobiElement,
         sigma=_trusted(SymplecticBlock, sigma=sigma, n=n),
@@ -569,20 +552,13 @@ def random_symplectic(n, rng, factors=4):
 def random_jacobi(n, rng, tr=None, factors=4):
     """Random group element; tr = None draws the sign at random.
 
-    A member by construction, so it is built by `_trusted` without
-    re-checking the symplectic residual.
+    A member by construction, built by `_element` without re-checking the
+    symplectic residual; sigma, w and r are drawn in that order.
     """
     if tr is None:
         tr = (-1, 1)[rng.integers(2)]
     elif tr not in (1, -1):
         raise ValueError(f"tr must be +1 or -1, got {tr!r}")
     sigma = _owned(random_symplectic(n, rng, factors=factors))
-    n = len(sigma) // 2
-    return _trusted(
-        JacobiElement,
-        sigma=_trusted(SymplecticBlock, sigma=sigma, n=n),
-        w=_owned(rng.uniform(-2.0, 2.0, len(sigma))),
-        r=float(rng.uniform(-2.0, 2.0)),
-        tr=int(tr),
-        n=n,
-    )
+    w = _owned(rng.uniform(-2.0, 2.0, len(sigma)))
+    return _element(sigma, w, rng.uniform(-2.0, 2.0), tr, len(sigma) // 2)

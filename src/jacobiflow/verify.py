@@ -154,14 +154,16 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
     return _report(res_o, eta_residual(jacobians), jacobians, slice(None), tol_omega, tol_lambda)
 
 
-def check_matrices(count):
+def check_matrices(count, d):
     """The most (d, d) matrices a check of `count` Jacobians holds beside their stack.
 
     The membership pass holds a chunk's stripped copy and the two products
-    of its symplectic residual, beside the last probe's evaluated Jacobian;
-    one complex-step Jacobian of the shift transform holds about five.
+    of its symplectic residual beside the last probe's Jacobian and 4 rows
+    of length d per probe, rounded up to whole matrices: the probe and its
+    residuals, 3 rows at n = 1 as the report's floats.  One complex-step
+    Jacobian of the shift transform holds about five.
     """
-    return max(3 * min(count, _CHUNK) + 1, 5)
+    return max(3 * min(count, _CHUNK) + 1 + -(-4 * count // d), 5)
 
 
 def check_flow_jacobians(traj, tol_omega=1e-6, tol_lambda=1e-10):

@@ -323,14 +323,14 @@ def test_bad_configs_exit_2(tmp_path, text, capsys):
 def test_jacobian_limit_counts_the_step_increments(tmp_path, n, fits):
     # 4 leapfrog steps and 1 probe count 5 samples; per step of the chunk, a
     # stage Jacobian, 3 increment stacks and the 2 temporaries of their
-    # residual; the 29 per-sample rows, rounded up to 1 matrix; the probe and
+    # residual; the 19 per-sample rows, rounded up to 1 matrix; the probe and
     # the 5 matrices of its complex step: 36 Jacobians of (2n+2)^2 x 8 bytes,
     # which first exceed 1 GiB at n = 965
     path = tmp_path / "scenario.cfg"
     path.write_text(f"n = {n}\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n")
     cfg, present = parse_config(path)
     d = 2 * n + 2
-    assert variational_matrices(4, "leapfrog", d) + 1 + check_matrices(1) == 5 + 6 * 4 + 1 + 1 + 5 == 36
+    assert variational_matrices(4, "leapfrog", d) + 1 + check_matrices(1, d) == 5 + 6 * 4 + 1 + 1 + 5 == 36
     if fits:
         validate_config(cfg, present)
     else:
@@ -355,7 +355,7 @@ HELD_FLOWS = [
 def test_flow_run_holds_at_most_the_counted_jacobians(tmp_path, n, method, steps, probes):
     # the count the size limit applies: the flow's working set and the probes with their check
     d = 2 * n + 2
-    counted = (variational_matrices(steps, method, d) + probes + check_matrices(probes)) * d * d * 8
+    counted = (variational_matrices(steps, method, d) + probes + check_matrices(probes, d)) * d * d * 8
     cfg = _write(tmp_path, f"system = driven_oscillator\nn = {n}\nmethod = {method}\n"
                            f"t_end = {steps * 1e-3}\ndt = 1e-3\nprobes = {probes}\n")
     main(["--config", cfg, "--out", str(tmp_path / "warm")])  # the form caches are shared
@@ -367,6 +367,28 @@ def test_flow_run_holds_at_most_the_counted_jacobians(tmp_path, n, method, steps
         tracemalloc.stop()
     assert code in (0, 1)
     assert np.load(tmp_path / "out" / "probe_jacobians.npy").shape == (probes, d, d)
+    assert peak <= counted
+
+
+# map runs that hold more than their matrices unless the rows of length d that
+# each probe keeps are counted: many probes at n = 1, 20 and 56, a few at n = 30
+HELD_MAPS = [(1, 3000), (20, 500), (56, 300), (30, 20)]
+
+
+@pytest.mark.parametrize("n, probes", HELD_MAPS, ids=[f"{p}-{n}" for n, p in HELD_MAPS])
+def test_map_run_holds_at_most_the_counted_jacobians(tmp_path, n, probes):
+    # the count the size limit applies: the probes with their check and the catalog map
+    d = 2 * n + 2
+    counted = (probes + check_matrices(probes, d) + 1) * d * d * 8
+    cfg = _write(tmp_path, f"mode = map\nmap = rotation\nn = {n}\nprobes = {probes}\n")
+    main(["--config", cfg, "--out", str(tmp_path / "warm")])  # the form caches are shared
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
     assert peak <= counted
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,22 @@ def test_make_rho_needs_samples():
     traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 0.2, 0.1)
     with pytest.raises(ValueError):
         make_rho(traj, sys)
+
+
+def test_make_rho_copies_only_the_time_grid():
+    # the table is a view of the trajectory's samples; the time grid, which
+    # searchsorted needs contiguous, is the one float per sample copied
+    sys = _ho()
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, 0.0]), 20.0, 1e-3)
+    assert traj.n_samples == 20_001
+    tracemalloc.start()
+    try:
+        rho = make_rho(traj, sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * traj.n_samples + 4096
+    assert np.shares_memory(rho.table, traj.zX)
 
 
 def test_write_csv_in_blocks_matches_one_shot_formatting(tmp_path):
