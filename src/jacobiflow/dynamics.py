@@ -41,14 +41,25 @@ increment:
 A's time row and energy column are identically zero, hence so are D's, and
 J keeps an exact (0, ..., 0, 1) time row and e_eps energy column.  Once a
 chunk's state pass is checked, one field-Jacobian call evaluates A at all its
-stage states, stacked products form all its increments at once, and the
-tangent pass chains them, one product and one sum per step (adding D J to J
-keeps the round-off of I + D out of the chain).  The tangent pass writes
-each J over the increment that produced it, so the increment stack becomes
-the chunk's Jacobians; from it the pass takes the symplectic and time-metric
-residual of every J in one stacked pass, and keeps only every `jac_every`-th
-J and the last one.  The certification layer factors those into the matrix
-group.  The full (steps + 1, d, d) stack is never stored.
+stage states.  They sit stage by stage in a (stages, chunk, d) buffer, so
+each stage's Jacobians come back as one contiguous (m, d, d) stack.  RK4's
+step loop writes its three stage states there and the chunk adds the steps'
+start states from the samples.  Leapfrog's step loop writes nothing for the
+tangent: the chunk forms each half-kick state from the samples, the step's
+new sample with the momenta f h + p of its old one, by the same two ufuncs
+as the loop's opening kick.  Stacked products form all the chunk's
+increments at once, RK4's in place over three increment stacks made once
+per flow, and the tangent pass chains them, one product and one sum per step
+(adding D J to J keeps the round-off of I + D out of the chain).  The
+tangent pass writes each J over the increment that produced it, so the
+increment stack becomes the chunk's Jacobians; from it the pass takes the
+symplectic and time-metric residual of every J in one stacked pass, and
+keeps only every `jac_every`-th J and the last one.  The certification layer
+factors those into the matrix group.  The full (steps + 1, d, d) stack is
+never stored.
+
+`write_csv` formats each block of `_CSV_BLOCK` rows with one `%` of the row
+format repeated per row, and writes it with one call.
 """
 
 import math
@@ -61,10 +72,10 @@ from .forms import MapHandle, complex_step_jacobian, eta_residual, numeric_jacob
 
 # steps per state pass and per finiteness check; with the variational flow,
 # one field-Jacobian call per chunk instead of one per stage, with a
-# (chunk, stages, d, d) stack that stays near 1 MB at n = 16, and one
+# (stages, chunk, d, d) stack that stays near 1 MB at n = 16, and one
 # stacked residual pass per chunk
 _STAGE_CHUNK = 32
-_CSV_BLOCK = 1024  # rows per block of write_csv's formatting
+_CSV_BLOCK = 256  # rows per block of write_csv's formatting
 
 
 def _as_state(z, dtype=float):
@@ -203,15 +214,15 @@ def step_count(t0, t_end, dt):
 
 
 def variational_matrices(n_steps, method, d):
-    """The most (d, d) matrices a certified flow of n_steps holds at once.
+    """An upper bound on the (d, d) matrices a certified flow of n_steps holds at once.
 
     steps + 1 samples, the size of the full stack, which is not stored but
     which the kept Jacobians grow with; per step of one chunk, the stage
     Jacobians, the three increment stacks and the two temporaries of their
     residual; and, rounded up to whole matrices, the (d,) rows of the samples
     that outlive the flow: each sample's state and field, which the shift
-    transform's table views, and the three (steps - 1, d) temporaries of
-    `verify.hamilton_residual`.
+    transform's table views, and three (steps - 1, d) rows for the report
+    layer, where `verify.hamilton_residual` holds one such temporary.
     """
     stages = 4 if method == "rk4" else 1
     rows = 2 * (n_steps + 1) + 3 * (n_steps - 1)
@@ -298,7 +309,8 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     w = dt / 6.0
     rk4 = method == "rk4"
     stages = 4 if rk4 else 1
-    S = np.empty((_STAGE_CHUNK, stages, d))  # stage states of the chunk's steps
+    chunk = min(_STAGE_CHUNK, n_steps)
+    S = np.empty((stages, chunk, d))  # stage states of the chunk's steps, stage by stage
     # the step sizes as 0-d arrays, which numpy multiplies by without a scalar conversion
     hc, dtc, wc = np.array(h), np.array(dt), np.array(w)
     # RK4 stage s + 2 is the field at Zs[s] = z + c K_{s+1}, at time t + c, with K1 = X:
@@ -322,6 +334,9 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         drift_rows = np.zeros((d, 1))
         drift_rows[0:k:2] = dt
         A_open = _jacobian(sys, z)  # A of the chunk's first opening kick
+    elif with_variational:
+        # the increment stacks L2 (then D), L3 and L4, made once and filled in place per chunk
+        incs = np.empty((3, chunk, d, d))
     for start in range(0, n_steps, _STAGE_CHUNK):
         stop = min(start + _STAGE_CHUNK, n_steps)
         # step i advances z and X to step i + 1 and copies them to sample i + 1
@@ -355,7 +370,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                         negative(grad_q(q, p, t1), f)
                         X[-2] = d_t(q, p, t1)
                         if with_variational:
-                            S[i - start, 1:] = Zs
+                            S[1:, i - start] = Zs
                     else:
                         # separable: grad_q and d_t ignore p, so the force and power of the
                         # stored sample at z give the opening half kick, and those of the
@@ -372,12 +387,6 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                         z[-2] = eps_h + h * X.item(-2)
                         z[-1] = t1
                         v[...] = grad_p(q, p, t1)
-                        if with_variational:
-                            # A at (q1, p_h, t1) gives the drift, the closing kick and the
-                            # next opening kick
-                            zh = S[i - start, 0]
-                            zh[:] = z
-                            zh[1:k:2] = p_h
                     ZX[i + 1] = sample
         except Exception as e:
             # a callable may raise on the non-finite state of an earlier step
@@ -395,19 +404,29 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             continue
         m = stop - start
         if rk4:
-            S[:m, 0] = ZX[start:stop, 0]
-        As = _jacobian(sys, S[:m].reshape(m * stages, d)).reshape(m, stages, d, d)
+            S[0, :m] = ZX[start:stop, 0]
+        else:
+            # A at the half-kick state (q1, p_h, eps1, t1) gives the drift, the
+            # closing kick and the next opening kick: the step's new sample with
+            # the momenta p_h = f h + p of its old one, the step loop's two ufuncs
+            zh = S[0, :m]
+            zh[...] = ZX[start + 1 : stop + 1, 0]
+            P_h = zh[:, 1:k:2]
+            multiply(ZX[start:stop, 1, 1:k:2], hc, P_h)
+            add(P_h, ZX[start:stop, 0, 1:k:2], P_h)
+        As = _jacobian(sys, S[:, :m].reshape(stages * m, d)).reshape(stages, m, d, d)
         # every step's increment D at once, in place over three (m, d, d) stacks;
         # a step's tangent is then J <- J + D J
         if rk4:
-            A1, A2, A3, A4 = As.swapaxes(0, 1)
-            D = A2 @ A1  # L2 = A2 + h A2 A1
+            A1, A2, A3, A4 = As
+            D, L3, L4 = incs[:, :m]
+            np.matmul(A2, A1, out=D)  # L2 = A2 + h A2 A1
             D *= h
             D += A2
-            L3 = A3 @ D  # L3 = A3 + h A3 L2
+            np.matmul(A3, D, out=L3)  # L3 = A3 + h A3 L2
             L3 *= h
             L3 += A3
-            L4 = A4 @ L3  # L4 = A4 + dt A4 L3
+            np.matmul(A4, L3, out=L4)  # L4 = A4 + dt A4 L3
             L4 *= dt
             L4 += A4
             D *= 2.0  # D = w (A1 + 2 L2 + 2 L3 + L4)
@@ -419,7 +438,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             del As, A1, A2, A3, A4  # freed before the next chunk's stage Jacobians are formed
         else:
             # the opening kick takes A from the previous step's half-kick state
-            A = As[:, 0]
+            A = As[0]
             D = np.empty((m, d, d))
             np.multiply(kick_rows, A_open, out=D[0])
             np.multiply(kick_rows, A[:-1], out=D[1:])
@@ -436,7 +455,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             np.matmul(D_j, J, out=JD)
             np.add(JD, J, out=D_j)
             J = D_j
-        J = J.copy()  # so that the chunk's stack is freed with D
+        J = J.copy()  # D is overwritten by the next chunk, or freed with it
         res_o[start + 1 : stop + 1] = zeta_residual(D)
         res_l[start + 1 : stop + 1] = eta_residual(D)
         lo, hi = np.searchsorted(jac_steps, (start + 1, stop + 1))
@@ -467,10 +486,11 @@ def write_csv(traj, path):
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        # a block of rows at a time: tolist() makes a Python float of every value
+        # a block of rows at a time, formatted by one %: tolist() makes a Python
+        # float of every value, in row order
         for a in range(0, traj.n_samples, _CSV_BLOCK):
             body = np.column_stack([c[a : a + _CSV_BLOCK] for c in columns])
-            fh.writelines(row % tuple(values) for values in body.tolist())
+            fh.write((row * len(body)) % tuple(body.ravel().tolist()))
 
 
 @dataclass(frozen=True)

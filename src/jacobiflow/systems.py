@@ -127,8 +127,9 @@ def _family(name, n, params):
         A[...] = A0
         if amp is not None:
             t = z[..., -1]
-            A[..., 1:k:2, -1] = (amp * wd * np.sin(wd * t))[..., None]
-            A[..., k, 0:k:2] = (-amp * wd * np.sin(wd * t))[..., None]
+            s = np.sin(wd * t)
+            A[..., 1:k:2, -1] = (amp * wd * s)[..., None]
+            A[..., k, 0:k:2] = (-amp * wd * s)[..., None]
             A[..., k, -1] = -amp * wd * wd * z[..., 0:k:2].sum(axis=-1) * np.cos(wd * t)
         return A
 

@@ -203,8 +203,13 @@ def hamilton_residual(traj, sys):
     _check_system(traj, sys)
     if traj.n_samples < 5:
         raise ValueError("need at least 5 samples for interior differences")
-    D = (traj.z[2:] - traj.z[:-2]) / (2.0 * traj.dt)
-    return float(np.max(np.abs(D[:, :-1] - traj.X[1:-1, :-1])))
+    # one (steps - 1, d) temporary, updated in place; its time column is left unread
+    z = traj.z
+    D = z[2:] - z[:-2]
+    D /= 2.0 * traj.dt
+    R = D[:, :-1]
+    R -= traj.X[1:-1, :-1]
+    return float(np.max(np.abs(R, out=R)))
 
 
 def energy_ledger(traj, sys):

@@ -584,3 +584,23 @@ def test_write_csv_in_blocks_matches_one_shot_formatting(tmp_path):
     lines = path.read_bytes().split(b"\n", 1)
     assert lines[1] == "".join(row % tuple(values) for values in body.tolist()).encode()
     assert b",-0," in lines[1] and b",0," in lines[1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("samples", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 7])
+def test_write_csv_matches_row_by_row_formatting(tmp_path, samples, n):
+    # sample counts on either side of a block boundary; the free particle keeps
+    # its -0.0 entries, q1 = -0.0 under p1 = -0.0, and eps = -0.0 under no power
+    z0 = np.array([-0.0, -0.0] + [0.5, 0.1] * (n - 1) + [-0.0, 0.25])
+    traj = integrate_flow(builtin_system("free_particle", n=n), z0, 0.25 + (samples - 1) / 64, 1 / 64)
+    assert traj.n_samples == samples
+    path = tmp_path / "traj.csv"
+    write_csv(traj, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    assert header.count(b",") == 4 * n + 3
+    want = []
+    for k in range(samples):
+        row = [traj.tau[k], *traj.q[k], *traj.p[k], traj.eps[k], traj.t[k], *traj.v[k], *traj.f[k], traj.r[k]]
+        want.append(",".join("%.17g" % x for x in row) + "\n")
+    assert body == "".join(want).encode()
+    assert b"-0," in body

@@ -127,12 +127,22 @@ def test_flow_from_signed_zeros_matches_reference_bitwise(name, method):
         _assert_matches_reference(sys, None, method, z0=np.array(z0))
 
 
-def _assert_matches_reference(sys, seed, method, with_variational=True, z0=None):
+@pytest.mark.parametrize("with_variational", [True, False])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("steps", [2 * _STAGE_CHUNK + 1, 3 * _STAGE_CHUNK], ids=["last-1", "last-full"])
+def test_flow_whose_last_chunk_is_one_step_or_full_matches_reference_bitwise(steps, method, with_variational):
+    # the last chunk takes 1 step, or exactly _STAGE_CHUNK: its stage states
+    # and increments fill one row, or every row, of the chunk's buffers
+    sys = builtin_system("driven_oscillator", n=3)
+    _assert_matches_reference(sys, steps, method, with_variational, t_end=T0 + steps * DT)
+
+
+def _assert_matches_reference(sys, seed, method, with_variational=True, z0=None, t_end=T_END):
     if z0 is None:
         rng = np.random.default_rng(seed)
         z0 = np.concatenate([rng.uniform(-1.0, 1.0, 2 * sys.n + 1), [T0]])
-    traj = integrate_flow(sys, z0, T_END, DT, method=method, with_variational=with_variational, jac_every=1)
-    z, v, f, r, Js = _reference_flow(sys, z0, T_END, DT, method)
+    traj = integrate_flow(sys, z0, t_end, DT, method=method, with_variational=with_variational, jac_every=1)
+    z, v, f, r, Js = _reference_flow(sys, z0, t_end, DT, method)
     assert len(z) > 2 * _STAGE_CHUNK + 1
     # bytes, so that a signed zero or a NaN payload that differs shows too
     for got, want in ((traj.z, z), (traj.v, v), (traj.f, f), (traj.r, r)):
