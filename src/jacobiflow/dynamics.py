@@ -11,18 +11,24 @@ A trajectory is one (samples, 2, 2n+2) array zX: each sample is its state z
 and the field X = (v, f, r, 1) at it.  z, X, the coordinates (q, p, eps, t),
 tau = t, (v, f, r) and the shift transform's table are views of it.
 
-The steps run in chunks of `_STAGE_CHUNK`.  A state pass advances the state
-and its field sample in place, in the first two rows of a fixed buffer whose
-(q, p) and (v, f) views are made once per call, and copies both rows to the
-step's sample at once, with numpy's floating-point warnings off: one
-finiteness check over the chunk's samples, after the pass, reports the first
-non-finite step as a blow-up.  RK4 writes each stage's field (grad_p,
--grad_q, d_t) into a row of a (4, 2n+2) buffer and combines its four stages
-in one row sum of that buffer; leapfrog calls grad_p, grad_q and d_t one at
-a time, since its kicks and drift take v and f at different states.  The
-pass binds its callables once, passes every ufunc output positionally, and
-has no ufunc write over its own length-1 input, which numpy charges about
-twice the cost of a call without the alias.
+The energy eps never enters the field, so it is a quadrature of the power
+along the (q, p, t) solution and is summed after the steps that produce it.
+The steps run in chunks of `_STAGE_CHUNK`.  A state pass advances (q, p, t)
+and the field sample (v, f) in place, in the first two rows of a fixed buffer
+whose (q, p) and (v, f) views are made once per call, and copies both rows
+to the step's sample at once, with numpy's floating-point warnings off.  RK4
+writes each stage's (grad_p, -grad_q) into a row of a (4, 2n+2) buffer,
+combines its four stages in one row sum of that buffer, and stores its three
+stage states in the chunk's stage buffer; leapfrog calls grad_p and grad_q
+one at a time, since its kicks and drift take v and f at different states.
+The pass binds its callables once, passes every ufunc output positionally,
+and has no ufunc write over its own length-1 input, which numpy charges
+about twice the cost of a call without the alias.  A chunk fill then takes
+the power r at the chunk's new samples, and RK4's at its stage states, in
+one stacked d_t call each, and sums eps with the step's own operations in
+its order, the sequential sum as one `np.add.accumulate`, so every bit is
+that of a step-by-step sum.  One finiteness check over the chunk's samples,
+after the fill, reports the first non-finite step as a blow-up.
 
 `integrate_flow` optionally propagates the variational Jacobian: the tangent
 of the step the method actually took, built from the field Jacobian A at the
@@ -43,17 +49,18 @@ J keeps an exact (0, ..., 0, 1) time row and e_eps energy column.  Once a
 chunk's state pass is checked, one field-Jacobian call evaluates A at all its
 stage states.  They sit stage by stage in a (stages, chunk, d) buffer, so
 each stage's Jacobians come back as one contiguous (m, d, d) stack.  RK4's
-step loop writes its three stage states there and the chunk adds the steps'
-start states from the samples.  Leapfrog's step loop writes nothing for the
-tangent: the chunk forms each half-kick state from the samples, the step's
-new sample with the momenta f h + p of its old one, by the same two ufuncs
-as the loop's opening kick.  Stacked products form all the chunk's
-increments at once, RK4's in place over three increment stacks made once
-per flow, and the tangent pass chains them, one product and one sum per step
-(adding D J to J keeps the round-off of I + D out of the chain).  The
-tangent pass writes each J over the increment that produced it, so the
-increment stack becomes the chunk's Jacobians; from it the pass takes the
-symplectic and time-metric residual of every J in one stacked pass, and
+step loop writes its three stage states there, and the chunk adds their
+energies eps + c r (a finite-difference Jacobian sizes its step from
+|z|_inf) and the steps' start states from the samples.  Leapfrog's step loop
+writes nothing for the tangent: the chunk forms each half-kick state from
+the samples, the step's new sample with the momenta f h + p of its old one,
+by the same two ufuncs as the loop's opening kick.  Stacked products form
+all the chunk's increments at once, RK4's in place over three increment
+stacks made once per flow, and the tangent pass chains them, one product and
+one sum per step (adding D J to J keeps the round-off of I + D out of the
+chain).  The tangent pass writes each J over the increment that produced it,
+so the increment stack becomes the chunk's Jacobians; from it the pass takes
+the symplectic and time-metric residual of every J in one stacked pass, and
 keeps only every `jac_every`-th J and the last one.  The certification layer
 factors those into the matrix group.  The full (steps + 1, d, d) stack is
 never stored.
@@ -100,7 +107,8 @@ def _system_state(sys, z):
 def _field(sys, q, p, t, v, f):
     """Write v = grad_p and f = -grad_q at (q, p, t) into the views v and f; return r = d_t.
 
-    The RK4 loop of `integrate_flow` composes the same three calls inline.
+    The step loop of `integrate_flow` composes the first two calls inline, and
+    its chunk fill calls d_t once on a stack of states.
     """
     v[...] = sys.grad_p(q, p, t)
     np.negative(sys.grad_q(q, p, t), out=f)
@@ -260,8 +268,9 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
 
     Raises ValueError on bad input, and "flow blew up" at the first step
     with a non-finite state or field sample, found by one check after each
-    chunk's state pass (whose floating-point warnings are suppressed), also
-    when a system callable then raises later in the chunk.
+    chunk's state pass and power fill (whose floating-point warnings are
+    suppressed), also when a system callable then raises later in the chunk
+    or in its fill.
     """
     z = _system_state(sys, z0)
     if not np.all(np.isfinite(z)):
@@ -296,6 +305,9 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     ZX[0] = sample
     if not np.isfinite(X).all():
         raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
+    # the state pass leaves the energy and the power to the chunk fill; zero
+    # power keeps the values it carries there finite
+    R[:, -2] = 0.0
     jac_steps = Js = res_o = res_l = None
     if with_variational:
         jac_steps = np.union1d(np.arange(0, n_steps + 1, jac_every), [n_steps])
@@ -311,15 +323,16 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     stages = 4 if rk4 else 1
     chunk = min(_STAGE_CHUNK, n_steps)
     S = np.empty((stages, chunk, d))  # stage states of the chunk's steps, stage by stage
+    stage_rows = list(S[1:].swapaxes(0, 1))  # RK4: S[1:, j], the stages of the chunk's step j
     # the step sizes as 0-d arrays, which numpy multiplies by without a scalar conversion
     hc, dtc, wc = np.array(h), np.array(dt), np.array(w)
     # RK4 stage s + 2 is the field at Zs[s] = z + c K_{s+1}, at time t + c, with K1 = X:
-    # (K_{s+1}, c as a 0-d array and a float, Zs[s], its q and p, K_{s+2}, its v and f)
+    # (K_{s+1}, c as a 0-d array and a float, Zs[s], its q and p, K_{s+2}'s v and f)
     rk4_stages = [
-        (R[s], c, float(c), Zs[s], Zs[s, 0:k:2], Zs[s, 1:k:2],
-         R[s + 1], R[s + 1, 0:k:2], R[s + 1, 1:k:2])
+        (R[s], c, float(c), Zs[s], Zs[s, 0:k:2], Zs[s, 1:k:2], R[s + 1, 0:k:2], R[s + 1, 1:k:2])
         for s, c in enumerate((hc, hc, dtc))
     ]
+    cs = np.array([[h], [h], [dt]])  # the c of RK4's stage states
     K23 = R[1:3]
     p_h, dq, kick = np.empty((3, k // 2))  # leapfrog's half-kick momenta, drift and kick
     grad_p, grad_q, d_t = sys.grad_p, sys.grad_q, sys.d_t
@@ -341,21 +354,20 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         stop = min(start + _STAGE_CHUNK, n_steps)
         # step i advances z and X to step i + 1 and copies them to sample i + 1
         # of ZX; over/invalid/divide each leave a non-finite value there,
-        # which the check after the pass reports
+        # which the check after the pass and the fill reports
         cause = None
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
                 for i in range(start, stop):
                     t, t1 = t1, t0 + (i + 1) * dt
                     if rk4:
                         # X, the field at z, is both the stored sample and K1
-                        for K, c, c_f, z_s, q_s, p_s, K_s, v_s, f_s in rk4_stages:
+                        for K, c, c_f, z_s, q_s, p_s, v_s, f_s in rk4_stages:
                             multiply(K, c, tmp)
                             add(z, tmp, z_s)
                             t_s = t + c_f
                             v_s[...] = grad_p(q_s, p_s, t_s)
                             negative(grad_q(q_s, p_s, t_s), f_s)
-                            K_s[-2] = d_t(q_s, p_s, t_s)
                         # K + K is 2 K exactly; the rows are summed in order from
                         # -0.0, the exact identity of +, which gives ((X + 2 K2) +
                         # 2 K3) + K4 bit for bit (numpy's default start, +0.0, turns
@@ -368,30 +380,57 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
                         z[-1] = t1
                         v[...] = grad_p(q, p, t1)
                         negative(grad_q(q, p, t1), f)
-                        X[-2] = d_t(q, p, t1)
-                        if with_variational:
-                            S[1:, i - start] = Zs
+                        stage_rows[i - start][...] = Zs
                     else:
-                        # separable: grad_q and d_t ignore p, so the force and power of the
-                        # stored sample at z give the opening half kick, and those of the
-                        # closing half kick give the sample at the new state
+                        # separable: grad_q ignores p, so the force of the stored sample
+                        # at z gives the opening half kick, and that of the closing half
+                        # kick gives the sample at the new state
                         multiply(f, hc, kick)
                         add(kick, p, p_h)
-                        eps_h = z.item(-2) + h * X.item(-2)
                         multiply(grad_p(q, p_h, t), dtc, dq)
                         q[...] = add(q, dq, kick)
                         negative(grad_q(q, p_h, t1), f)
-                        X[-2] = d_t(q, p_h, t1)
                         multiply(f, hc, kick)
                         add(kick, p_h, p)
-                        z[-2] = eps_h + h * X.item(-2)
                         z[-1] = t1
                         v[...] = grad_p(q, p, t1)
                     ZX[i + 1] = sample
-        except Exception as e:
-            # a callable may raise on the non-finite state of an earlier step
-            cause, stop = e, i
-        rows = slice(start + 1, stop + 1)
+            except Exception as e:
+                # a callable may raise on the non-finite state of an earlier step
+                cause, stop = e, i
+            m = stop - start
+            rows = slice(start + 1, stop + 1)
+            # the chunk fill: the power r at the new samples (and at RK4's stage
+            # states) in one stacked d_t call each, and the energy summed with
+            # the loop's operations in its order, sequentially by one accumulate.
+            # Leapfrog's power at a half-kick state is the new sample's, since a
+            # separable d_t ignores p
+            try:
+                new = ZX[rows, 0]
+                ZX[rows, 1, -2] = d_t(new[:, 0:k:2], new[:, 1:k:2], new[:, -1])
+                r = ZX[start : stop + 1, 1, -2]  # the power at the chunk's samples
+                if rk4:
+                    # eps_{i+1} = eps_i + w (((r1 + 2 r2) + 2 r3) + r4), in the row
+                    # sum's order (-0.0 + r1 is r1), with r1 at the step's sample
+                    rs = np.empty((4, m))
+                    rs[0] = r[:-1]
+                    rs[1:] = d_t(S[1:, :m, 0:k:2], S[1:, :m, 1:k:2], S[1:, :m, -1])
+                    r1, r2, r3, r4 = rs
+                    eps = np.empty(m + 1)
+                    eps[1:] = w * (((r1 + (r2 + r2)) + (r3 + r3)) + r4)
+                else:
+                    # eps_{i+1} = (eps_i + h r_i) + h r_{i+1}: both half kicks, interleaved
+                    hr = h * r
+                    eps = np.empty(2 * m + 1)
+                    eps[1::2] = hr[:-1]
+                    eps[2::2] = hr[1:]
+                eps[0] = ZX[start, 0, -2]
+                np.add.accumulate(eps, out=eps)
+                eps = eps[:: 1 if rk4 else 2]  # the energy at the chunk's samples
+                ZX[rows, 0, -2] = eps[1:]
+            except Exception as e:
+                if cause is None:
+                    cause = e
         ok = np.isfinite(ZX[rows]).all(axis=(1, 2))
         if not ok.all():
             i = start + int(ok.argmin())
@@ -402,9 +441,11 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             raise cause
         if not with_variational:
             continue
-        m = stop - start
         if rk4:
             S[0, :m] = ZX[start:stop, 0]
+            # the stage states' energies eps + c r, which a finite-difference
+            # Jacobian's step size sees
+            S[1:, :m, -2] = eps[:-1] + cs * rs[:3]
         else:
             # A at the half-kick state (q1, p_h, eps1, t1) gives the drift, the
             # closing kick and the next opening kick: the step's new sample with

@@ -22,7 +22,12 @@ class HamiltonianSystem:
 
     value, grad_q, grad_p, d_t all take (q, p, t) with q, p arrays of
     length n, and must not modify them; value also takes a complex (q, p, t),
-    for the complex step of `make_rho(...).as_map()`.  separable, False unless
+    for the complex step of `make_rho(...).as_map()`.  d_t also takes stacks,
+    q and p of shape (..., n) with t of shape (...), and returns the power of
+    each state, shape (...), or a scalar that broadcasts to it, each bitwise
+    equal to the single-state call: the integrator takes the power of a
+    chunk of samples at once.  So `lambda q, p, t: 0.0` qualifies and a
+    `float(...)` cast does not.  separable, False unless
     declared, means H = T(p) + V(q, t), so grad_q and d_t ignore p and grad_p
     ignores q and t; leapfrog needs it, to reuse a half kick's force and power.
     vf_jacobian, when supplied, evaluates the (2n+2)-dimensional Jacobian of
@@ -110,8 +115,8 @@ def _family(name, n, params):
     def grad_q(q, p, t):
         u = g  # the uniform force g + A cos(om_d t), None with neither term
         if amp is not None:
-            # math.cos and math.sin of the scalar t, and np.add.reduce in d_t, give
-            # numpy's cos, sin and q.sum() bit for bit without their call overhead
+            # math.cos of the scalar t gives numpy's cos bit for bit without its
+            # call overhead
             drive = amp * math.cos(wd * t)
             u = drive if u is None else u + drive
         if om is None:
@@ -119,7 +124,9 @@ def _family(name, n, params):
         return spring0 * q if u is None else spring0 * q + u
 
     def d_t(q, p, t):
-        return 0.0 if amp is None else -amp * wd * float(np.add.reduce(q)) * math.sin(wd * t)
+        # (..., n) q and (...) t: the power of each state, with the last-axis sum
+        # and the sine of one state per element of a stack
+        return 0.0 if amp is None else -amp * wd * np.add.reduce(q, axis=-1) * np.sin(wd * t)
 
     def vf_jacobian(z):
         # one state (d,) or a stack (B, d), with the same arithmetic per row

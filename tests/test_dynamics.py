@@ -218,22 +218,32 @@ def test_blow_up_detection():
 
 
 def _turns_infinite(t_bad, term, strict):
-    # a harmonic oscillator whose force or velocity is infinite from t_bad on;
-    # a strict grad_q also raises on a non-finite position, as a callable may
+    # a harmonic oscillator whose force, velocity or power is infinite from
+    # t_bad on; the callable named by strict, grad_q or d_t, also raises on a
+    # non-finite position, as a callable may
     force = np.inf if term == "force" else 0.0
     velocity = np.inf if term == "velocity" else 0.0
+    power = np.inf if term == "power" else 0.0
+
+    def finite(name, q):
+        if strict == name and not np.isfinite(q).all():
+            raise ArithmeticError("non-finite position")
 
     def grad_q(q, p, t):
-        if strict and not np.isfinite(q).all():
-            raise ArithmeticError("non-finite position")
+        finite("grad_q", q)
         return q + (force if t >= t_bad else 0.0)
+
+    def d_t(q, p, t):
+        # a (..., 1) stack of positions with (...) times, or one state
+        finite("d_t", q)
+        return np.where(np.asarray(t) >= t_bad, power, 0.0)
 
     return HamiltonianSystem(
         n=1,
         value=lambda q, p, t: 0.5 * float(p @ p + q @ q),
         grad_q=grad_q,
         grad_p=lambda q, p, t: p + (velocity if t >= t_bad else 0.0),
-        d_t=lambda q, p, t: 0.0,
+        d_t=d_t,
         separable=True,
     )
 
@@ -250,7 +260,10 @@ def _per_step_blow_up(sys, z0, dt, method, max_steps):
     return None
 
 
-@pytest.mark.parametrize("term, strict", [("force", False), ("force", True), ("velocity", False)])
+@pytest.mark.parametrize(
+    "term, strict",
+    [("force", None), ("force", "grad_q"), ("force", "d_t"), ("velocity", None), ("power", None)],
+)
 @pytest.mark.parametrize("with_variational", [False, True])
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
 @pytest.mark.parametrize("step", [31, 32, 33])
@@ -259,7 +272,10 @@ def test_blow_up_names_the_first_bad_step_around_a_chunk_boundary(step, method, 
     # steps 1..32 make up the first chunk of the state pass.  The field turns
     # infinite between the stages of `step`, so its state or field sample is
     # the first non-finite one (leapfrog's infinite velocity leaves only the
-    # field sample non-finite); a strict grad_q raises on the step after it
+    # field sample non-finite, an infinite power only the energy and power);
+    # a strict grad_q raises on the step after it, and a strict d_t on the
+    # first non-finite position it is given, in the step loop or in the
+    # chunk's power fill
     dt, t0 = 0.01, 0.5
     sys = _turns_infinite(t0 + (step - 0.25) * dt, term, strict)
     z0 = np.array([1.0, 0.0, 0.0, t0])
@@ -270,7 +286,7 @@ def test_blow_up_names_the_first_bad_step_around_a_chunk_boundary(step, method, 
         f"flow blew up: non-finite state or field at step {step} (last valid step {step - 1})"
     )
     if strict and step != 32:
-        # mid-chunk, the next step ran into the bad state and grad_q raised
+        # mid-chunk, the next step ran into the bad state and the strict callable raised
         assert isinstance(info.value.__cause__, ArithmeticError)
 
 
@@ -409,15 +425,17 @@ def test_leapfrog_jacobian_is_symplectic(name):
 
 
 def _counting(sys):
-    # a vf_jacobian call counts the states it evaluates: one per row of a
-    # (B, d) stack, one for a single state
+    # a vf_jacobian or d_t call counts the states it evaluates: one per row of
+    # a (B, d) stack of states or a stack of (..., n) positions, one for a
+    # single state
     calls = dict.fromkeys(("grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
 
     def counted(name):
         fn = getattr(sys, name)
+        stacked = name in ("d_t", "vf_jacobian")
 
         def wrapper(*args):
-            calls[name] += len(args[0]) if name == "vf_jacobian" and args[0].ndim == 2 else 1
+            calls[name] += args[0][..., 0].size if stacked else 1
             return fn(*args)
 
         return wrapper

@@ -206,11 +206,36 @@ def test_presets_match_the_per_system_formulas_bitwise(name, params):
             assert _bits(A) == _bits(sys.vf_jacobian(z))
 
 
+@pytest.mark.parametrize("name,params", VARIANTS)
+def test_stacked_d_t_matches_the_per_state_call_bitwise(name, params):
+    # the integrator takes the power of a chunk's samples, a (B, n) stack with
+    # (B,) times, and of RK4's stage states, a (3, m, n) stack, in one call each
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3, 16):
+        sys = builtin_system(name, n=n, **params)
+        Z = rng.uniform(-3.0, 3.0, (3, 20, 2 * n + 2))
+        Z[0, :6] = np.where(rng.uniform(size=(6, 2 * n + 2)) < 0.5, -0.0, Z[0, :6])
+        Z[1, :3], Z[1, 3:6] = -0.0, 0.0
+        # B = 1 and B = 20 with signed zeros, and a (3, 20, n) stack
+        for stack in (Z[0, :1], Z[0], Z[1], Z):
+            q, p, t = stack[..., 0:-2:2], stack[..., 1:-2:2], stack[..., -1]
+            r = np.broadcast_to(sys.d_t(q, p, t), t.shape)
+            for i in np.ndindex(t.shape):
+                assert _bits(r[i]) == _bits(sys.d_t(q[i], p[i], t.item(i)))
+                if name == "driven_oscillator":
+                    # the single-state formula with math.sin and a 1-d sum: flows
+                    # stay byte-identical to those it gave only while np.sin over
+                    # an array of drive phases equals math.sin of each
+                    amp, wd = sys.params["amplitude"], sys.params["drive_frequency"]
+                    by_math = -amp * wd * float(np.add.reduce(q[i])) * math.sin(wd * t.item(i))
+                    assert _bits(r[i]) == _bits(by_math)
+
+
 def test_math_trig_equals_numpy_trig_on_drive_phases():
-    # the drive's grad_q and d_t take math.cos and math.sin of the scalar phase
-    # om_d t, and its stacked vf_jacobian numpy's batched np.cos and np.sin: the
-    # bitwise preset test above holds only while these agree with each other
-    # and with numpy's single-value call
+    # the drive's grad_q takes math.cos of the scalar phase om_d t, its d_t
+    # numpy's np.sin over a stack of phases, and its stacked vf_jacobian
+    # numpy's batched np.cos and np.sin: the bitwise preset tests above hold
+    # only while these agree with each other and with numpy's single-value call
     rng = np.random.default_rng(41)
     phases = np.concatenate([2.0 * rng.uniform(0.0, 60.0, 50_000), rng.uniform(-1e3, 1e3, 50_000)])
     for mfn, nfn in ((math.cos, np.cos), (math.sin, np.sin)):
