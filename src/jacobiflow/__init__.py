@@ -30,7 +30,6 @@ from .groups import (
     PatternViolation,
     NotARotation,
     heisenberg_mul,
-    heisenberg_inv,
     heisenberg_generators,
     conjugate_by_sp,
     jacobi_matrix,

@@ -14,7 +14,8 @@ unknown and duplicate keys are rejected).  Two modes:
 their checks to selftest.json.  Every config value, system parameter and
 flag is checked (a flag of the other mode is rejected), and the output
 directory created, before any work starts.  Exit codes: 0 all checks pass,
-1 a verification failed (reports are still written), 2 bad configuration or
+1 a verification failed (reports are still written) or a flow blew up (one
+"error:" line on stderr, and no report written), 2 bad configuration or
 usage (one "config error:" line on stderr for a rejected value or an
 unusable output directory).
 """

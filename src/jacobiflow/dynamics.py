@@ -237,6 +237,10 @@ def variational_matrices(n_steps, method, d):
     return n_steps + 1 + (stages + 5) * min(_STAGE_CHUNK, n_steps) + -(-rows // d)
 
 
+# over/invalid/divide each leave a non-finite value: in the state pass and its
+# fill, which the chunk's finiteness check reports, and in the tangent pass, in
+# a residual that fails every tolerance
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac_every=10):
     """Integrate the extended flow from z0 up to t_end.
 
@@ -268,9 +272,10 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
 
     Raises ValueError on bad input, and "flow blew up" at the first step
     with a non-finite state or field sample, found by one check after each
-    chunk's state pass and power fill (whose floating-point warnings are
-    suppressed), also when a system callable then raises later in the chunk
-    or in its fill.
+    chunk's state pass and power fill, also when a system callable then
+    raises, on that step's state or later in the chunk or in its fill.
+    numpy's floating-point warnings are suppressed throughout: an overflowed
+    Jacobian reads as an inf or NaN residual.
     """
     z = _system_state(sys, z0)
     if not np.all(np.isfinite(z)):
@@ -353,84 +358,89 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     for start in range(0, n_steps, _STAGE_CHUNK):
         stop = min(start + _STAGE_CHUNK, n_steps)
         # step i advances z and X to step i + 1 and copies them to sample i + 1
-        # of ZX; over/invalid/divide each leave a non-finite value there,
-        # which the check after the pass and the fill reports
+        # of ZX; a non-finite value there is reported by the check after the
+        # pass and the fill
         cause = None
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                for i in range(start, stop):
-                    t, t1 = t1, t0 + (i + 1) * dt
-                    if rk4:
-                        # X, the field at z, is both the stored sample and K1
-                        for K, c, c_f, z_s, q_s, p_s, v_s, f_s in rk4_stages:
-                            multiply(K, c, tmp)
-                            add(z, tmp, z_s)
-                            t_s = t + c_f
-                            v_s[...] = grad_p(q_s, p_s, t_s)
-                            negative(grad_q(q_s, p_s, t_s), f_s)
-                        # K + K is 2 K exactly; the rows are summed in order from
-                        # -0.0, the exact identity of +, which gives ((X + 2 K2) +
-                        # 2 K3) + K4 bit for bit (numpy's default start, +0.0, turns
-                        # a column of -0.0 into +0.0); the time entries reset to 1
-                        add(K23, K23, K23)
-                        add_reduce(R, 0, None, tmp, False, -0.0)
-                        K23[0, -1] = K23[1, -1] = 1.0
-                        multiply(tmp, wc, tmp)
-                        add(z, tmp, z)
-                        z[-1] = t1
-                        v[...] = grad_p(q, p, t1)
-                        negative(grad_q(q, p, t1), f)
-                        stage_rows[i - start][...] = Zs
-                    else:
-                        # separable: grad_q ignores p, so the force of the stored sample
-                        # at z gives the opening half kick, and that of the closing half
-                        # kick gives the sample at the new state
-                        multiply(f, hc, kick)
-                        add(kick, p, p_h)
-                        multiply(grad_p(q, p_h, t), dtc, dq)
-                        q[...] = add(q, dq, kick)
-                        negative(grad_q(q, p_h, t1), f)
-                        multiply(f, hc, kick)
-                        add(kick, p_h, p)
-                        z[-1] = t1
-                        v[...] = grad_p(q, p, t1)
-                    ZX[i + 1] = sample
-            except Exception as e:
-                # a callable may raise on the non-finite state of an earlier step
-                cause, stop = e, i
-            m = stop - start
-            rows = slice(start + 1, stop + 1)
-            # the chunk fill: the power r at the new samples (and at RK4's stage
-            # states) in one stacked d_t call each, and the energy summed with
-            # the loop's operations in its order, sequentially by one accumulate.
-            # Leapfrog's power at a half-kick state is the new sample's, since a
-            # separable d_t ignores p
-            try:
-                new = ZX[rows, 0]
-                ZX[rows, 1, -2] = d_t(new[:, 0:k:2], new[:, 1:k:2], new[:, -1])
-                r = ZX[start : stop + 1, 1, -2]  # the power at the chunk's samples
+        try:
+            for i in range(start, stop):
+                t, t1 = t1, t0 + (i + 1) * dt
                 if rk4:
-                    # eps_{i+1} = eps_i + w (((r1 + 2 r2) + 2 r3) + r4), in the row
-                    # sum's order (-0.0 + r1 is r1), with r1 at the step's sample
-                    rs = np.empty((4, m))
-                    rs[0] = r[:-1]
-                    rs[1:] = d_t(S[1:, :m, 0:k:2], S[1:, :m, 1:k:2], S[1:, :m, -1])
-                    r1, r2, r3, r4 = rs
-                    eps = np.empty(m + 1)
-                    eps[1:] = w * (((r1 + (r2 + r2)) + (r3 + r3)) + r4)
+                    # X, the field at z, is both the stored sample and K1
+                    for K, c, c_f, z_s, q_s, p_s, v_s, f_s in rk4_stages:
+                        multiply(K, c, tmp)
+                        add(z, tmp, z_s)
+                        t_s = t + c_f
+                        v_s[...] = grad_p(q_s, p_s, t_s)
+                        negative(grad_q(q_s, p_s, t_s), f_s)
+                    # K + K is 2 K exactly; the rows are summed in order from
+                    # -0.0, the exact identity of +, which gives ((X + 2 K2) +
+                    # 2 K3) + K4 bit for bit (numpy's default start, +0.0, turns
+                    # a column of -0.0 into +0.0); the time entries reset to 1
+                    add(K23, K23, K23)
+                    add_reduce(R, 0, None, tmp, False, -0.0)
+                    K23[0, -1] = K23[1, -1] = 1.0
+                    multiply(tmp, wc, tmp)
+                    add(z, tmp, z)
+                    z[-1] = t1
+                    v[...] = grad_p(q, p, t1)
+                    negative(grad_q(q, p, t1), f)
+                    stage_rows[i - start][...] = Zs
                 else:
-                    # eps_{i+1} = (eps_i + h r_i) + h r_{i+1}: both half kicks, interleaved
-                    hr = h * r
-                    eps = np.empty(2 * m + 1)
-                    eps[1::2] = hr[:-1]
-                    eps[2::2] = hr[1:]
-                eps[0] = ZX[start, 0, -2]
-                np.add.accumulate(eps, out=eps)
-                eps = eps[:: 1 if rk4 else 2]  # the energy at the chunk's samples
-                ZX[rows, 0, -2] = eps[1:]
-            except Exception as e:
-                if cause is None:
-                    cause = e
+                    # separable: grad_q ignores p, so the force of the stored sample
+                    # at z gives the opening half kick, and that of the closing half
+                    # kick gives the sample at the new state
+                    multiply(f, hc, kick)
+                    add(kick, p, p_h)
+                    multiply(grad_p(q, p_h, t), dtc, dq)
+                    q[...] = add(q, dq, kick)
+                    negative(grad_q(q, p_h, t1), f)
+                    multiply(f, hc, kick)
+                    add(kick, p_h, p)
+                    z[-1] = t1
+                    v[...] = grad_p(q, p, t1)
+                ZX[i + 1] = sample
+        except Exception as e:
+            # a callable may raise on a non-finite state: of an earlier step,
+            # or of step i itself, whose sample so far then goes to the check
+            # too (RK4's stage states of step i are not stored, so its power
+            # and energy are not those of a finite sample)
+            cause, stop = e, i
+            if not np.isfinite(sample).all():
+                ZX[i + 1] = sample
+                stop += 1
+        m = stop - start
+        rows = slice(start + 1, stop + 1)
+        # the chunk fill: the power r at the new samples (and at RK4's stage
+        # states) in one stacked d_t call each, and the energy summed with
+        # the loop's operations in its order, sequentially by one accumulate.
+        # Leapfrog's power at a half-kick state is the new sample's, since a
+        # separable d_t ignores p
+        try:
+            new = ZX[rows, 0]
+            ZX[rows, 1, -2] = d_t(new[:, 0:k:2], new[:, 1:k:2], new[:, -1])
+            r = ZX[start : stop + 1, 1, -2]  # the power at the chunk's samples
+            if rk4:
+                # eps_{i+1} = eps_i + w (((r1 + 2 r2) + 2 r3) + r4), in the row
+                # sum's order (-0.0 + r1 is r1), with r1 at the step's sample
+                rs = np.empty((4, m))
+                rs[0] = r[:-1]
+                rs[1:] = d_t(S[1:, :m, 0:k:2], S[1:, :m, 1:k:2], S[1:, :m, -1])
+                r1, r2, r3, r4 = rs
+                eps = np.empty(m + 1)
+                eps[1:] = w * (((r1 + (r2 + r2)) + (r3 + r3)) + r4)
+            else:
+                # eps_{i+1} = (eps_i + h r_i) + h r_{i+1}: both half kicks, interleaved
+                hr = h * r
+                eps = np.empty(2 * m + 1)
+                eps[1::2] = hr[:-1]
+                eps[2::2] = hr[1:]
+            eps[0] = ZX[start, 0, -2]
+            np.add.accumulate(eps, out=eps)
+            eps = eps[:: 1 if rk4 else 2]  # the energy at the chunk's samples
+            ZX[rows, 0, -2] = eps[1:]
+        except Exception as e:
+            if cause is None:
+                cause = e
         ok = np.isfinite(ZX[rows]).all(axis=(1, 2))
         if not ok.all():
             i = start + int(ok.argmin())

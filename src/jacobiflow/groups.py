@@ -112,7 +112,8 @@ class HeisenbergElement:
         return heisenberg_mul(self, other)
 
     def inv(self):
-        return heisenberg_inv(self)
+        """Inverse (-w, -r)."""
+        return _trusted(HeisenbergElement, w=_owned(-self.w), r=-self.r, n=self.n)
 
     def matrix(self):
         return _realize(_identity(2 * self.n), self.w, self.r, 1)
@@ -250,11 +251,6 @@ def heisenberg_mul(a, b):
     )
 
 
-def heisenberg_inv(a):
-    """Inverse (-w, -r)."""
-    return _trusted(HeisenbergElement, w=_owned(-a.w), r=-a.r, n=a.n)
-
-
 def heisenberg_generators(n):
     """Algebra basis W_1..W_2n, R as integer matrices.
 
@@ -331,31 +327,22 @@ def _square(M, stack=False):
     return M
 
 
-def _not_finite(M):
-    bad = np.argwhere(~np.isfinite(M)).tolist()
-    return FactorError(f"{len(bad)} of {M.size} entries are not finite: (row, column) {bad[:6]}")
-
-
-def _check(S, res, tol, error, what, failure):
-    """The matrices of S before the first one whose residual exceeds tol, and its error.
-
-    `res` holds a residual for each matrix of a stack S, or one for a single
-    matrix S; without a failing matrix, S and `failure` return unchanged.
-    The error, `error("<what> <residual> > <tol>")`, is raised at once when
-    no matrix comes before the failing one.
-    """
+def _check(res, tol, error, what):
+    """Whether each residual of a stack is <= tol; one matrix's residual raises its error if not."""
     ok = res <= tol
-    if ok.ndim == 0:  # one matrix
-        if ok:
-            return S, failure
+    if ok.ndim == 0 and not ok:
         raise error(f"{what} {res:.3e} > {tol:.1e}")
-    if np.count_nonzero(ok) == len(ok):
-        return S, failure
-    i = int(ok.argmin())
-    failure = error(f"{what} {res[i]:.3e} > {tol:.1e}")
-    if not i:
-        raise failure
-    return S[:i], failure
+    return ok.ndim == 0 or np.count_nonzero(ok) == len(ok)
+
+
+def _time_preserving(M, tol):
+    """The finiteness and time-metric checks of a matrix, raising its error, or of a stack."""
+    if not np.isfinite(M).all():
+        if M.ndim == 3:
+            return False
+        bad = np.argwhere(~np.isfinite(M)).tolist()
+        raise FactorError(f"{len(bad)} of {M.size} entries are not finite: (row, column) {bad[:6]}")
+    return _check(eta_residual(M), tol, NotTimePreserving, "time-metric residual")
 
 
 @lru_cache(maxsize=None)
@@ -398,38 +385,33 @@ def _element(sigma, w, r, tr, n):
 
 
 def _membership(M, tol):
-    """The checks of `jacobi_factor` on a matrix or a (B, d, d) stack, raising its error.
+    """The checks of `jacobi_factor`, in order, on a matrix or a (B, d, d) stack.
 
-    Returns what the factors are read from: M with its last column times tr,
-    the top 2n entries of that column (w), and tr.
+    One matrix raises the error of the first check it fails.  Each check runs
+    on a whole stack, and a stack that fails one runs its matrices one at a
+    time, so that its first failing matrix raises its own error: a stack
+    passes exactly when each of its matrices passes alone.  Returns what the
+    factors are read from: M with its last column times tr, the top 2n
+    entries of that column (w), and tr.
     """
     M = _square(M, stack=True)
-    d = M.shape[-1]
-    k = d - 2
-    # a failing matrix cuts the stack before it: the last cut is at the first
-    # failing matrix, and the check that made it is the first one it fails
-    S, failure = M, None
-    if not np.isfinite(M).all():
-        i = int(np.isfinite(M).all(axis=(-2, -1)).argmin())
-        failure = _not_finite(M.reshape(-1, d, d)[i])
-        if not i:
-            raise failure
-        S = M[:i]
-    S, failure = _check(S, eta_residual(S), tol, NotTimePreserving, "time-metric residual", failure)
-    # [()] reads one matrix's entries as scalars, whose arithmetic is faster
-    corner = S[..., -1, -1][()]
-    s = np.sign(corner) - (corner == 0)  # tr: 1 if M[t, t] > 0, else -1
-    G = S.copy()
-    col = G[..., -1].T  # the last column, one column of it per matrix
-    col *= s
-    w = G[..., :k, -1].copy()
-    G, failure = _check(
-        G, _pattern_deviation(G, w), tol, PatternViolation, "block pattern deviates by", failure
-    )
-    _, failure = _check(G, zeta_residual(G), tol, NotSymplectic, "symplectic residual", failure)
-    if failure is not None:
-        raise failure
-    return G, w, s
+    k = M.shape[-1] - 2
+    if _time_preserving(M, tol):
+        # [()] reads one matrix's entries as scalars, whose arithmetic is faster
+        corner = M[..., -1, -1][()]
+        s = np.sign(corner) - (corner == 0)  # tr: 1 if M[t, t] > 0, else -1
+        G = M.copy()
+        col = G[..., -1].T  # the last column, one column of it per matrix
+        col *= s
+        w = G[..., :k, -1].copy()
+        pattern = _pattern_deviation(G, w)
+        if _check(pattern, tol, PatternViolation, "block pattern deviates by") and _check(
+            zeta_residual(G), tol, NotSymplectic, "symplectic residual"
+        ):
+            return G, w, s
+    # only a stack gets here.  Its matrices run alone, and if they all pass
+    # (a stacked product may round unlike one matrix's), their results are its
+    return tuple(map(np.stack, zip(*(_membership(m, tol) for m in M))))
 
 
 def jacobi_factor(M, tol=TOL_EXACT):
@@ -447,9 +429,10 @@ def jacobi_factor(M, tol=TOL_EXACT):
     the last column), 2r = tr * M[eps, t].
 
     M may also be a (B, d, d) stack, factored into a tuple of B elements
-    with the same arithmetic per matrix.  Each check runs on the matrices
-    that passed the checks before it, so a stack raises the error of its
-    first failing matrix, the one the call on that matrix alone raises.
+    with the same arithmetic per matrix.  Each check runs on the whole
+    stack; a stack that fails one runs its matrices one at a time, so it
+    raises the error of its first failing matrix, the one the call on that
+    matrix alone raises, and factors exactly when each matrix does.
     """
     G, w, s = _membership(M, tol)
     k = G.shape[-1] - 2
@@ -465,17 +448,13 @@ def igl_factor(L, tol=TOL_EXACT):
 
     Invariance of the time metric forces the bottom row to (0, ..., 0, eps)
     with eps = +-1; then Omega is the top-left block and u = eps * (top
-    entries of the last column).  A non-finite entry or a singular Omega
-    raises FactorError.
+    entries of the last column).  Its first two checks are those of
+    `jacobi_factor`, with the same errors: a non-finite entry raises
+    FactorError and a time-metric residual above tol NotTimePreserving.  A
+    singular Omega raises FactorError.
     """
     L = _square(L)
-    if not np.isfinite(L).all():
-        raise _not_finite(L)
-    res_eta = eta_residual(L)
-    if not res_eta <= tol:
-        raise NotTimePreserving(
-            f"bottom row must be (0, ..., 0, +-1): time-metric residual {res_eta:.3e} > {tol:.1e}"
-        )
+    _time_preserving(L, tol)
     s = 1 if L[-1, -1] > 0 else -1
     return IglElement(omega=L[:-1, :-1], u=s * L[:-1, -1], eps=s)
 

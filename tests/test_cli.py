@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,61 @@ def test_map_rotation_passes(tmp_path):
     assert code == 0
     inv = json.loads((out / "invariance.json").read_text())
     assert inv["check"]["classification"] == "Jacobimorphism"
+
+
+# the exit code and classification of each catalog map at n = 3
+_MAP_OUTCOMES = {
+    "identity": (0, "Jacobimorphism"),
+    "rotation": (0, "Jacobimorphism"),
+    "shear": (0, "Jacobimorphism"),
+    "scaling": (0, "Jacobimorphism"),
+    "t_doubling": (1, "Neither"),
+}
+
+
+@pytest.mark.parametrize("name", cli._MAP_NAMES)
+def test_every_catalog_map_through_the_cli(tmp_path, name):
+    code, classification = _MAP_OUTCOMES[name]
+    got, out = _run(tmp_path, f"mode = map\nmap = {name}\nn = 3\nprobes = 10\n")
+    assert got == code
+    check = json.loads((out / "invariance.json").read_text())["check"]
+    assert check["classification"] == classification
+    if name == "t_doubling":
+        # dt^2 becomes 4 dt^2; the symplectic form only doubles on the (eps, t) block
+        assert check["omega_residual_max"] == pytest.approx(1.0, rel=1e-6)
+        assert check["lambda_residual_max"] == pytest.approx(3.0, rel=1e-6)
+
+
+# a harmonic oscillator whose RK4 step at dt = 100 grows the state about 4e6-fold:
+# from (1, 0) it overflows at step 47; from the origin the state stays 0 while
+# the variational Jacobian overflows
+_BLOW_UP_CFG = "system = harmonic_oscillator\ndt = 100\nt_end = 10000\n"
+
+
+def _run_recording_warnings(tmp_path, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, text)
+    return code, out, caught
+
+
+def test_a_flow_that_blows_up_exits_1_with_one_error_line_and_no_report(tmp_path, capsys):
+    code, out, caught = _run_recording_warnings(tmp_path, _BLOW_UP_CFG)
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err == "error: flow blew up: non-finite state or field at step 47 (last valid step 46)\n"
+    assert list(out.iterdir()) == []
+
+
+def test_an_overflowing_jacobian_fails_its_certificate_without_warnings(tmp_path, capsys):
+    code, out, caught = _run_recording_warnings(tmp_path, _BLOW_UP_CFG + "z0 = 0 0 0 0\n")
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert "flow jacobians: Neither (omega nan, lambda nan)" in capsys.readouterr().out
+    reports = {"trajectory.csv", "jacobians.npy", "probe_jacobians.npy", "invariance.json",
+               "ledger.json"}
+    assert {p.name for p in out.iterdir()} == reports
 
 
 def test_driven_flow_with_params(tmp_path):

@@ -8,6 +8,7 @@ from jacobiflow import (
     HamiltonianSystem,
     builtin_system,
     canonical_zeta,
+    check_flow_jacobians,
     extended_vector_field,
     field_jacobian,
     form_residual,
@@ -262,7 +263,14 @@ def _per_step_blow_up(sys, z0, dt, method, max_steps):
 
 @pytest.mark.parametrize(
     "term, strict",
-    [("force", None), ("force", "grad_q"), ("force", "d_t"), ("velocity", None), ("power", None)],
+    [
+        ("force", None),
+        ("force", "grad_q"),
+        ("force", "d_t"),
+        ("velocity", None),
+        ("velocity", "grad_q"),
+        ("power", None),
+    ],
 )
 @pytest.mark.parametrize("with_variational", [False, True])
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])
@@ -273,9 +281,10 @@ def test_blow_up_names_the_first_bad_step_around_a_chunk_boundary(step, method, 
     # infinite between the stages of `step`, so its state or field sample is
     # the first non-finite one (leapfrog's infinite velocity leaves only the
     # field sample non-finite, an infinite power only the energy and power);
-    # a strict grad_q raises on the step after it, and a strict d_t on the
-    # first non-finite position it is given, in the step loop or in the
-    # chunk's power fill
+    # a strict grad_q raises on the step after it, or on the step's own new
+    # state (RK4's infinite velocity), and a strict d_t on the first
+    # non-finite position it is given, in the step loop or in the chunk's
+    # power fill
     dt, t0 = 0.01, 0.5
     sys = _turns_infinite(t0 + (step - 0.25) * dt, term, strict)
     z0 = np.array([1.0, 0.0, 0.0, t0])
@@ -288,6 +297,66 @@ def test_blow_up_names_the_first_bad_step_around_a_chunk_boundary(step, method, 
     if strict and step != 32:
         # mid-chunk, the next step ran into the bad state and the strict callable raised
         assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("with_variational", [False, True])
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+@pytest.mark.parametrize("n_steps, step", [(1, 1), (40, 12)])
+def test_a_callable_raising_at_a_finite_state_propagates_unchanged(n_steps, step, method,
+                                                                   with_variational):
+    # grad_q raises from the last stage of `step` on, in a one-step run or
+    # mid-chunk.  The state stays finite, so there is no blow-up to report:
+    # the callable's own exception surfaces as it was raised
+    dt, t0 = 0.01, 0.5
+    t_bad = t0 + (step - 0.25) * dt
+
+    def grad_q(q, p, t):
+        if t >= t_bad:
+            raise _Refused(f"grad_q refused at t={t}")
+        return q
+
+    sys = HamiltonianSystem(
+        n=1,
+        value=lambda q, p, t: 0.5 * float(p @ p + q @ q),
+        grad_q=grad_q,
+        grad_p=lambda q, p, t: p,
+        d_t=lambda q, p, t: 0.0 * np.asarray(t),
+        separable=True,
+    )
+    z0 = np.array([1.0, 0.0, 0.0, t0])
+    with pytest.raises(_Refused, match="^grad_q refused at t=") as info:
+        integrate_flow(sys, z0, t0 + n_steps * dt, dt, method=method,
+                       with_variational=with_variational)
+    assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+@pytest.mark.parametrize("mass, frequency", [(1.0, 1.0), (2.5, 0.7)])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("dt", [0.1, 0.2, 0.3])
+def test_flow_omega_residual_matches_the_closed_form(dt, n, mass, frequency):
+    # On a harmonic oscillator RK4's step acts on each (q_i, p_i) pair as a
+    # matrix with eigenvalues R(+-i om dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    # and J^T zeta J of a pair is det(J) zeta: after N steps the omega residual
+    # is |1 - |R(i om dt)|^(2N)|, which grows with N.  Leapfrog's kicks and
+    # drift are shears, so its residual is round-off
+    steps = 500
+    sys = builtin_system("harmonic_oscillator", n=n, mass=mass, frequency=frequency)
+    z0 = np.zeros(2 * n + 2)
+    z0[0 : 2 * n : 2] = 1.0
+    z = 1j * frequency * dt
+    R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    expected = abs(1.0 - abs(R) ** (2 * steps))
+    for method in ("rk4", "leapfrog"):
+        traj = integrate_flow(sys, z0, steps * dt, dt, method=method, with_variational=True)
+        residual = check_flow_jacobians(traj).omega_residual_max
+        if method == "rk4":
+            assert residual == pytest.approx(expected, rel=1e-6)
+        else:
+            assert residual <= 1e-13
 
 
 def test_variational_initial_and_fixed_rows():
