@@ -179,22 +179,27 @@ def validate_config(cfg, present):
 
 def _resolved(cfg, params):
     out = {k: cfg[k] for k in _DEFAULTS if k not in _PARAM_KEYS}
-    out["z0"] = [float(x) for x in cfg["z0"]]
     out["params"] = dict(params)
     return out
 
 
+def _finite(obj):
+    """obj with None (null) for each non-finite float: strict JSON has no NaN or Infinity."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path, obj):
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _catalog_map(n, name):
     """The hand-built check map `name`; all but t_doubling are lifted canonical maps."""
-    n = as_dimension(n)
-    if name == "identity":
-        return MapHandle(func=lambda z: np.asarray(z, dtype=float).copy(), n=n, name=name)
     M = np.eye(2 * n + 2)
     q = np.arange(0, 2 * n, 2)  # the q rows and columns; p's are q + 1
     if name == "t_doubling":
@@ -206,8 +211,6 @@ def _catalog_map(n, name):
         M[q, q + 1] = 0.5
     elif name == "scaling":
         M[q, q], M[q + 1, q + 1] = 2.0, 0.5
-    else:
-        raise ValueError(f"unknown map {name!r}")
     return MapHandle(func=lambda z: M @ np.asarray(z, dtype=float), n=n, name=name)
 
 

@@ -9,7 +9,8 @@ construction.
 
 A trajectory is one (samples, 2, 2n+2) array zX: each sample is its state z
 and the field X = (v, f, r, 1) at it.  z, X, the coordinates (q, p, eps, t),
-tau = t, (v, f, r) and the shift transform's table are views of it.
+tau = t, (v, f, r) and the shift transform's table are views of it.  The
+first sample's field is `extended_vector_field`'s, the one-state field.
 
 The energy eps never enters the field, so it is a quadrature of the power
 along the (q, p, t) solution and is summed after the steps that produce it.
@@ -65,8 +66,8 @@ keeps only every `jac_every`-th J and the last one.  The certification layer
 factors those into the matrix group.  The full (steps + 1, d, d) stack is
 never stored.
 
-`write_csv` formats each block of `_CSV_BLOCK` rows with one `%` of the row
-format repeated per row, and writes it with one call.
+`write_csv` selects its columns from each sample's row of zX with one index,
+and formats each block of `_CSV_BLOCK` rows with one `%`.
 """
 
 import math
@@ -92,11 +93,6 @@ def _as_state(z, dtype=float):
     return z.copy()
 
 
-def _split(z):
-    k = len(z) - 2
-    return z[0:k:2], z[1:k:2], z[-2], z[-1]
-
-
 def _system_state(sys, z):
     z = _as_state(z)
     if 2 * sys.n + 2 != len(z):
@@ -104,23 +100,15 @@ def _system_state(sys, z):
     return z
 
 
-def _field(sys, q, p, t, v, f):
-    """Write v = grad_p and f = -grad_q at (q, p, t) into the views v and f; return r = d_t.
-
-    The step loop of `integrate_flow` composes the first two calls inline, and
-    its chunk fill calls d_t once on a stack of states.
-    """
-    v[...] = sys.grad_p(q, p, t)
-    np.negative(sys.grad_q(q, p, t), out=f)
-    return sys.d_t(q, p, t)
-
-
 def extended_vector_field(sys, z):
     """Field (v, f, r, 1) at z, in canonical ordering."""
     z = _system_state(sys, z)
     k = len(z) - 2
+    q, p, t = z[0:k:2], z[1:k:2], z.item(-1)
     X = np.empty(len(z))
-    X[-2] = _field(sys, z[0:k:2], z[1:k:2], z.item(-1), X[0:k:2], X[1:k:2])
+    X[0:k:2] = sys.grad_p(q, p, t)
+    np.negative(sys.grad_q(q, p, t), out=X[1:k:2])
+    X[-2] = sys.d_t(q, p, t)
     X[-1] = 1.0
     if not np.all(np.isfinite(X)):
         raise ValueError("Hamiltonian gradients evaluated to non-finite values")
@@ -300,19 +288,17 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     # at the stage states Zs in the rest of R; each field's time entry stays 1
     B = np.empty((5, d))
     B[0] = z
+    B[1] = extended_vector_field(sys, z)
     z, R, sample = B[0], B[1:], B[:2]
-    Zs = np.empty((3, d))
-    R[:, -1] = 1.0
-    tmp = np.empty(d)
-    X = R[0]
-    q, p, v, f = z[0:k:2], z[1:k:2], X[0:k:2], X[1:k:2]
-    X[-2] = _field(sys, q, p, z.item(-1), v, f)
     ZX[0] = sample
-    if not np.isfinite(X).all():
-        raise ValueError("Hamiltonian gradients evaluated to non-finite values at the initial state")
+    R[:, -1] = 1.0
     # the state pass leaves the energy and the power to the chunk fill; zero
     # power keeps the values it carries there finite
     R[:, -2] = 0.0
+    Zs = np.empty((3, d))
+    tmp = np.empty(d)
+    X = R[0]
+    q, p, v, f = z[0:k:2], z[1:k:2], X[0:k:2], X[1:k:2]
     jac_steps = Js = res_o = res_l = None
     if with_variational:
         jac_steps = np.union1d(np.arange(0, n_steps + 1, jac_every), [n_steps])
@@ -524,23 +510,19 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
 
 def write_csv(traj, path):
     """Trajectory CSV: tau, q1..qn, p1..pn, eps, t, v1..vn, f1..fn, r at 17 significant digits."""
-    cols = (
-        ["tau"]
-        + [f"q{i + 1}" for i in range(traj.n)]
-        + [f"p{i + 1}" for i in range(traj.n)]
-        + ["eps", "t"]
-        + [f"v{i + 1}" for i in range(traj.n)]
-        + [f"f{i + 1}" for i in range(traj.n)]
-        + ["r"]
-    )
-    columns = [traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r]
+    k, d = 2 * traj.n, 2 * traj.n + 2
+    cols = ["tau", *[f"{c}{i + 1}" for c in "qp" for i in range(traj.n)], "eps", "t",
+            *[f"{c}{i + 1}" for c in "vf" for i in range(traj.n)], "r"]
+    # a sample's row of zX is its state z, then its field X at offset d
+    index = np.r_[k + 1, 0:k:2, 1:k:2, k, k + 1, d : d + k : 2, d + 1 : d + k : 2, d + k]
+    rows = traj.zX.reshape(traj.n_samples, 2 * d)
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         # a block of rows at a time, formatted by one %: tolist() makes a Python
         # float of every value, in row order
         for a in range(0, traj.n_samples, _CSV_BLOCK):
-            body = np.column_stack([c[a : a + _CSV_BLOCK] for c in columns])
+            body = rows[a : a + _CSV_BLOCK, index]
             fh.write((row * len(body)) % tuple(body.ravel().tolist()))
 
 
@@ -578,8 +560,8 @@ class RhoTransform:
 
     def __call__(self, z):
         z = _as_state(z, complex if np.iscomplexobj(z) else float)
-        q, p, eps, t = _split(z)
-        z[-2] = eps + self.sys.value(q, p, t)
+        k, t = len(z) - 2, z[-1]
+        z[-2] += self.sys.value(z[0:k:2], z[1:k:2], t)
         z[:-2] += self._hermite(t) - self.table[0, 0]  # the shift (xi, pi)
         return z
 

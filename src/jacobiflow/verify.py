@@ -37,7 +37,6 @@ from .groups import (
     vfr_convert,
 )
 
-CLASSIFICATIONS = ("Jacobimorphism", "Symplectomorphism", "TimePreservingOnly", "Neither")
 _CHUNK = 32  # Jacobians per stacked symplectic-residual pass and per stacked membership pass
 
 

@@ -5,6 +5,7 @@ summary) and then asserts, so a red run still reports every criterion.
 """
 
 import numpy as np
+import pytest
 
 from conftest import acceptance_results
 
@@ -205,6 +206,73 @@ def test_closed_form_flows():
         ok,
         f"oscillator period return {ho_err:.2e} (tol 1e-09), "
         f"free particle {free_err:.2e} (tol 1e-12)",
+    )
+
+
+def test_flow_certificate_reproduces_the_rk4_symplecticity_defect():
+    # On a harmonic oscillator RK4's step acts on each (q_i, p_i) pair as a
+    # matrix with eigenvalues R(+-i om dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    # and J^T zeta J of a pair is det(J) zeta: after N steps the omega residual
+    # is |1 - |R(i om dt)|^(2N)|, which grows with N.  Leapfrog's kicks and
+    # drift are shears, so its residual is round-off
+    steps, tol_rel, tol_leapfrog = 500, 1e-6, 1e-13
+    ok = True
+    worst_gap = worst_leapfrog = 0.0
+    for dt in (0.1, 0.2, 0.3):
+        for n in (1, 4):
+            for mass, frequency in ((1.0, 1.0), (2.5, 0.7)):
+                sys = builtin_system("harmonic_oscillator", n=n, mass=mass, frequency=frequency)
+                z0 = np.zeros(2 * n + 2)
+                z0[0 : 2 * n : 2] = 1.0
+                z = 1j * frequency * dt
+                R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+                expected = abs(1.0 - abs(R) ** (2 * steps))
+                for method in ("rk4", "leapfrog"):
+                    traj = integrate_flow(sys, z0, steps * dt, dt, method=method, with_variational=True)
+                    residual = check_flow_jacobians(traj).omega_residual_max
+                    if method == "rk4":
+                        ok = ok and residual == pytest.approx(expected, rel=tol_rel)
+                        worst_gap = max(worst_gap, abs(residual - expected) / expected)
+                    else:
+                        worst_leapfrog = max(worst_leapfrog, residual)
+    ok = ok and worst_leapfrog <= tol_leapfrog
+    _record(
+        "flow certificate reproduces RK4's closed-form symplecticity defect",
+        ok,
+        f"dt in 0.1..0.3, n in {{1, 4}}, 2 (mass, frequency), {steps} steps: rk4 relative gap "
+        f"{worst_gap:.1e} (tol {tol_rel:.0e}), leapfrog omega {worst_leapfrog:.1e} (tol {tol_leapfrog:.0e})",
+    )
+
+
+def test_extended_energy_drift():
+    # the extended energy K = eps - H(q, p, t) is a first integral of the
+    # extended flow; leapfrog keeps a modified energy, so its drift
+    # max |K - K(0)| stays bounded (dt^2/8 per unit pair), while RK4's
+    # symplecticity defect makes it grow linearly in T
+    dt, tol = 0.1, 0.01
+    ratios = {"leapfrog": [], "rk4": []}
+    for n in (1, 4):
+        sys = builtin_system("harmonic_oscillator", n=n)
+        z0 = np.zeros(2 * n + 2)
+        z0[0 : 2 * n : 2] = 1.0
+        for method, drifts in ratios.items():
+            drift = []
+            for T in (100.0, 200.0):
+                traj = integrate_flow(sys, z0, T, dt, method=method)
+                H = np.array([sys.value(*s) for s in zip(traj.q, traj.p, traj.t)])
+                K = traj.eps - H
+                drift.append(float(np.max(np.abs(K - K[0]))))
+            drifts.append(drift[1] / drift[0])
+    ok = all(abs(r - 1.0) <= tol for r in ratios["leapfrog"])
+    ok = ok and all(abs(r - 2.0) <= 2.0 * tol for r in ratios["rk4"])
+    _record(
+        "extended energy: leapfrog bounded, RK4 linear",
+        ok,
+        f"harmonic n in {{1, 4}}, dt {dt}, drift at T = 200 over T = 100: leapfrog "
+        + ", ".join(f"{r:.4f}" for r in ratios["leapfrog"])
+        + " (1 within 1%), rk4 "
+        + ", ".join(f"{r:.4f}" for r in ratios["rk4"])
+        + " (2 within 1%)",
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -233,6 +234,28 @@ def test_an_overflowing_jacobian_fails_its_certificate_without_warnings(tmp_path
     assert {p.name for p in out.iterdir()} == reports
 
 
+def _strict_json(path):
+    # RFC 8259 JSON: json.loads reads NaN, Infinity and -Infinity only through parse_constant
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-standard token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_an_overflowing_flow_writes_strict_json_with_null_residuals(tmp_path, capsys):
+    # its residuals are NaN and inf, which strict JSON cannot hold: they read null
+    code, out = _run(tmp_path, _BLOW_UP_CFG + "z0 = 0 0 0 0\n")
+    assert code == 1
+    assert len(list(out.iterdir())) == 5
+    inv = _strict_json(out / "invariance.json")
+    _strict_json(out / "ledger.json")
+    flow = inv["flow_jacobians"]
+    assert flow["omega_residual_max"] is None and flow["lambda_residual_max"] is None
+    assert flow["classification"] == "Neither"
+    assert inv["passed"]["flow_jacobians"] is False and inv["all_passed"] is False
+    assert "flow jacobians: Neither (omega nan, lambda nan)" in capsys.readouterr().out
+
+
 def test_driven_flow_with_params(tmp_path):
     code, out = _run(
         tmp_path,
@@ -281,6 +304,13 @@ def test_selftest_contract(tmp_path):
     ]
     # the file holds exactly the check dicts that the suites return
     assert checks == run_checks(0, 3)
+
+
+def test_selftest_fuzz_below_the_factor_tolerance_is_reported_undetected():
+    assert run_checks(0, 1, fuzz=1e-12)[-1] == {
+        "name": "fuzz_pattern_violation", "passed": False, "residual": 1e-12,
+        "threshold": 1e-9, "count": 1,
+    }
 
 
 def test_selftest_fuzz_detects_perturbation(tmp_path):
@@ -452,6 +482,8 @@ def test_map_run_holds_at_most_the_counted_jacobians(tmp_path, n, probes):
     "text, message",
     [
         ("n = 0\n", "dimension must be a positive integer, got 0"),
+        ("dt =\n", "line 1: empty value for 'dt'"),
+        ("seed = -1\n", "seed must be >= 0, got -1"),
         ("system = teleporter\n", "unknown system 'teleporter'; available: ['constant_force',"
          " 'driven_oscillator', 'free_particle', 'harmonic_oscillator']"),
     ],
@@ -532,6 +564,19 @@ def test_negative_flag_value_with_exponent_is_a_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: tol_omega") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_tol_lambda_flag_overrides_the_config(tmp_path, capsys):
+    code, out = _run(tmp_path, FLOW_CFG + "tol_lambda = 1e-8\n", "--tol-lambda", "1e-9")
+    assert code == 0
+    inv = json.loads((out / "invariance.json").read_text())
+    assert inv["config"]["tol_lambda"] == 1e-9
+    assert inv["flow_jacobians"]["tol_lambda"] == inv["rho_transform"]["tol_lambda"] == 1e-9
+    capsys.readouterr()
+    neg = tmp_path / "neg"
+    assert main(["--config", _write(tmp_path, FLOW_CFG), "--out", str(neg), "--tol-lambda", "-1e-9"]) == 2
+    assert capsys.readouterr().err == "config error: tol_lambda must be positive and finite, got -1e-09\n"
+    assert not neg.exists()
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -755,4 +800,6 @@ def test_map_run_holds_at_most_two_and_a_half_probe_stacks(tmp_path):
 def test_write_json_matches_json_dumps(tmp_path, obj):
     path = tmp_path / "out.json"
     cli._write_json(str(path), obj)
-    assert path.read_bytes() == _dumps(obj)
+    # strict JSON has no NaN or Infinity: where json.dumps writes those tokens
+    # (obj0, obj7 and obj12), the reports hold null
+    assert path.read_bytes() == re.sub(rb"NaN|-?Infinity", b"null", _dumps(obj))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -490,6 +492,25 @@ def test_element_validation():
         JacobiElement.from_parts(np.eye(2), np.zeros(2), 0.0, tr=2)
     with pytest.raises(ValueError):
         HeisenbergElement(w=np.array([1.0, 2.0, 3.0]), r=0.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SymplecticBlock(np.zeros((2, 4))), "expected a square even-dimensional matrix, got (2, 4)"),
+        (lambda: IglElement(omega=np.eye(2), u=np.zeros(2), eps=1),
+         "Omega must be square of odd dimension, got (2, 2)"),
+        (lambda: IglElement(omega=np.eye(3), u=np.zeros(2), eps=1), "u has shape (2,), expected (3,)"),
+        (lambda: IglElement(omega=np.eye(3), u=np.zeros(3), eps=0), "eps must be +1 or -1, got 0"),
+        (lambda: euclidean_element(np.eye(2), np.zeros(3)),
+         "need an n x n matrix and length-n vector, got (2, 2) and (3,)"),
+    ],
+    ids=["symplectic-2x4", "igl-2x2", "igl-u", "igl-eps", "euclidean-v"],
+)
+def test_element_constructors_reject_bad_shapes_and_signs(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize(

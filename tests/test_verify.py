@@ -10,6 +10,7 @@ import pytest
 from jacobiflow import (
     HamiltonianSystem,
     MapHandle,
+    Trajectory,
     VfrView,
     box_probes,
     builtin_system,
@@ -117,6 +118,14 @@ def test_check_invariance_names_a_probe_array_of_the_wrong_shape(probes):
     assert "(count, 2n+2) array" in str(info.value)
 
 
+def test_check_invariance_names_a_handle_jacobian_of_the_wrong_shape():
+    handle = MapHandle(lambda z: z.copy(), 1, jacobian=lambda z: np.eye(3))
+    message = "expected (4, 4) Jacobians, got a stack of shape (2, 3, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        check_invariance(handle, np.zeros((2, 4)))
+    assert type(info.value) is ValueError
+
+
 def test_report_to_dict_is_json_ready():
     handle = MapHandle(lambda z: z.copy(), 1, name="identity")
     report = check_invariance(handle, _probes(count=3))
@@ -211,6 +220,13 @@ def test_hamilton_residual_rejects_short_trajectory():
     traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 0.2, 0.1)
     with pytest.raises(ValueError):
         hamilton_residual(traj, _sys_ho())
+
+
+def test_energy_ledger_needs_two_samples():
+    traj = Trajectory(zX=np.zeros((1, 2, 4)), dt=0.1, n=1)
+    with pytest.raises(ValueError, match="^need at least 2 samples$") as info:
+        energy_ledger(traj, _sys_ho())
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("check", [hamilton_residual, energy_ledger, make_rho])
