@@ -198,6 +198,17 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_report(out_dir, name, config, **body):
+    _write_json(os.path.join(out_dir, name), {"version": __version__, "config": config, **body})
+
+
+def _print_check(label, rep):
+    print(
+        f"{label}: {rep.classification}"
+        f" (omega {rep.omega_residual_max:.3e}, lambda {rep.lambda_residual_max:.3e})"
+    )
+
+
 def _catalog_map(n, name):
     """The hand-built check map `name`; all but t_doubling are lifted canonical maps."""
     M = np.eye(2 * n + 2)
@@ -214,8 +225,8 @@ def _catalog_map(n, name):
     return MapHandle(func=lambda z: M @ np.asarray(z, dtype=float), n=n, name=name)
 
 
-def run_flow(cfg, params, out_dir):
-    system = builtin_system(cfg["system"], n=cfg["n"], **params)
+def run_flow(cfg, out_dir):
+    system = builtin_system(cfg["system"], n=cfg["n"], **cfg["params"])
     z0 = block_to_interleaved(np.asarray(cfg["z0"], dtype=float))
     try:
         traj = integrate_flow(
@@ -229,12 +240,9 @@ def run_flow(cfg, params, out_dir):
     probes = trajectory_probes(traj, cfg["probes"], np.random.default_rng(cfg["seed"]))
     write_csv(traj, os.path.join(out_dir, "trajectory.csv"))
     rho = make_rho(traj, system)
-    rho_rep = check_invariance(
-        rho.as_map(), probes, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
-    )
-    flow_rep = check_flow_jacobians(
-        traj, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
-    )
+    tols = {"tol_omega": cfg["tol_omega"], "tol_lambda": cfg["tol_lambda"]}
+    rho_rep = check_invariance(rho.as_map(), probes, **tols)
+    flow_rep = check_flow_jacobians(traj, **tols)
     np.save(os.path.join(out_dir, "jacobians.npy"), traj.jac)
     np.save(os.path.join(out_dir, "probe_jacobians.npy"), rho_rep.jacobians)
     h_res = hamilton_residual(traj, system)
@@ -247,66 +255,36 @@ def run_flow(cfg, params, out_dir):
         "energy_ledger": ledger.residual <= cfg["tol_ledger"],
     }
     ok = all(passed.values())
-    resolved = _resolved(cfg, params)
-    _write_json(
-        os.path.join(out_dir, "invariance.json"),
-        {
-            "version": __version__,
-            "config": resolved,
-            "dt_actual": traj.dt,
-            "flow_jacobians": {**flow_rep.to_dict(), "jacobian_steps": traj.jac_steps.tolist()},
-            "rho_transform": rho_rep.to_dict(),
-            "hamilton_residual": h_res,
-            "passed": passed,
-            "all_passed": ok,
-        },
+    _write_report(
+        out_dir, "invariance.json", cfg,
+        dt_actual=traj.dt,
+        flow_jacobians={**flow_rep.to_dict(), "jacobian_steps": traj.jac_steps.tolist()},
+        rho_transform=rho_rep.to_dict(),
+        hamilton_residual=h_res,
+        passed=passed,
+        all_passed=ok,
     )
-    _write_json(
-        os.path.join(out_dir, "ledger.json"),
-        {
-            "version": __version__,
-            "config": resolved,
-            "ledger": ledger.to_dict(),
-            "passed": passed["energy_ledger"],
-        },
+    _write_report(
+        out_dir, "ledger.json", cfg, ledger=ledger.to_dict(), passed=passed["energy_ledger"]
     )
-    print(
-        f"flow jacobians: {flow_rep.classification}"
-        f" (omega {flow_rep.omega_residual_max:.3e}, lambda {flow_rep.lambda_residual_max:.3e})"
-    )
-    print(
-        f"rho transform: {rho_rep.classification}"
-        f" (omega {rho_rep.omega_residual_max:.3e}, lambda {rho_rep.lambda_residual_max:.3e})"
-    )
+    _print_check("flow jacobians", flow_rep)
+    _print_check("rho transform", rho_rep)
     print(f"hamilton residual: {h_res:.3e} (tol {cfg['tol_hamilton']:.1e})")
     print(f"ledger residual: {ledger.residual:.3e} (tol {cfg['tol_ledger']:.1e})")
     print("scenario:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
 
-def run_map(cfg, params, out_dir):
+def run_map(cfg, out_dir):
     handle = _catalog_map(cfg["n"], cfg["map"])
-    rng = np.random.default_rng(cfg["seed"])
-    probes = box_probes(cfg["n"], cfg["probes"], rng)
-    rep = check_invariance(
-        handle, probes, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"]
-    )
+    probes = box_probes(cfg["n"], cfg["probes"], np.random.default_rng(cfg["seed"]))
+    rep = check_invariance(handle, probes, tol_omega=cfg["tol_omega"], tol_lambda=cfg["tol_lambda"])
     ok = rep.classification == "Jacobimorphism"
     np.save(os.path.join(out_dir, "probe_jacobians.npy"), rep.jacobians)
-    _write_json(
-        os.path.join(out_dir, "invariance.json"),
-        {
-            "version": __version__,
-            "config": _resolved(cfg, params),
-            "map": cfg["map"],
-            "check": rep.to_dict(),
-            "all_passed": ok,
-        },
+    _write_report(
+        out_dir, "invariance.json", cfg, map=cfg["map"], check=rep.to_dict(), all_passed=ok
     )
-    print(
-        f"map {cfg['map']}: {rep.classification}"
-        f" (omega {rep.omega_residual_max:.3e}, lambda {rep.lambda_residual_max:.3e})"
-    )
+    _print_check(f"map {cfg['map']}", rep)
     return 0 if ok else 1
 
 
@@ -327,15 +305,16 @@ def run_scenario(cfg, present, out_dir):
         cfg = validate_config(cfg, present)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    params = {k: cfg[k] for k in _PARAM_KEYS if k in present}
+    # the reports' config, which is all that run_flow and run_map read
+    resolved = _resolved(cfg, {k: cfg[k] for k in _PARAM_KEYS if k in present})
     if cfg["mode"] == "map":
         _make_out_dir(out_dir, ("probe_jacobians.npy", "invariance.json"))
-        return run_map(cfg, params, out_dir)
+        return run_map(resolved, out_dir)
     _make_out_dir(
         out_dir,
         ("trajectory.csv", "jacobians.npy", "probe_jacobians.npy", "invariance.json", "ledger.json"),
     )
-    return run_flow(cfg, params, out_dir)
+    return run_flow(resolved, out_dir)
 
 
 def validate_selftest(seed, n_max, fuzz):
@@ -352,15 +331,8 @@ def run_selftest(seed, n_max, fuzz, out_dir):
     _make_out_dir(out_dir, ("selftest.json",))
     checks = run_checks(seed, n_max, fuzz)
     ok = all(c["passed"] for c in checks)
-    _write_json(
-        os.path.join(out_dir, "selftest.json"),
-        {
-            "version": __version__,
-            "config": {"seed": seed, "n_max": n_max, "fuzz": fuzz},
-            "checks": checks,
-            "all_passed": ok,
-        },
-    )
+    config = {"seed": seed, "n_max": n_max, "fuzz": fuzz}
+    _write_report(out_dir, "selftest.json", config, checks=checks, all_passed=ok)
     for c in checks:
         print(
             f"{c['name']}: {'PASS' if c['passed'] else 'FAIL'}"

@@ -269,7 +269,6 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     if not np.all(np.isfinite(z)):
         raise ValueError(f"initial state must be finite, got {z.tolist()}")
     t0 = z.item(-1)
-    method = method.lower() if isinstance(method, str) else method
     if method not in ("rk4", "leapfrog"):
         raise ValueError(f"unknown method {method!r}")
     if method == "leapfrog" and not sys.separable:

@@ -156,17 +156,15 @@ def default_step(z):
     return 1e-5 * max(1.0, float(np.max(np.abs(z), initial=0.0)))
 
 
-def numeric_jacobian(f, z, h=None):
-    """Central-difference Jacobian of a map at z.
+def numeric_jacobian(f, z):
+    """Central-difference Jacobian of a map at z, with the step h = `default_step(z)`.
 
     Parameters
     ----------
     f : MapHandle or callable
         Map R^m -> R^m on flat state vectors.
     z : array
-        Evaluation point, a flat state vector.
-    h : float, optional
-        Step size; defaults to 1e-5 * max(1, |z|_inf).
+        Evaluation point, a finite flat state vector.
 
     Returns
     -------
@@ -175,10 +173,9 @@ def numeric_jacobian(f, z, h=None):
     """
     func = f.func if isinstance(f, MapHandle) else f
     z = np.asarray(z, dtype=float)
-    if h is None:
-        h = default_step(z)
-    if not 0 < h < np.inf:
-        raise ValueError("step size must be positive and finite")
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"numeric_jacobian needs a finite state, got {z.tolist()}")
+    h = default_step(z)
     m = len(z)
     J = np.empty((m, m))
     for d in range(m):

@@ -695,6 +695,35 @@ def test_write_json_matches_json_dumps_on_every_report(tmp_path, monkeypatch):
     assert written == ["invariance.json", "ledger.json"] * 3 + ["invariance.json", "selftest.json"]
 
 
+# each check's stdout label and its key in invariance.json
+FLOW_CHECKS = {"flow jacobians": "flow_jacobians", "rho transform": "rho_transform"}
+
+
+@pytest.mark.parametrize(
+    "text, checks",
+    [
+        (CERTIFY_FLOW_CFGS[0], FLOW_CHECKS),
+        (_BLOW_UP_CFG + "z0 = 0 0 0 0\n", FLOW_CHECKS),
+        (MAP_CFG, {"map rotation": "check"}),
+    ],
+    ids=["driven_n1", "overflowing_jacobians", "map"],
+)
+def test_check_lines_state_the_reported_values(tmp_path, capsys, text, checks):
+    # each check's stdout line is its invariance.json entry, a null residual read as nan
+    code, out = _run(tmp_path, text)
+    lines = capsys.readouterr().out.splitlines()
+    inv = json.loads((out / "invariance.json").read_text())
+    nan = float("nan")
+    for label, key in checks.items():
+        c = inv[key]
+        omega, lam = (nan if x is None else x for x in (c["omega_residual_max"], c["lambda_residual_max"]))
+        assert f"{label}: {c['classification']} (omega {omega:.3e}, lambda {lam:.3e})" in lines
+    if checks is FLOW_CHECKS:
+        assert len(lines) == 5 and lines[-1] == ("scenario: PASS" if code == 0 else "scenario: FAIL")
+    else:
+        assert len(lines) == 1
+
+
 # the keys of a check in invariance.json before the Jacobians moved to .npy files
 OLD_CHECK_KEYS = {
     "classification", "omega_residual_max", "lambda_residual_max", "omega_residuals",

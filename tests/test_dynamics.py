@@ -156,6 +156,8 @@ def test_integrate_flow_validation():
         integrate_flow(sys, z0, 1.0, 0.1, method="euler")
     with pytest.raises(ValueError, match="^unknown method None$"):
         integrate_flow(sys, z0, 1.0, 0.1, method=None)
+    with pytest.raises(ValueError, match="^unknown method 'RK4'$"):
+        integrate_flow(sys, z0, 1.0, 0.1, method="RK4")  # the names are exact, as in the CLI
     with pytest.raises(ValueError):
         integrate_flow(sys, np.zeros(6), 1.0, 0.1)  # wrong state length
     with pytest.raises(ValueError):

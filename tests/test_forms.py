@@ -197,10 +197,20 @@ def test_numeric_jacobian_accepts_handle_and_point():
     assert np.max(np.abs(J - 2.0 * np.eye(4))) < 1e-9
 
 
-@pytest.mark.parametrize("h", [0.0, np.nan, np.inf])
-def test_numeric_jacobian_bad_step(h):
-    with pytest.raises(ValueError, match="step size must be positive and finite"):
-        numeric_jacobian(lambda z: z, np.zeros(4), h=h)
+@pytest.mark.parametrize(
+    "func, z",
+    [
+        (lambda w: w, [0.0, np.inf, 0.0, 0.0]),
+        (lambda w: w, [np.nan, 0.0, 0.0, 0.0]),
+        # finite at any point, so only the check of z can refuse it
+        (lambda w: np.zeros(4), [0.0, 0.0, np.nan, 0.0]),
+    ],
+    ids=["inf", "nan", "nan_constant_map"],
+)
+def test_numeric_jacobian_rejects_a_non_finite_point(func, z):
+    message = f"numeric_jacobian needs a finite state, got {z}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        numeric_jacobian(func, np.array(z))
 
 
 def test_numeric_jacobian_nonfinite_map():
