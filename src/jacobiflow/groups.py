@@ -21,16 +21,21 @@ collected on the right.  The matrix realization multiplies like the group
 exactly when the left factor has tr = +1; Delta(-1) itself preserves only
 the time metric, not the symplectic form.
 
+`_realize` alone writes this layout: an element's matrix, the membership
+check of `jacobi_factor` and the basis of `heisenberg_generators` come from it.
+
 Validation happens where elements enter: the class constructors check
-shapes and signs, and `SymplecticBlock` (hence `JacobiElement.from_parts`
-and `identity`) checks the symplectic residual against its `tol`.  Results
-that are members by construction (products, inverses, conjugates, the
-`vfr_convert`/`heisenberg_from_vfr` conversions, the random elements of
-`random_jacobi`, and the output of `jacobi_factor` once its own checks
-pass) are built by `_trusted`, which neither re-checks nor copies.
+shapes, signs and that every parameter is finite, and `SymplecticBlock`
+(hence `JacobiElement.from_parts` and `identity`) checks the symplectic
+residual against its `tol`.  Results that are members by construction
+(products, inverses, conjugates, the `vfr_convert`/`heisenberg_from_vfr`
+conversions, the random elements of `random_jacobi`, and the output of
+`jacobi_factor` once its own checks pass) are built by `_trusted`, which
+neither re-checks nor copies.
 `_membership` runs those checks alone, for callers that only count members.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -77,6 +82,13 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _finite(name, a):
+    # a NaN or infinite float or array is rejected before any arithmetic on it can warn
+    if not (math.isfinite(a) if type(a) is float else np.count_nonzero(np.isfinite(a)) == a.size):
+        raise ValueError(f"{name} must be finite, got {np.asarray(a).tolist()}")
+    return a
+
+
 def _owned(a):
     # a fresh float array that becomes an element's read-only storage
     a.setflags(write=False)
@@ -100,8 +112,8 @@ class HeisenbergElement:
         w = _freeze(np.atleast_1d(self.w))
         if w.ndim != 1 or len(w) % 2 or len(w) < 2:
             raise ValueError(f"w must have even length >= 2, got shape {w.shape}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "w", _finite("w", w))
+        object.__setattr__(self, "r", _finite("r", float(self.r)))
         object.__setattr__(self, "n", len(w) // 2)
 
     @classmethod
@@ -131,7 +143,7 @@ class SymplecticBlock:
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] % 2:
             raise ValueError(f"expected a square even-dimensional matrix, got {sigma.shape}")
         n = as_dimension(sigma.shape[0] // 2)
-        res = form_residual(sigma, zeta_reduced(n))
+        res = form_residual(_finite("Sigma", sigma), zeta_reduced(n))
         if not res <= tol:
             raise NotSymplectic(f"Sigma^T zeta° Sigma - zeta° has max entry {res:.3e} > {tol:.1e}")
         object.__setattr__(self, "sigma", sigma)
@@ -154,8 +166,8 @@ class JacobiElement:
         w = _freeze(np.atleast_1d(self.w))
         if w.shape != (2 * self.sigma.n,):
             raise ValueError(f"w has shape {w.shape}, expected ({2 * self.sigma.n},)")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "w", _finite("w", w))
+        object.__setattr__(self, "r", _finite("r", float(self.r)))
         object.__setattr__(self, "tr", int(self.tr))
         object.__setattr__(self, "n", self.sigma.n)
 
@@ -190,8 +202,8 @@ class IglElement:
     n: int = field(init=False)
 
     def __post_init__(self):
-        omega = _freeze(self.omega)
-        u = _freeze(np.atleast_1d(self.u))
+        omega = _finite("Omega", _freeze(self.omega))
+        u = _finite("u", _freeze(np.atleast_1d(self.u)))
         if omega.ndim != 2 or omega.shape[0] != omega.shape[1] or omega.shape[0] % 2 == 0:
             raise ValueError(f"Omega must be square of odd dimension, got {omega.shape}")
         if u.shape != (omega.shape[0],):
@@ -228,9 +240,9 @@ class VfrView:
         f = _freeze(np.atleast_1d(self.f))
         if v.shape != f.shape or v.ndim != 1:
             raise ValueError("v and f must be 1-d arrays of equal length")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "r_phys", float(self.r_phys))
+        object.__setattr__(self, "v", _finite("v", v))
+        object.__setattr__(self, "f", _finite("f", f))
+        object.__setattr__(self, "r_phys", _finite("r_phys", float(self.r_phys)))
         object.__setattr__(self, "n", as_dimension(len(v)))
 
 
@@ -254,23 +266,15 @@ def heisenberg_mul(a, b):
 def heisenberg_generators(n):
     """Algebra basis W_1..W_2n, R as integer matrices.
 
-    W_a is the derivative of the matrix realization in w_a at the identity,
-    R the derivative in r; [W_a, W_b] = zeta°_{a,b} R and [W_a, R] = 0 hold
-    exactly in integer arithmetic.
+    W_a = `_realize`(I, e_a, 0, 1) - I and R = `_realize`(I, 0, 1, 1) - I: the
+    realization is affine in (w, r) at Sigma = I, so these are exactly its
+    derivatives in w_a and r.  [W_a, W_b] = zeta°_{a,b} R and [W_a, R] = 0
+    hold exactly in integer arithmetic.
     """
-    z0 = zeta_reduced(as_dimension(n)).astype(np.int64)
-    k = len(z0)
-    d = k + 2
-    gens = []
-    for a in range(k):
-        W = np.zeros((d, d), dtype=np.int64)
-        W[a, -1] = 1
-        W[k, :k] = z0[a]
-        gens.append(W)
-    R = np.zeros((d, d), dtype=np.int64)
-    R[k, -1] = 2
-    gens.append(R)
-    return gens
+    k = 2 * as_dimension(n)
+    # parameter row a < k is (e_a, 0), row k is (0, 1)
+    gens = _realize(_identity(k), np.eye(k + 1, k), np.eye(k + 1)[k], 1) - _identity(k + 2)
+    return list(gens.astype(np.int64))
 
 
 def conjugate_by_sp(s, a):
@@ -285,14 +289,16 @@ def jacobi_matrix(g):
 
 
 def _realize(sigma, w, r, tr):
-    k = len(w)
-    M = np.zeros((k + 2, k + 2))
-    M[:k, :k] = sigma
-    M[:k, -1] = tr * w
-    M[k, :k] = (w @ zeta_reduced(k // 2)) @ sigma
-    M[k, k] = 1.0
-    M[k, -1] = tr * 2.0 * r
-    M[-1, -1] = tr
+    """Gamma°(Sigma, w, r) . Delta(tr), or one per element of stacked sigma, w and r."""
+    k = w.shape[-1]
+    M = np.zeros(w.shape[:-1] + (k + 2, k + 2))
+    M[..., :k, :k] = sigma
+    M[..., :k, -1] = tr * w
+    # a (1, k) row times Sigma per element: the bits of one vector-matrix product
+    M[..., k : k + 1, :k] = (w @ zeta_reduced(k // 2))[..., None, :] @ sigma
+    M[..., k, k] = 1.0
+    M[..., k, -1] = tr * 2.0 * r
+    M[..., -1, -1] = tr
     return M
 
 
@@ -345,33 +351,6 @@ def _time_preserving(M, tol):
     return _check(eta_residual(M), tol, NotTimePreserving, "time-metric residual")
 
 
-@lru_cache(maxsize=None)
-def _pattern(k):
-    # flat indices of a normal form's eps row up to the eps column, its t row
-    # and the eps column above the eps row, so that the entries that should
-    # be 1 come last
-    d = k + 2
-    eps_row = k * d + np.arange(k)
-    t_row = (d - 1) * d + np.arange(d - 1)
-    eps_col = np.arange(k) * d + k
-    return np.concatenate([eps_row, t_row, eps_col, [k * d + k, d * d - 1]])
-
-
-def _pattern_deviation(G, w):
-    """Largest deviation of G, or of each matrix of a stack, from the normal form.
-
-    The normal form has (w^T zeta° Sigma, 1) in the eps row, (0, ..., 0, 1)
-    in the t row and zeros above the eps row in the eps column, with w the
-    top of G's last column.
-    """
-    d = G.shape[-1]
-    k = d - 2
-    dev = G.reshape(G.shape[:-2] + (d * d,))[..., _pattern(k)]
-    dev[..., :k] -= ((w @ zeta_reduced(k // 2))[..., None, :] @ G[..., :k, :k])[..., 0, :]
-    dev[..., -2:] -= 1.0
-    return abs(dev).max(axis=-1)
-
-
 def _element(sigma, w, r, tr, n):
     # a member by construction, from arrays that are owned already
     return _trusted(
@@ -404,7 +383,8 @@ def _membership(M, tol):
         col = G[..., -1].T  # the last column, one column of it per matrix
         col *= s
         w = G[..., :k, -1].copy()
-        pattern = _pattern_deviation(G, w)
+        # realization first: numpy subtracts in its buffer, freed before zeta_residual
+        pattern = abs(_realize(G[..., :k, :k], w, 0.5 * G[..., k, -1], 1) - G).max(axis=(-2, -1))
         if _check(pattern, tol, PatternViolation, "block pattern deviates by") and _check(
             zeta_residual(G), tol, NotSymplectic, "symplectic residual"
         ):
@@ -418,12 +398,12 @@ def jacobi_factor(M, tol=TOL_EXACT):
     """Factor a matrix into (Sigma, w, r, tr), verifying membership.
 
     Checks, in order: that every entry is finite (FactorError), the
-    time-metric residual (NotTimePreserving), the block pattern of the
-    normal form after stripping Delta(tr) (PatternViolation), and the
-    symplectic residual of the stripped factor (NotSymplectic).  The
-    pattern check runs before the symplectic one so that a structural
-    violation is reported as such even though it also breaks the
-    symplectic residual.
+    time-metric residual (NotTimePreserving), the normal form after
+    stripping Delta(tr) (PatternViolation: the stripped matrix must equal
+    `_realize` of its own parameters within tol), and the symplectic
+    residual of the stripped factor (NotSymplectic).  The normal form is
+    checked first so that a structural violation is reported as such even
+    though it also breaks the symplectic residual.
 
     Parameters are read as tr = sign M[t, t], w = tr * (top 2n entries of
     the last column), 2r = tr * M[eps, t].
@@ -466,8 +446,8 @@ def euclidean_element(R, v, tol=TOL_EXACT):
     in the (q, p) view, here interleaved), v becomes the velocity half of w,
     and the force and power parts are exactly zero.
     """
-    R = np.asarray(R, dtype=float)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    R = _finite("R", np.asarray(R, dtype=float))
+    v = _finite("v", np.atleast_1d(np.asarray(v, dtype=float)))
     if R.ndim != 2 or R.shape[0] != R.shape[1] or v.shape != (R.shape[0],):
         raise ValueError(f"need an n x n matrix and length-n vector, got {R.shape} and {v.shape}")
     n = as_dimension(R.shape[0])

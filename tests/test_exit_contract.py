@@ -4,7 +4,9 @@ Every run exits 0 or 1 with all of its mode's reports written, exits 1 after
 one "error: flow blew up" line with nothing in --out, or exits 2 with one
 "config error:" line and no --out; none raises.  A generated config starts
 from a valid scenario and replaces at most one of its values with one that is
-out of range, non-finite, of the wrong type or at the edge of a float.
+out of range, non-finite, of the wrong type or at the edge of a float.  A
+generated --selftest run draws its --seed, --n and --fuzz from valid, out of
+range and non-finite values, and may add a flag of the config mode.
 """
 
 import contextlib
@@ -92,4 +94,41 @@ def test_every_run_keeps_the_exit_code_contract(cfg, flags):
             assert err == []
             assert set(os.listdir(out)) == REPORTS[cfg["mode"]]
             with open(os.path.join(out, "invariance.json")) as fh:
+                assert json.load(fh)["all_passed"] is (code == 0)
+
+
+# a flag of the config mode, which --selftest rejects; the config path need not exist
+CONFIG_FLAGS = ((), ("--tol-omega", "1e-3"), ("--config", "scenario.cfg"))
+
+
+# n <= 2 for the runs that get past the checks: a self-test run takes about 0.4 s
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(
+    seed=st.sampled_from(("0", "7", "-1")),
+    n=st.sampled_from(("0", "1", "2", "17")),
+    fuzz=st.sampled_from((None, "1e-3", "-1e-3", "0", "1e-12", "nan", "inf")),
+    flags=st.sampled_from(CONFIG_FLAGS),
+)
+# the generated runs rarely pass every check; these three run the self-test
+@example(seed="0", n="1", fuzz=None, flags=())
+@example(seed="0", n="2", fuzz="1e-3", flags=())
+@example(seed="7", n="2", fuzz="-1e-3", flags=())
+def test_every_selftest_run_keeps_the_exit_code_contract(seed, n, fuzz, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = ["--selftest", "--seed", seed, "--n", n, "--out", out, *flags]
+        if fuzz is not None:
+            argv += ["--fuzz", fuzz]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        err = stderr.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(err) == 1 and err[0].startswith("config error: ")
+            assert not os.path.exists(out)
+        else:
+            assert err == []
+            assert os.listdir(out) == ["selftest.json"]
+            with open(os.path.join(out, "selftest.json")) as fh:
                 assert json.load(fh)["all_passed"] is (code == 0)

@@ -220,6 +220,10 @@ def _broken(g, kind):
         M[-1, 0] = 1e-3
     elif kind == "pattern":
         M[0, 4] = 1e-3  # the eps column above the eps row is a structural zero
+    elif kind == "eps_row":
+        M[4, 0] += 1e-3  # the eps row left of the eps column is w^T zeta° Sigma
+    elif kind == "eps_diagonal":
+        M[4, 4] += 1e-3
     else:  # a scaled Sigma keeps the block pattern but leaves the symplectic group
         M = _realize(1.01 * g.sigma.sigma, g.w, g.r, g.tr)
     return M
@@ -229,6 +233,8 @@ _FIRST_FAILURE = {
     "non_finite": FactorError,
     "time_metric": NotTimePreserving,
     "pattern": PatternViolation,
+    "eps_row": PatternViolation,
+    "eps_diagonal": PatternViolation,
     "symplectic": NotSymplectic,
 }
 
@@ -508,6 +514,38 @@ def test_element_validation():
     ids=["symplectic-2x4", "igl-2x2", "igl-u", "igl-eps", "euclidean-v"],
 )
 def test_element_constructors_reject_bad_shapes_and_signs(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: HeisenbergElement(w=[np.inf, 1.0], r=0.0), "w must be finite, got [inf, 1.0]"),
+        (lambda: HeisenbergElement(w=[0.0, 1.0], r=np.nan), "r must be finite, got nan"),
+        (lambda: JacobiElement.from_parts(np.eye(2), [np.nan, 0.0], np.inf), "w must be finite, got [nan, 0.0]"),
+        (lambda: JacobiElement.from_parts(np.eye(2), [0.0, 0.0], -np.inf), "r must be finite, got -inf"),
+        (lambda: SymplecticBlock(np.array([[1.0, np.inf], [0.0, 1.0]])),
+         "Sigma must be finite, got [[1.0, inf], [0.0, 1.0]]"),
+        (lambda: IglElement(omega=np.diag([1.0, np.nan, 1.0]), u=np.zeros(3), eps=1),
+         "Omega must be finite, got [[1.0, 0.0, 0.0], [0.0, nan, 0.0], [0.0, 0.0, 1.0]]"),
+        (lambda: IglElement(omega=np.eye(3), u=[0.0, np.inf, 0.0], eps=-1), "u must be finite, got [0.0, inf, 0.0]"),
+        (lambda: VfrView(v=[np.nan], f=[0.0], r_phys=0.0), "v must be finite, got [nan]"),
+        (lambda: VfrView(v=[0.0], f=[-np.inf], r_phys=0.0), "f must be finite, got [-inf]"),
+        (lambda: VfrView(v=[0.0], f=[0.0], r_phys=np.nan), "r_phys must be finite, got nan"),
+        (lambda: euclidean_element(np.eye(2), [np.nan, 0.0]), "v must be finite, got [nan, 0.0]"),
+        (lambda: euclidean_element(np.array([[1.0, np.inf], [0.0, 1.0]]), np.zeros(2)),
+         "R must be finite, got [[1.0, inf], [0.0, 1.0]]"),
+    ],
+    ids=[
+        "heisenberg-w", "heisenberg-r", "jacobi-w", "jacobi-r", "symplectic-sigma", "igl-omega",
+        "igl-u", "vfr-v", "vfr-f", "vfr-r_phys", "euclidean-v", "euclidean-R",
+    ],
+)
+def test_element_constructors_reject_non_finite_parameters(make, message):
+    # the suite turns RuntimeWarning into an error, so a NaN or infinite
+    # parameter that reached any arithmetic would fail here with that warning
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         make()
     assert type(info.value) is ValueError

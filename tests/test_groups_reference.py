@@ -182,11 +182,16 @@ def test_jacobi_factor_matches_reference(n):
         candidates = [_ref_matrix(sigma, w, r, tr)]
         off_pattern = _ref_matrix(sigma, w, r, tr)
         off_pattern[0, k] += 1e-3
+        # the energy row: w^T zeta° Sigma left of the eps column, 1 on it
+        off_eps_row = _ref_matrix(sigma, w, r, tr)
+        off_eps_row[k, i % k] += 1e-3
+        off_eps_diagonal = _ref_matrix(sigma, w, r, tr)
+        off_eps_diagonal[k, k] += 1e-3
         off_time = _ref_matrix(sigma, w, r, tr)
         off_time[-1, i % (k + 1)] += 1e-3
         # a scaled Sigma keeps the block pattern but leaves the symplectic group
         off_sp = _ref_matrix(1.01 * sigma, w, r, tr)
-        candidates += [off_pattern, off_time, off_sp]
+        candidates += [off_pattern, off_eps_row, off_eps_diagonal, off_time, off_sp]
         for M in candidates:
             ref = _ref_factor(M, TOL)
             if isinstance(ref[0], type):
