@@ -47,12 +47,12 @@ increment:
 
 A's time row and energy column are identically zero, hence so are D's, and
 J keeps an exact (0, ..., 0, 1) time row and e_eps energy column.  Once a
-chunk's state pass is checked, one field-Jacobian call evaluates A at all its
-stage states.  They sit stage by stage in a (stages, chunk, d) buffer, so
-each stage's Jacobians come back as one contiguous (m, d, d) stack.  RK4's
-step loop writes its three stage states there, and the chunk adds their
-energies eps + c r (a finite-difference Jacobian sizes its step from
-|z|_inf) and the steps' start states from the samples.  Leapfrog's step loop
+chunk's state pass is checked, one call of the system's `vf_jacobian`
+evaluates A at all its stage states.  They sit stage by stage in a (stages,
+chunk, d) buffer, so each stage's Jacobians come back as one contiguous
+(m, d, d) stack.  RK4's step loop writes its three stage states there (A
+does not read their energy entries), and the chunk adds the steps' start
+states from the samples.  Leapfrog's step loop
 writes nothing for the tangent: the chunk forms each half-kick state from
 the samples, the step's new sample with the momenta f h + p of its old one,
 by the same two ufuncs as the loop's opening kick.  Stacked products form
@@ -76,7 +76,7 @@ from functools import partial
 
 import numpy as np
 
-from .forms import MapHandle, complex_step_jacobian, eta_residual, numeric_jacobian, zeta_residual
+from .forms import MapHandle, complex_step_jacobian, eta_residual, zeta_residual
 
 # steps per state pass and per finiteness check; with the variational flow,
 # one field-Jacobian call per chunk instead of one per stage, with a
@@ -115,18 +115,16 @@ def extended_vector_field(sys, z):
     return X
 
 
-def _jacobian(sys, z):
-    """Field Jacobian at one state (d,), or at each row of a (B, d) stack."""
-    if sys.vf_jacobian is not None:
-        return np.asarray(sys.vf_jacobian(z), dtype=float)
-    if z.ndim == 2:
-        return np.array([_jacobian(sys, row) for row in z])
-    return numeric_jacobian(lambda w: extended_vector_field(sys, w), z)
+def _vf_jacobian(sys):
+    """The system's field Jacobian: exact, so a system without one is refused."""
+    if sys.vf_jacobian is None:
+        raise ValueError("system has no vf_jacobian; the field Jacobian is not taken numerically")
+    return sys.vf_jacobian
 
 
 def field_jacobian(sys, z):
-    """Jacobian A = dX/dz of the extended field: analytic if the system has one."""
-    return _jacobian(sys, _system_state(sys, z))
+    """Jacobian A = dX/dz of the extended field at z, the system's `vf_jacobian`."""
+    return np.asarray(_vf_jacobian(sys)(_system_state(sys, z)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         tangent of each step the method took.  The symplectic and
         time-metric residual of J are recorded at every sample
         (`jac_omega`, `jac_lambda`); J itself is kept at the samples
-        `jac_steps`.
+        `jac_steps`.  A system without `vf_jacobian` raises ValueError.
     jac_every : int
         Keep J at samples 0, jac_every, 2 jac_every, ... and at the last
         sample, >= 1.  jac_every=1 keeps every J.
@@ -276,6 +274,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     whole = isinstance(jac_every, (int, np.integer)) and not isinstance(jac_every, bool)
     if with_variational and not (whole and jac_every >= 1):
         raise ValueError(f"jac_every must be an integer >= 1, got {jac_every!r}")
+    vf_jacobian = _vf_jacobian(sys) if with_variational else None
 
     n_steps = step_count(t0, t_end, dt)
     dt = (t_end - t0) / n_steps
@@ -322,7 +321,6 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         (R[s], c, float(c), Zs[s], Zs[s, 0:k:2], Zs[s, 1:k:2], R[s + 1, 0:k:2], R[s + 1, 1:k:2])
         for s, c in enumerate((hc, hc, dtc))
     ]
-    cs = np.array([[h], [h], [dt]])  # the c of RK4's stage states
     K23 = R[1:3]
     p_h, dq, kick = np.empty((3, k // 2))  # leapfrog's half-kick momenta, drift and kick
     grad_p, grad_q, d_t = sys.grad_p, sys.grad_q, sys.d_t
@@ -336,7 +334,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
         kick_rows[k] = h
         drift_rows = np.zeros((d, 1))
         drift_rows[0:k:2] = dt
-        A_open = _jacobian(sys, z)  # A of the chunk's first opening kick
+        A_open = vf_jacobian(z)  # A of the chunk's first opening kick
     elif with_variational:
         # the increment stacks L2 (then D), L3 and L4, made once and filled in place per chunk
         incs = np.empty((3, chunk, d, d))
@@ -438,9 +436,6 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             continue
         if rk4:
             S[0, :m] = ZX[start:stop, 0]
-            # the stage states' energies eps + c r, which a finite-difference
-            # Jacobian's step size sees
-            S[1:, :m, -2] = eps[:-1] + cs * rs[:3]
         else:
             # A at the half-kick state (q1, p_h, eps1, t1) gives the drift, the
             # closing kick and the next opening kick: the step's new sample with
@@ -450,7 +445,7 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
             P_h = zh[:, 1:k:2]
             multiply(ZX[start:stop, 1, 1:k:2], hc, P_h)
             add(P_h, ZX[start:stop, 0, 1:k:2], P_h)
-        As = _jacobian(sys, S[:, :m].reshape(stages * m, d)).reshape(stages, m, d, d)
+        As = vf_jacobian(S[:, :m].reshape(stages * m, d)).reshape(stages, m, d, d)
         # every step's increment D at once, in place over three (m, d, d) stacks;
         # a step's tangent is then J <- J + D J
         if rk4:

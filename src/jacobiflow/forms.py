@@ -12,9 +12,9 @@ the degenerate time metric with matrix eta (a single 1 in the (t, t) entry).
 Invariance of either under a map is measured by `form_residual` applied to
 the map's Jacobian, or by `zeta_residual` and `eta_residual` over a stack of
 Jacobians.  `numeric_jacobian` takes a map's Jacobian by central differences;
-the certification layer uses it for maps without a Jacobian, and the flow
-for a field without one.  The shift transform's map handle certifies through
-`complex_step_jacobian`, whose error is round-off.
+the certification layer uses it for maps without a Jacobian.  The shift
+transform's map handle certifies through `complex_step_jacobian`, whose error
+is round-off.
 """
 
 from dataclasses import dataclass

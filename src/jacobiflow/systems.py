@@ -34,8 +34,8 @@ class HamiltonianSystem:
     the extended vector field at one flat state vector (d,), or at each row
     of a (B, d) stack, giving (B, d, d) with each matrix bitwise equal to the
     single-state call; the integrator hands it every stage state of a run of
-    steps at once, and falls back to central differences, row by row,
-    without it.
+    steps at once.  The variational flow and `field_jacobian` need it: the
+    field Jacobian is exact or refused, never taken numerically.
     """
 
     n: int

@@ -442,9 +442,11 @@ def test_flow_run_holds_at_most_the_counted_jacobians(tmp_path, n, method, steps
     # the count the size limit applies: the flow's working set and the probes with their check
     d = 2 * n + 2
     counted = (variational_matrices(steps, method, d) + probes + check_matrices(probes, d)) * d * d * 8
-    cfg = _write(tmp_path, f"system = driven_oscillator\nn = {n}\nmethod = {method}\n"
-                           f"t_end = {steps * 1e-3}\ndt = 1e-3\nprobes = {probes}\n")
-    main(["--config", cfg, "--out", str(tmp_path / "warm")])  # the form caches are shared
+    scenario = f"system = driven_oscillator\nn = {n}\nmethod = {method}\ndt = 1e-3\nprobes = {probes}\n"
+    cfg = _write(tmp_path, f"{scenario}t_end = {steps * 1e-3}\n")
+    # a 4-step flow of the same n, method and probes warms the shared form caches
+    warm = _write(tmp_path, f"{scenario}t_end = 0.004\n", "warm.cfg")
+    main(["--config", warm, "--out", str(tmp_path / "warm")])
     tracemalloc.start()
     try:
         code = main(["--config", cfg, "--out", str(tmp_path / "out")])

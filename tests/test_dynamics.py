@@ -214,6 +214,13 @@ def test_step_count_owns_the_flow_time_checks(t0, t_end, dt, message):
         integrate_flow(_ho(), np.array([1.0, 0.0, 0.0, t0]), t_end, dt)
 
 
+def _zero_jacobian(z):
+    # a constant field Jacobian, for one state (d,) or a (B, d) stack: the
+    # variational branch of the tests below runs on it, so that they reach
+    # the state pass and its checks
+    return np.zeros(z.shape + z.shape[-1:])
+
+
 def test_blow_up_detection():
     # dq/dtau = q^2 escapes in finite time
     unstable = HamiltonianSystem(
@@ -222,6 +229,7 @@ def test_blow_up_detection():
         grad_q=lambda q, p, t: np.array([2.0 * q[0] * p[0]]),
         grad_p=lambda q, p, t: np.array([q[0] ** 2]),
         d_t=lambda q, p, t: 0.0,
+        vf_jacobian=_zero_jacobian,
     )
     # no np.errstate here: the overflow must surface as the blow-up error, not
     # as a RuntimeWarning, which this suite turns into an error
@@ -259,6 +267,7 @@ def _turns_infinite(t_bad, term, strict):
         grad_p=lambda q, p, t: p + (velocity if t >= t_bad else 0.0),
         d_t=d_t,
         separable=True,
+        vf_jacobian=_zero_jacobian,
     )
 
 
@@ -354,6 +363,7 @@ def test_a_callable_raising_at_a_finite_state_propagates_unchanged(n_steps, step
         grad_p=lambda q, p, t: p,
         d_t=lambda q, p, t: 0.0 * np.asarray(t),
         separable=True,
+        vf_jacobian=_zero_jacobian,
     )
     z0 = np.array([1.0, 0.0, 0.0, t0])
     with pytest.raises(_Refused, match="^grad_q refused at t=") as info:
@@ -499,7 +509,7 @@ def test_leapfrog_jacobian_is_symplectic(name):
 def _counting(sys):
     # a vf_jacobian or d_t call counts the states it evaluates: one per row of
     # a (B, d) stack of states or a stack of (..., n) positions, one for a
-    # single state
+    # single state; a missing vf_jacobian stays missing
     calls = dict.fromkeys(("grad_p", "grad_q", "d_t", "vf_jacobian"), 0)
 
     def counted(name):
@@ -512,7 +522,8 @@ def _counting(sys):
 
         return wrapper
 
-    return dataclasses.replace(sys, **{name: counted(name) for name in calls}), calls
+    wrapped = {name: counted(name) for name in calls if getattr(sys, name) is not None}
+    return dataclasses.replace(sys, **wrapped), calls
 
 
 @pytest.mark.parametrize(
@@ -535,6 +546,26 @@ def test_evaluations_per_100_steps(method, with_variational, expected):
                           method=method, with_variational=with_variational, jac_every=1)
     assert traj.n_samples == 101
     assert calls == expected
+
+
+@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
+def test_a_system_without_vf_jacobian_is_refused_before_any_field_call(method):
+    # the field Jacobian is exact or refused: neither the variational flow nor
+    # field_jacobian differentiates the field numerically
+    preset = builtin_system("driven_oscillator", n=2)
+    sys, calls = _counting(dataclasses.replace(preset, vf_jacobian=None))
+    z0 = np.array([1.0, 0.0, 0.5, 0.1, 0.0, 0.0])
+    message = "^system has no vf_jacobian; the field Jacobian is not taken numerically$"
+    with pytest.raises(ValueError, match=message) as info:
+        integrate_flow(sys, z0, 0.1, 1e-3, method=method, with_variational=True)
+    assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match=message):
+        field_jacobian(sys, z0)
+    assert calls == dict.fromkeys(calls, 0)
+    # without the Jacobian the same system flows as the preset does, bit for bit
+    got = integrate_flow(sys, z0, 0.1, 1e-3, method=method)
+    want = integrate_flow(preset, z0, 0.1, 1e-3, method=method)
+    assert got.zX.tobytes() == want.zX.tobytes()
 
 
 def test_trajectory_accessors():

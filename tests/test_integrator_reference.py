@@ -14,8 +14,6 @@ the wrong state, or a step written to the wrong row, would first show; with
 and without the Jacobian, since both take the same chunked state pass.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -107,13 +105,6 @@ def test_flow_matches_reference_bitwise(name, n, method):
 def test_flow_without_jacobian_matches_reference_bitwise(name, n, method):
     # the state pass alone, as ensemble runs take it
     _assert_matches_reference(builtin_system(name, n=n), 11 * n + len(name), method, with_variational=False)
-
-
-@pytest.mark.parametrize("method", ["rk4", "leapfrog"])
-def test_finite_difference_fallback_matches_reference_bitwise(method):
-    # without vf_jacobian each stage Jacobian is a central difference, row by row
-    sys = dataclasses.replace(builtin_system("driven_oscillator", n=2), vf_jacobian=None)
-    _assert_matches_reference(sys, 5, method)
 
 
 @pytest.mark.parametrize("method", ["rk4", "leapfrog"])

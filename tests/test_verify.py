@@ -173,6 +173,19 @@ def test_flow_jacobians_certify():
     assert factorization(report) is not None
 
 
+@pytest.mark.parametrize("t0", [0.0, 1e3, 1e5])
+def test_late_clock_flow_jacobians_certify_at_round_off(t0):
+    # the tangent is built from the exact field Jacobian, so its residual stays
+    # at round-off however late the clock starts; a field Jacobian whose error
+    # grows with |t| fails here
+    sys = builtin_system("driven_oscillator")
+    traj = integrate_flow(sys, np.array([1.0, 0.0, 0.0, t0]), t0 + 10.0, 0.01,
+                          method="leapfrog", with_variational=True)
+    report = check_flow_jacobians(traj, tol_omega=1e-14)
+    assert report.classification == "Jacobimorphism"
+    assert report.omega_residual_max <= 1e-14 and report.lambda_residual_max == 0.0
+
+
 def test_flow_jacobians_need_variational_data():
     traj = integrate_flow(_sys_ho(), np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 0.1)
     with pytest.raises(ValueError):
