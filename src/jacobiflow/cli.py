@@ -194,6 +194,8 @@ def _finite(obj):
 
 def _write_json(path, obj):
     with open(path, "w", newline="\n") as fh:
+        # json.dump's many small chunks go straight on instead of piling up in the text layer
+        fh.reconfigure(write_through=True)
         json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -210,7 +212,7 @@ def _print_check(label, rep):
 
 
 def _catalog_map(n, name):
-    """The hand-built check map `name`; all but t_doubling are lifted canonical maps."""
+    """The linear check map `name`, its matrix its Jacobian; all but t_doubling are lifted canonical maps."""
     M = np.eye(2 * n + 2)
     q = np.arange(0, 2 * n, 2)  # the q rows and columns; p's are q + 1
     if name == "t_doubling":
@@ -222,7 +224,7 @@ def _catalog_map(n, name):
         M[q, q + 1] = 0.5
     elif name == "scaling":
         M[q, q], M[q + 1, q + 1] = 2.0, 0.5
-    return MapHandle(func=lambda z: M @ np.asarray(z, dtype=float), n=n, name=name)
+    return MapHandle(func=lambda z: M @ z, n=n, jacobian=lambda z: M, name=name)
 
 
 def run_flow(cfg, out_dir):

@@ -11,10 +11,11 @@ Two structures live on this space: the symplectic form with matrix zeta
 the degenerate time metric with matrix eta (a single 1 in the (t, t) entry).
 Invariance of either under a map is measured by `form_residual` applied to
 the map's Jacobian, or by `zeta_residual` and `eta_residual` over a stack of
-Jacobians.  `numeric_jacobian` takes a map's Jacobian by central differences;
-the certification layer uses it for maps without a Jacobian.  The shift
-transform's map handle certifies through `complex_step_jacobian`, whose error
-is round-off.
+Jacobians.  The certification layer reads only a `MapHandle`'s own
+`jacobian`: the shift transform's handle carries `complex_step_jacobian`,
+whose error is round-off.  `numeric_jacobian` takes a map's Jacobian by
+central differences, as the tests' reference and as an explicit opt-in,
+`MapHandle(func, n, jacobian=functools.partial(numeric_jacobian, func))`.
 """
 
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ def as_dimension(n):
 
 @dataclass(frozen=True)
 class MapHandle:
-    """An evaluable map on extended phase space, with optional analytic Jacobian."""
+    """An evaluable map on extended phase space and `jacobian(z)`, the one Jacobian certification reads."""
 
     func: object
     n: int

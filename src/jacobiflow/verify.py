@@ -1,10 +1,10 @@
 """Certification layer: invariance of the two forms, flow residuals, ledger.
 
-A map is certified by evaluating its Jacobian at probe points (the handle's
-own Jacobian when it has one, the complex step for the shift transform,
-else central differences), measuring the residuals of both canonical forms,
-and counting the Jacobians that pass the membership checks of
-`jacobi_factor` (`groups._membership`); classification:
+A map is certified by evaluating its handle's own Jacobian at probe points
+(the catalog maps' matrix, the complex step for the shift transform; a map
+without one is refused, never differentiated numerically), measuring the
+residuals of both canonical forms, and counting the Jacobians that pass the
+membership checks of `jacobi_factor` (`groups._membership`); classification:
 
 * Jacobimorphism: both residuals pass and the Jacobian factors into the
   matrix group at every probe;
@@ -20,11 +20,9 @@ import numpy as np
 
 from .dynamics import _check_system
 from .forms import (
-    MapHandle,
     as_dimension,
     eta_residual,
     form_residual,  # noqa: F401  (unused here; perfbench/tracing.py wraps verify.form_residual)
-    numeric_jacobian,
     zeta_residual,
 )
 from .groups import (
@@ -124,26 +122,34 @@ def check_invariance(f, probes, tol_omega=1e-6, tol_lambda=1e-8):
 
     Parameters
     ----------
-    f : MapHandle or callable
-        The map; the handle's Jacobian is used when present (the shift
-        transform's is its complex step), otherwise central differences.
-    probes : (count, 2n+2) array, one state vector per row
+    f : MapHandle
+        The map; only its `jacobian` is read (the shift transform's is its
+        complex step).  A map without one is refused before any evaluation.
+    probes : (count, 2n+2) array, one finite state vector per row
         At least one; classification is the AND over probes.
     tol_omega, tol_lambda : float
         Residual thresholds for the symplectic form and the time metric.
     """
+    jac = getattr(f, "jacobian", None)
+    if jac is None:
+        raise ValueError(
+            "check_invariance reads the map handle's own jacobian and got none; opt in to central"
+            " differences with MapHandle(func, n, jacobian=functools.partial(numeric_jacobian, func))"
+        )
     probes = np.asarray(probes, dtype=float)
     if not probes.size:
         raise ValueError("need at least one probe point")
     if probes.ndim != 2 or probes.shape[1] < 4 or probes.shape[1] % 2:
         raise ValueError(f"probes must be a (count, 2n+2) array, n >= 1; got shape {probes.shape}")
+    bad = np.flatnonzero(~np.isfinite(probes).all(axis=1))
+    if bad.size:
+        raise ValueError(f"probe {bad[0]} is not finite: {probes[bad[0]].tolist()}")
     count, d = probes.shape
-    jac = f.jacobian if isinstance(f, MapHandle) and f.jacobian is not None else None
     # one stack, filled in place, and its symplectic residuals in chunks, whose
     # temporaries stay small next to it
     jacobians = np.empty((count, d, d))
     for J, z in zip(jacobians, probes):
-        J_z = np.asarray(jac(z), dtype=float) if jac else numeric_jacobian(f, z)
+        J_z = np.asarray(jac(z), dtype=float)
         if J_z.shape != J.shape:
             shape = (count, *J_z.shape)
             raise ValueError(f"expected ({d}, {d}) Jacobians, got a stack of shape {shape}")
@@ -192,9 +198,9 @@ def trajectory_probes(traj, count, rng):
     return out
 
 
-def box_probes(n, count, rng, half_width=2.0):
-    """Probe points drawn uniformly from a box around the origin, one state vector per row."""
-    return rng.uniform(-half_width, half_width, (count, 2 * as_dimension(n) + 2))
+def box_probes(n, count, rng):
+    """Probe points drawn uniformly from the box [-2, 2]^(2n+2), one state vector per row."""
+    return rng.uniform(-2.0, 2.0, (count, 2 * as_dimension(n) + 2))
 
 
 def hamilton_residual(traj, sys):

@@ -179,27 +179,32 @@ def test_map_rotation_passes(tmp_path):
     assert inv["check"]["classification"] == "Jacobimorphism"
 
 
-# the exit code and classification of each catalog map at n = 3
+# the exit code, classification and exact residual maxima (omega, lambda) of
+# each catalog map, whose Jacobian is its matrix; the rotation's omega
+# residual is the round-off of cos^2 + sin^2
 _MAP_OUTCOMES = {
-    "identity": (0, "Jacobimorphism"),
-    "rotation": (0, "Jacobimorphism"),
-    "shear": (0, "Jacobimorphism"),
-    "scaling": (0, "Jacobimorphism"),
-    "t_doubling": (1, "Neither"),
+    "identity": (0, "Jacobimorphism", 0.0, 0.0),
+    "rotation": (0, "Jacobimorphism", None, 0.0),
+    "shear": (0, "Jacobimorphism", 0.0, 0.0),
+    "scaling": (0, "Jacobimorphism", 0.0, 0.0),
+    # dt^2 becomes 4 dt^2; the symplectic form only doubles on the (eps, t) block
+    "t_doubling": (1, "Neither", 1.0, 3.0),
 }
 
 
+@pytest.mark.parametrize("n", [1, 3, 16])
 @pytest.mark.parametrize("name", cli._MAP_NAMES)
-def test_every_catalog_map_through_the_cli(tmp_path, name):
-    code, classification = _MAP_OUTCOMES[name]
-    got, out = _run(tmp_path, f"mode = map\nmap = {name}\nn = 3\nprobes = 10\n")
+def test_every_catalog_map_through_the_cli(tmp_path, name, n):
+    code, classification, omega, lam = _MAP_OUTCOMES[name]
+    got, out = _run(tmp_path, f"mode = map\nmap = {name}\nn = {n}\nprobes = 10\n")
     assert got == code
     check = json.loads((out / "invariance.json").read_text())["check"]
     assert check["classification"] == classification
-    if name == "t_doubling":
-        # dt^2 becomes 4 dt^2; the symplectic form only doubles on the (eps, t) block
-        assert check["omega_residual_max"] == pytest.approx(1.0, rel=1e-6)
-        assert check["lambda_residual_max"] == pytest.approx(3.0, rel=1e-6)
+    if omega is None:
+        assert check["omega_residual_max"] <= 1e-16
+    else:
+        assert check["omega_residual_max"] == omega
+    assert check["lambda_residual_max"] == lam
 
 
 # a harmonic oscillator whose RK4 step at dt = 100 grows the state about 4e6-fold:

@@ -21,6 +21,7 @@ from jacobiflow import (
     integrate_flow,
     make_rho,
     noncommutativity_check,
+    numeric_jacobian,
     trajectory_probes,
 )
 from jacobiflow.cli import _catalog_map
@@ -46,55 +47,53 @@ def test_identity_is_jacobimorphism():
 
 
 def test_identity_via_finite_differences():
-    # without an analytic Jacobian the identity still certifies, at FD accuracy
-    handle = MapHandle(lambda z: z.copy(), 1, name="identity")
+    # central differences are an explicit opt-in: the handle carries them as its Jacobian
+    def identity(z):
+        return z.copy()
+
+    handle = MapHandle(identity, 1, jacobian=functools.partial(numeric_jacobian, identity))
     report = check_invariance(handle, _probes())
     assert report.classification == "Jacobimorphism"
-    assert report.omega_residual_max < 1e-9
+    assert 0.0 < report.omega_residual_max < 1e-9
+
+
+def _linear(M):
+    # the map z -> M z with its exact Jacobian M
+    return MapHandle(lambda z: M @ z, (len(M) - 2) // 2, jacobian=lambda z: M)
 
 
 def test_time_doubling_is_neither():
-    def doubling(z):
-        out = z.copy()
-        out[-1] *= 2.0
-        return out
-
-    report = check_invariance(MapHandle(doubling, 1), _probes())
+    report = check_invariance(_linear(np.diag([1.0, 1.0, 1.0, 2.0])), _probes())
     assert report.classification == "Neither"
     # T'JT with J_tt = 2 gives lambda residual 3 and omega residual 1
-    assert abs(report.lambda_residual_max - 3.0) < 1e-6
-    assert abs(report.omega_residual_max - 1.0) < 1e-6
+    assert report.lambda_residual_max == 3.0
+    assert report.omega_residual_max == 1.0
     assert factorization(report) is None
 
 
 def test_symplectic_but_not_time_preserving():
     # (q, p, eps, t + eps) preserves omega exactly but shears the time row
-    def shear(z):
-        out = z.copy()
-        out[-1] = z[-1] + z[-2]
-        return out
-
-    report = check_invariance(MapHandle(shear, 1), _probes())
+    shear = np.eye(4)
+    shear[-1, -2] = 1.0
+    report = check_invariance(_linear(shear), _probes())
     assert report.classification == "Symplectomorphism"
-    assert report.omega_residual_max < 1e-9
-    assert report.lambda_residual_max > 0.5
+    assert report.omega_residual_max == 0.0
+    assert report.lambda_residual_max == 1.0
 
 
 def test_time_preserving_but_not_symplectic():
-    def stretch(z):
-        out = z.copy()
-        out[0] *= 2.0
-        return out
-
-    report = check_invariance(MapHandle(stretch, 1), _probes())
+    report = check_invariance(_linear(np.diag([2.0, 1.0, 1.0, 1.0])), _probes())
     assert report.classification == "TimePreservingOnly"
-    assert report.lambda_residual_max < 1e-9
-    assert report.omega_residual_max > 0.5
+    assert report.lambda_residual_max == 0.0
+    assert report.omega_residual_max == 1.0
 
 
 def test_analytic_jacobian_is_preferred():
-    # a deliberately wrong analytic jacobian must win over finite differences
+    # the handle's Jacobian, wrong here, is the only one read; the map is never evaluated
+    calls = []
+
     def doubling(z):
+        calls.append(z)
         out = z.copy()
         out[-1] *= 2.0
         return out
@@ -102,19 +101,47 @@ def test_analytic_jacobian_is_preferred():
     lying = MapHandle(doubling, 1, jacobian=lambda z: np.eye(4))
     report = check_invariance(lying, _probes())
     assert report.classification == "Jacobimorphism"
+    assert calls == []
+
+
+def _counted(calls):
+    def func(z):
+        calls.append("map")
+        return z.copy()
+
+    return func
+
+
+@pytest.mark.parametrize("kind", ["callable", "handle"])
+def test_a_map_without_its_own_jacobian_is_refused_before_any_evaluation(kind):
+    calls = []
+    func = _counted(calls)
+    f = func if kind == "callable" else MapHandle(func, 1)
+    opt_in = "MapHandle(func, n, jacobian=functools.partial(numeric_jacobian, func))"
+    with pytest.raises(ValueError, match=re.escape(opt_in)) as info:
+        check_invariance(f, _probes())
+    assert type(info.value) is ValueError
+    assert calls == []
+
+
+def test_non_finite_probes_are_refused_before_any_jacobian():
+    calls = []
+    handle = MapHandle(_counted(calls), 1, jacobian=lambda z: calls.append("jacobian") or np.eye(4))
+    probes = [[0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=re.escape("probe 1 is not finite: [nan, 0.0, 0.0, 0.0]")):
+        check_invariance(handle, probes)
+    assert calls == []
 
 
 def test_check_invariance_requires_probes():
-    handle = MapHandle(lambda z: z.copy(), 1)
-    with pytest.raises(ValueError):
-        check_invariance(handle, [])
+    with pytest.raises(ValueError, match="^need at least one probe point$"):
+        check_invariance(_linear(np.eye(4)), [])
 
 
 @pytest.mark.parametrize("probes", [np.zeros(4), np.zeros((2, 3))], ids=["one_state", "width_3"])
 def test_check_invariance_names_a_probe_array_of_the_wrong_shape(probes):
-    handle = MapHandle(lambda z: z.copy(), 1)
     with pytest.raises(ValueError, match=re.escape(f"got shape {probes.shape}")) as info:
-        check_invariance(handle, probes)
+        check_invariance(_linear(np.eye(4)), probes)
     assert "(count, 2n+2) array" in str(info.value)
 
 
@@ -127,8 +154,7 @@ def test_check_invariance_names_a_handle_jacobian_of_the_wrong_shape():
 
 
 def test_report_to_dict_is_json_ready():
-    handle = MapHandle(lambda z: z.copy(), 1, name="identity")
-    report = check_invariance(handle, _probes(count=3))
+    report = check_invariance(_linear(np.eye(4)), _probes(count=3))
     blob = json.dumps(report.to_dict())
     data = json.loads(blob)
     assert data["classification"] == "Jacobimorphism"
@@ -355,12 +381,12 @@ def test_late_short_trajectory_probes_certify_the_shift_transform():
 
 
 def test_box_probes_shape_and_range():
-    probes = box_probes(2, 10, np.random.default_rng(1), half_width=1.5)
+    probes = box_probes(2, 10, np.random.default_rng(1))
     assert probes.shape == (10, 6)
-    assert np.max(np.abs(probes)) <= 1.5
-    # one state per draw of 6, the stream the map-mode probes always used
+    assert np.max(np.abs(probes)) <= 2.0
+    # one state per draw of 6 from [-2, 2], the stream the map-mode probes always used
     rng = np.random.default_rng(1)
-    assert np.array_equal(probes, [rng.uniform(-1.5, 1.5, 6) for _ in range(10)])
+    assert np.array_equal(probes, [rng.uniform(-2.0, 2.0, 6) for _ in range(10)])
 
 
 @pytest.mark.parametrize("n", [1, 3])
