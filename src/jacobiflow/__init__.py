@@ -1,7 +1,7 @@
 """Extended phase space mechanics on R^(2n+2).
 
 Coordinates are ordered (q1, p1, ..., qn, pn, eps, t) throughout; `forms`
-holds the two canonical bilinear forms and finite-difference plumbing,
+holds the two canonical bilinear forms, their residuals and map Jacobians,
 `groups` the translation/symplectic/time-reversal matrix groups acting on
 them, `systems` and `dynamics` the Hamiltonian flows, and `verify` the
 invariance certification layer.

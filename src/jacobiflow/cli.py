@@ -49,10 +49,8 @@ class ConfigError(ValueError):
     pass
 
 
-# every parameter some preset takes, in catalog order
+# every parameter some preset takes, in catalog order; a config holds them under "params"
 _PARAM_KEYS = tuple(dict.fromkeys(k for preset in BUILTIN_SYSTEMS.values() for k in preset))
-_INT_KEYS = {"n", "probes", "seed"}
-_FLOAT_KEYS = {"t_end", "dt", "tol_omega", "tol_lambda", "tol_hamilton", "tol_ledger", *_PARAM_KEYS}
 _MAP_NAMES = ("identity", "t_doubling", "rotation", "shear", "scaling")
 # hamilton_residual takes interior differences, which need 5 samples
 _MIN_FLOW_STEPS = 4
@@ -63,11 +61,12 @@ _MAX_PROBES = 10_000
 # the Lie-algebra suite's cost grows as --n cubed; --n 16 takes about 1.2 s
 _MAX_SELFTEST_N = 16
 
+# a value in the file parses as its default's type
 _DEFAULTS = {
     "mode": "flow",
     "system": "harmonic_oscillator",
     "n": 1,
-    "z0": None,  # block order: q1..qn p1..pn eps t
+    "z0": None,  # block order: q1..qn p1..pn eps t; unit q, the rest 0, built once n fits
     "t_end": 5.0,
     "dt": 1e-3,
     "method": "rk4",
@@ -78,32 +77,27 @@ _DEFAULTS = {
     "tol_hamilton": 1e-5,
     "tol_ledger": 1e-5,
     "map": "identity",
-    **dict.fromkeys(_PARAM_KEYS),
 }
 
 
 def _parse_value(key, val, lineno):
     try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
         if key == "z0":
             return [float(x) for x in val.split()]
-        return val
+        return float(val) if key in _PARAM_KEYS else type(_DEFAULTS[key])(val)
     except ValueError:
         raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {val!r}") from None
 
 
 def parse_config(path):
-    """Read a config file; returns (cfg dict, set of keys present in the file)."""
+    """Read a config file into the defaults, with the system parameters it sets under "params"."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file: {e}") from None
-    cfg = dict(_DEFAULTS)
-    present = set()
+    cfg = {**_DEFAULTS, "params": {}}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,20 +106,21 @@ def parse_config(path):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _DEFAULTS:
+        if key not in _DEFAULTS and key not in _PARAM_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in present:
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not val:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        present.add(key)
-        cfg[key] = _parse_value(key, val, lineno)
-    return cfg, present
+        seen.add(key)
+        (cfg["params"] if key in _PARAM_KEYS else cfg)[key] = _parse_value(key, val, lineno)
+    return cfg
 
 
-def validate_config(cfg, present):
+def validate_config(cfg):
     # the library calls that own the dimension, system and flow-time checks raise
-    # their ValueError; the system is built last, once the size limit bounds n
+    # their ValueError; the default z0 and the system are built last, once the
+    # size limit bounds n
     if cfg["mode"] not in ("flow", "map"):
         raise ConfigError(f"mode must be 'flow' or 'map', got {cfg['mode']!r}")
     if cfg["method"] not in ("rk4", "leapfrog"):
@@ -145,19 +140,18 @@ def validate_config(cfg, present):
     if cfg["map"] not in _MAP_NAMES:
         raise ConfigError(f"map must be one of {_MAP_NAMES}, got {cfg['map']!r}")
     d = 2 * as_dimension(cfg["n"]) + 2
-    if cfg["z0"] is None:
-        cfg["z0"] = [1.0] * cfg["n"] + [0.0] * cfg["n"] + [0.0, 0.0]
-    elif len(cfg["z0"]) != d:
-        raise ConfigError(f"z0 must have {d} entries (q1..qn p1..pn eps t), got {len(cfg['z0'])}")
-    elif not all(math.isfinite(x) for x in cfg["z0"]):
-        raise ConfigError(f"z0 must be finite, got {cfg['z0']}")
+    if cfg["z0"] is not None:
+        if len(cfg["z0"]) != d:
+            raise ConfigError(f"z0 must have {d} entries (q1..qn p1..pn eps t), got {len(cfg['z0'])}")
+        if not all(math.isfinite(x) for x in cfg["z0"]):
+            raise ConfigError(f"z0 must be finite, got {cfg['z0']}")
     # the probes and their check; a flow's working set also covers the
     # check of its kept Jacobians, which comes after it and is smaller
     matrices = cfg["probes"] + check_matrices(cfg["probes"], d)
     if cfg["mode"] == "map":
         matrices += 1  # the catalog map's matrix
     else:
-        t0 = cfg["z0"][-1]
+        t0 = 0.0 if cfg["z0"] is None else cfg["z0"][-1]
         steps = step_count(t0, cfg["t_end"], cfg["dt"])
         if steps < _MIN_FLOW_STEPS:
             raise ConfigError(
@@ -173,14 +167,10 @@ def validate_config(cfg, present):
             f"the run's {Decimal(matrices):.3g} Jacobians of {d} x {d} exceed the size"
             f" limit of {_MAX_JACOBIAN_BYTES} bytes at 8 bytes per entry"
         )
-    builtin_system(cfg["system"], n=cfg["n"], **{k: cfg[k] for k in _PARAM_KEYS if k in present})
+    if cfg["z0"] is None:
+        cfg["z0"] = [1.0] * cfg["n"] + [0.0] * (cfg["n"] + 2)
+    builtin_system(cfg["system"], n=cfg["n"], **cfg["params"])
     return cfg
-
-
-def _resolved(cfg, params):
-    out = {k: cfg[k] for k in _DEFAULTS if k not in _PARAM_KEYS}
-    out["params"] = dict(params)
-    return out
 
 
 def _finite(obj):
@@ -224,7 +214,7 @@ def _catalog_map(n, name):
         M[q, q + 1] = 0.5
     elif name == "scaling":
         M[q, q], M[q + 1, q + 1] = 2.0, 0.5
-    return MapHandle(func=lambda z: M @ z, n=n, jacobian=lambda z: M, name=name)
+    return MapHandle(func=lambda z: M @ z, n=n, jacobian=lambda z: M)
 
 
 def run_flow(cfg, out_dir):
@@ -302,21 +292,19 @@ def _make_out_dir(out_dir, reports):
             raise ConfigError(f"cannot write report {path!r}: it exists and is not a regular file")
 
 
-def run_scenario(cfg, present, out_dir):
+def run_scenario(cfg, out_dir):
     try:
-        cfg = validate_config(cfg, present)
+        cfg = validate_config(cfg)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    # the reports' config, which is all that run_flow and run_map read
-    resolved = _resolved(cfg, {k: cfg[k] for k in _PARAM_KEYS if k in present})
     if cfg["mode"] == "map":
         _make_out_dir(out_dir, ("probe_jacobians.npy", "invariance.json"))
-        return run_map(resolved, out_dir)
+        return run_map(cfg, out_dir)
     _make_out_dir(
         out_dir,
         ("trajectory.csv", "jacobians.npy", "probe_jacobians.npy", "invariance.json", "ledger.json"),
     )
-    return run_flow(resolved, out_dir)
+    return run_flow(cfg, out_dir)
 
 
 def validate_selftest(seed, n_max, fuzz):
@@ -386,14 +374,14 @@ def main(argv=None):
             n_max = 3 if args.n is None else args.n
             validate_selftest(seed, n_max, args.fuzz)
             return run_selftest(seed, n_max, args.fuzz, args.out)
-        cfg, present = parse_config(args.config)
+        cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.tol_omega is not None:
             cfg["tol_omega"] = args.tol_omega
         if args.tol_lambda is not None:
             cfg["tol_lambda"] = args.tol_lambda
-        return run_scenario(cfg, present, args.out)
+        return run_scenario(cfg, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

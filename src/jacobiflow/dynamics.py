@@ -5,11 +5,12 @@ r = dH/dt: positions and momenta follow Hamilton's equations, the energy
 coordinate integrates the power, and time advances at unit rate.  Time is
 never integrated numerically: the t component of every stored state is
 computed as t0 + k*dt, which keeps the time metric invariant by
-construction.
+construction; `step_count` refuses a step within the float spacing at the
+flow's times, where those values would repeat.
 
 A trajectory is one (samples, 2, 2n+2) array zX: each sample is its state z
 and the field X = (v, f, r, 1) at it.  z, X, the coordinates (q, p, eps, t),
-tau = t, (v, f, r) and the shift transform's table are views of it.  The
+(v, f, r) and the shift transform's table are views of it.  The
 first sample's field is `extended_vector_field`'s, the one-state field.
 
 The energy eps never enters the field, so it is a quadrature of the power
@@ -132,11 +133,11 @@ class Trajectory:
     """Sampled flow: each sample's state z and field X = (v, f, r, 1) in one array zX.
 
     z, X, q, p, eps, t and v, f, r are views of zX, a (samples, 2, 2n+2)
-    array; tau is t (the flow parameter is time).  With the variational
-    Jacobian, `jac` holds the kept Jacobians, those at the sample indices
-    `jac_steps` (every `jac_every`-th sample and the last one), and
-    `jac_omega`/`jac_lambda` hold the symplectic and time-metric residual of
-    the Jacobian at every sample.  Without it all four are None.
+    array.  With the variational Jacobian, `jac` holds the kept Jacobians,
+    those at the sample indices `jac_steps` (every `jac_every`-th sample and
+    the last one), and `jac_omega`/`jac_lambda` hold the symplectic and
+    time-metric residual of the Jacobian at every sample; without it all
+    four are None.
     """
 
     zX: np.ndarray
@@ -171,8 +172,6 @@ class Trajectory:
     def t(self):
         return self.z[:, -1]
 
-    tau = t
-
     @property
     def v(self):
         return self.X[:, 0:-2:2]
@@ -204,7 +203,12 @@ def step_count(t0, t_end, dt):
     ratio = (t_end - t0) / dt
     if not math.isfinite(ratio):
         raise ValueError(f"step count (t_end - t0)/dt = {ratio} is not finite")
-    return max(1, round(ratio))
+    steps = max(1, round(ratio))
+    # the stored times t0 + k*dt repeat unless the step exceeds the float spacing at them
+    step, spacing = (t_end - t0) / steps, math.ulp(max(abs(t0), abs(t_end)))
+    if not step > spacing:
+        raise ValueError(f"the step {step} does not exceed the float spacing {spacing} at the flow's times")
+    return steps
 
 
 def variational_matrices(n_steps, method, d):
@@ -562,7 +566,7 @@ class RhoTransform:
     def as_map(self):
         # the Jacobian is the complex step of the transform itself, which sees `value`
         jacobian = partial(complex_step_jacobian, self)
-        return MapHandle(func=self, n=self.sys.n, jacobian=jacobian, name="rho")
+        return MapHandle(func=self, n=self.sys.n, jacobian=jacobian)
 
 
 def make_rho(traj, sys):

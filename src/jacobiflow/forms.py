@@ -48,7 +48,6 @@ class MapHandle:
     func: object
     n: int
     jacobian: object = None
-    name: str = ""
 
     def __call__(self, z):
         return np.asarray(self.func(np.asarray(z, dtype=float)), dtype=float)
@@ -162,8 +161,8 @@ def numeric_jacobian(f, z):
 
     Parameters
     ----------
-    f : MapHandle or callable
-        Map R^m -> R^m on flat state vectors.
+    f : callable
+        Map R^m -> R^m on flat state vectors, such as a `MapHandle`.
     z : array
         Evaluation point, a finite flat state vector.
 
@@ -172,7 +171,6 @@ def numeric_jacobian(f, z):
     ndarray
         Matrix with entry (a, d) = (f(z + h e_d)_a - f(z - h e_d)_a) / (2h).
     """
-    func = f.func if isinstance(f, MapHandle) else f
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"numeric_jacobian needs a finite state, got {z.tolist()}")
@@ -182,8 +180,8 @@ def numeric_jacobian(f, z):
     for d in range(m):
         e = np.zeros(m)
         e[d] = h
-        fp = np.asarray(func(z + e), dtype=float)
-        fm = np.asarray(func(z - e), dtype=float)
+        fp = np.asarray(f(z + e), dtype=float)
+        fm = np.asarray(f(z - e), dtype=float)
         if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise ValueError(f"map evaluated to non-finite values near column {d}")
         J[:, d] = (fp - fm) / (2.0 * h)

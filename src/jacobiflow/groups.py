@@ -32,7 +32,8 @@ residual against its `tol`.  Results that are members by construction
 conversions, the random elements of `random_jacobi`, and the output of
 `jacobi_factor` once its own checks pass) are built by `_trusted`, which
 neither re-checks nor copies.
-`_membership` runs those checks alone, for callers that only count members.
+`_membership` runs those checks alone, on one matrix or a stack, for callers
+that only count members.
 """
 
 import math
@@ -325,11 +326,10 @@ def jacobi_inv(a):
     return _element(_owned(sig_inv), _owned(-a.tr * (sig_inv @ a.w)), -a.r, a.tr, a.n)
 
 
-def _square(M, stack=False):
+def _square(M):
     M = np.asarray(M, dtype=float)
-    ndims, stacks = ((2, 3), ", or a stack of them") if stack else ((2,), "")
-    if M.ndim not in ndims or M.shape[-1] != M.shape[-2] or M.shape[-1] < 4 or M.shape[-1] % 2:
-        raise ValueError(f"expected a square matrix of even dimension >= 4{stacks}, got {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 4 or M.shape[0] % 2:
+        raise ValueError(f"expected a square matrix of even dimension >= 4, got {M.shape}")
     return M
 
 
@@ -364,16 +364,16 @@ def _element(sigma, w, r, tr, n):
 
 
 def _membership(M, tol):
-    """The checks of `jacobi_factor`, in order, on a matrix or a (B, d, d) stack.
+    """The checks of `jacobi_factor`, in order, on a float matrix or (B, d, d) stack of them.
 
-    One matrix raises the error of the first check it fails.  Each check runs
-    on a whole stack, and a stack that fails one runs its matrices one at a
-    time, so that its first failing matrix raises its own error: a stack
-    passes exactly when each of its matrices passes alone.  Returns what the
+    The shape is not checked.  One matrix raises the error of the first check
+    it fails.  Each check runs on a whole stack, and a stack that fails one
+    runs its matrices one at a time, so that its first failing matrix raises
+    its own error: a stack passes exactly when each of its matrices passes
+    alone.  Returns what the
     factors are read from: M with its last column times tr, the top 2n
     entries of that column (w), and tr.
     """
-    M = _square(M, stack=True)
     k = M.shape[-1] - 2
     if _time_preserving(M, tol):
         # [()] reads one matrix's entries as scalars, whose arithmetic is faster
@@ -406,21 +406,12 @@ def jacobi_factor(M, tol=TOL_EXACT):
     though it also breaks the symplectic residual.
 
     Parameters are read as tr = sign M[t, t], w = tr * (top 2n entries of
-    the last column), 2r = tr * M[eps, t].
-
-    M may also be a (B, d, d) stack, factored into a tuple of B elements
-    with the same arithmetic per matrix.  Each check runs on the whole
-    stack; a stack that fails one runs its matrices one at a time, so it
-    raises the error of its first failing matrix, the one the call on that
-    matrix alone raises, and factors exactly when each matrix does.
+    the last column), 2r = tr * M[eps, t].  M is one matrix; a stack raises
+    ValueError.
     """
-    G, w, s = _membership(M, tol)
-    k = G.shape[-1] - 2
-    n = k // 2
-    sigma, w, r = _owned(G[..., :k, :k].copy()), _owned(w), 0.5 * G[..., k, -1][()]
-    if G.ndim == 2:
-        return _element(sigma, w, r, s, n)
-    return tuple(_element(*f, n) for f in zip(sigma, w, r, s))
+    G, w, s = _membership(_square(M), tol)
+    k = len(G) - 2
+    return _element(_owned(G[:k, :k].copy()), _owned(w), 0.5 * G[k, -1], s, k // 2)
 
 
 def igl_factor(L, tol=TOL_EXACT):
@@ -482,17 +473,16 @@ def heisenberg_from_vfr(view):
     return _trusted(HeisenbergElement, w=_owned(w), r=0.5 * view.r_phys, n=view.n)
 
 
-def random_symplectic(n, rng, factors=4):
-    """Random symplectic 2n x 2n matrix as a product of shears and pair rotations.
+def random_symplectic(n, rng):
+    """Random symplectic 2n x 2n matrix as a product of four shears and pair rotations.
 
-    Symplectic by construction; entries stay O(1) for the default factor
-    count.  Used by the self-test suites and the randomized tests.  Returns
-    a fresh writable array.
+    Symplectic by construction, with entries of O(1).  Used by the self-test
+    suites and the randomized tests.  Returns a fresh writable array.
     """
     n = as_dimension(n)
     k = 2 * n
-    M = _identity(k).copy()
-    for _ in range(factors):
+    M = _identity(k)
+    for _ in range(4):
         kind = int(rng.integers(3))
         F = _identity(k).copy()
         if kind == 2:  # independent rotation in each (q_i, p_i) plane
@@ -508,7 +498,7 @@ def random_symplectic(n, rng, factors=4):
     return M
 
 
-def random_jacobi(n, rng, tr=None, factors=4):
+def random_jacobi(n, rng, tr=None):
     """Random group element; tr = None draws the sign at random.
 
     A member by construction, built by `_element` without re-checking the
@@ -518,6 +508,6 @@ def random_jacobi(n, rng, tr=None, factors=4):
         tr = (-1, 1)[rng.integers(2)]
     elif tr not in (1, -1):
         raise ValueError(f"tr must be +1 or -1, got {tr!r}")
-    sigma = _owned(random_symplectic(n, rng, factors=factors))
+    sigma = _owned(random_symplectic(n, rng))
     w = _owned(rng.uniform(-2.0, 2.0, len(sigma)))
     return _element(sigma, w, rng.uniform(-2.0, 2.0), tr, len(sigma) // 2)

@@ -3,8 +3,8 @@
 `rho_jacobian` is the analytic Jacobian of the shift transform, built from
 the system's gradients and the derivative of the Hermite interpolant; the
 library certifies rho by the complex step of the transform itself, and the
-tests compare that with this reference.  `factorization` factors the stack a
-certificate report checked, for the tests that read the factors.
+tests compare that with this reference.  `factorization` factors each matrix
+of the stack a certificate report checked, for the tests that read the factors.
 """
 
 import numpy as np
@@ -41,7 +41,8 @@ def rho_jacobian(rho, z):
 
 
 def factorization(report):
-    """The factors of `report.jacobians`; None unless the report counted all of them as members."""
+    """The factors of `report.jacobians`, one per matrix; None unless the report counted all as members."""
     if not report.n_factored:
         return None
-    return jacobi_factor(report.jacobians, tol=max(report.tol_omega, report.tol_lambda))
+    tol = max(report.tol_omega, report.tol_lambda)
+    return tuple(jacobi_factor(J, tol=tol) for J in report.jacobians)

@@ -383,7 +383,7 @@ def test_lifted_symplectic_classification():
         func = functools.partial(np.matmul, M)
         # the maps without an analytic Jacobian opt in to central differences
         jacobian = (lambda z, M=M: M) if analytic else functools.partial(numeric_jacobian, func)
-        handle = MapHandle(func, n, jacobian=jacobian, name=label)
+        handle = MapHandle(func, n, jacobian=jacobian)
         rep = check_invariance(handle, box_probes(n, 6, rng))
         if rep.classification != "Jacobimorphism":
             ok = False

@@ -335,6 +335,7 @@ def test_selftest_fuzz_detects_perturbation(tmp_path):
         "mode = flow\ndt = -1e-3\nt_end = 1.0\n",
         "mode = warp\n",
         "unknown_key = 1\n",
+        "params = 1\n",  # the parameters' place in the config, not a key of the file
         "seed = 1\nseed = 2\n",
         "dt = fast\n",
         "z0 = 1 0\n",
@@ -419,14 +420,47 @@ def test_jacobian_limit_counts_the_step_increments(tmp_path, n, fits):
     # which first exceed 1 GiB at n = 965
     path = tmp_path / "scenario.cfg"
     path.write_text(f"n = {n}\nmethod = leapfrog\nt_end = 0.004\nprobes = 1\n")
-    cfg, present = parse_config(path)
+    cfg = parse_config(path)
     d = 2 * n + 2
     assert variational_matrices(4, "leapfrog", d) + 1 + check_matrices(1, d) == 5 + 6 * 4 + 1 + 1 + 5 == 36
     if fits:
-        validate_config(cfg, present)
+        validate_config(cfg)
     else:
         with pytest.raises(ConfigError, match=r"the run's 36 Jacobians of 1932 x 1932 exceed"):
-            validate_config(cfg, present)
+            validate_config(cfg)
+
+
+def test_size_limit_rejects_a_huge_n_before_building_its_default_state(tmp_path):
+    # the default z0 has 2n + 2 entries, as Python floats: built only once n fits
+    path = tmp_path / "scenario.cfg"
+    path.write_text("n = 10000000\n")
+    cfg = parse_config(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^the run's .* Jacobians of 20000002 x 20000002 exceed"):
+            validate_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and cfg["z0"] is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("z0 = 1 0 0 1e17\nt_end = 100000000000000016\ndt = 0.5\n", "step 0.5 does not exceed the float spacing 16.0"),
+        ("z0 = 1 0 0 1e15\nt_end = 1000000000000010\ndt = 0.01\n", "step 0.01 does not exceed the float spacing 0.125"),
+    ],
+    ids=["spacing_16", "spacing_0.125"],
+)
+def test_a_step_within_the_float_spacing_exits_2(tmp_path, capsys, text, message):
+    # the stored clock would repeat values: a nan or a wrong rho residual and exit 1, with warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, text)
+    assert code == 2 and caught == []
+    assert capsys.readouterr().err == f"config error: the {message} at the flow's times\n"
+    assert not out.exists()
 
 
 # short flows at n = 20 and 50, and long ones at n = 1 and 2, where the rows
@@ -652,12 +686,13 @@ def test_no_mode_arguments(capsys):
 def test_parse_config_grammar(tmp_path):
     path = _write(
         tmp_path,
-        "# comment line\nmode = flow\n\nz0 = 0 2 0 0   # trailing comment\nt_end = 3.0\n",
+        "# comment line\nmode = flow\n\nz0 = 0 2 0 0   # trailing comment\nt_end = 3\nmass = 2\nn = 1\n",
     )
-    cfg, present = parse_config(path)
-    assert cfg["z0"] == [0.0, 2.0, 0.0, 0.0]
-    assert present == {"mode", "z0", "t_end"}
-    cfg = validate_config(cfg, present)
+    cfg = parse_config(path)
+    # each value parses as its default's type, a system parameter as a float under "params"
+    assert cfg == {**cli._DEFAULTS, "z0": [0.0, 2.0, 0.0, 0.0], "t_end": 3.0, "params": {"mass": 2.0}}
+    assert type(cfg["t_end"]) is float and type(cfg["n"]) is int and type(cfg["params"]["mass"]) is float
+    cfg = validate_config(cfg)
     assert cfg["system"] == "harmonic_oscillator"  # default survives
 
 
@@ -746,8 +781,7 @@ def test_flow_reports_change_only_by_the_factor_list(tmp_path, text):
     # .npy files bit for bit
     code, out = _run(tmp_path, text)
     assert code == 0
-    cfg, present = parse_config(str(tmp_path / "scenario.cfg"))
-    cfg = validate_config(cfg, present)
+    cfg = validate_config(parse_config(str(tmp_path / "scenario.cfg")))
     system = builtin_system(cfg["system"], n=cfg["n"])
     traj = integrate_flow(
         system, block_to_interleaved(np.asarray(cfg["z0"])), cfg["t_end"], cfg["dt"],
@@ -756,9 +790,8 @@ def test_flow_reports_change_only_by_the_factor_list(tmp_path, text):
     write_csv(traj, str(tmp_path / "ref.csv"))
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     ledger = energy_ledger(traj, system)
-    config = cli._resolved(cfg, {})
     assert (out / "ledger.json").read_bytes() == _dumps(
-        {"version": __version__, "config": config, "ledger": ledger.to_dict(), "passed": True}
+        {"version": __version__, "config": cfg, "ledger": ledger.to_dict(), "passed": True}
     )
 
     tols = {"tol_omega": cfg["tol_omega"], "tol_lambda": cfg["tol_lambda"]}
@@ -786,7 +819,7 @@ def test_flow_reports_change_only_by_the_factor_list(tmp_path, text):
                 assert g.w.tobytes() == (tr * J[:k, -1]).tobytes()
                 assert np.float64(g.r).tobytes() == (tr * J[k, -1] / 2).tobytes()
     assert inv == json.loads(json.dumps({
-        "version": __version__, "config": config, "dt_actual": traj.dt,
+        "version": __version__, "config": cfg, "dt_actual": traj.dt,
         "flow_jacobians": inv["flow_jacobians"], "rho_transform": inv["rho_transform"],
         "hamilton_residual": hamilton_residual(traj, system),
         "passed": dict.fromkeys(("flow_jacobians", "rho_transform", "hamilton_residual", "energy_ledger"), True),

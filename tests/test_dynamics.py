@@ -96,7 +96,6 @@ def test_time_is_exact():
     traj = integrate_flow(_ho(), np.array([1.0, 0.0, 0.0, 0.25]), 1.25, 1e-2)
     k = np.arange(traj.n_samples)
     assert np.array_equal(traj.t, 0.25 + k * traj.dt)
-    assert np.array_equal(traj.tau, traj.t)
 
 
 def test_step_count_rounding():
@@ -212,6 +211,32 @@ def test_step_count_owns_the_flow_time_checks(t0, t_end, dt, message):
     # integrate_flow raises the same error through it
     with pytest.raises(ValueError, match=message):
         integrate_flow(_ho(), np.array([1.0, 0.0, 0.0, t0]), t_end, dt)
+
+
+# float spacings of 16 and 0.125 at the flow's times, at or above the step
+CLOCK_STOPS = [
+    (1e17, 100000000000000016.0, 0.5, "0.5", "16.0"),
+    (1e15, 1000000000000010.0, 0.01, "0.01", "0.125"),
+]
+
+
+@pytest.mark.parametrize("t0, t_end, dt, step, spacing", CLOCK_STOPS)
+def test_a_step_within_the_float_spacing_is_refused_before_any_allocation(t0, t_end, dt, step, spacing):
+    # t0 + k dt would repeat values, and the shift transform divide by a zero interval
+    message = f"^the step {step} does not exceed the float spacing {spacing} at the flow's times$"
+    with pytest.raises(ValueError, match=message):
+        step_count(t0, t_end, dt)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            integrate_flow(_ho(), np.array([1.0, 0.0, 0.0, t0]), t_end, dt, with_variational=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the flow's sample array and stage buffers alone would take more
+    assert peak < 8192
+    # a late start with a step above the spacing keeps a strictly increasing clock
+    assert np.all(np.diff(integrate_flow(_ho(), np.array([1.0, 0.0, 0.0, 1000.0]), 1001.0, 1e-3).t) > 0)
 
 
 def _zero_jacobian(z):
@@ -572,12 +597,12 @@ def test_trajectory_accessors():
     traj = integrate_flow(_ho(), np.array([1.0, 0.5, 0.2, 0.0]), 1.0, 0.1)
     assert traj.q.shape == (traj.n_samples, 1)
     assert traj.p.shape == (traj.n_samples, 1)
-    assert np.all(np.diff(traj.tau) > 0)
+    assert np.all(np.diff(traj.t) > 0)
     z = traj.z[3]
     assert z[-1] == traj.t[3] and z[-2] == traj.eps[3]
     assert z[0] == traj.q[3, 0] and z[1] == traj.p[3, 0]
     # the samples are views of the two stored arrays, not copies
-    for view, base in ((traj.v, traj.X), (traj.f, traj.X), (traj.r, traj.X), (traj.tau, traj.z)):
+    for view, base in ((traj.v, traj.X), (traj.f, traj.X), (traj.r, traj.X), (traj.t, traj.z)):
         assert np.shares_memory(view, base)
 
 
@@ -700,7 +725,7 @@ def test_write_csv_in_blocks_matches_one_shot_formatting(tmp_path):
     assert traj.n_samples > 2 * _CSV_BLOCK + 1
     path = tmp_path / "traj.csv"
     write_csv(traj, path)
-    body = np.column_stack([traj.tau, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r])
+    body = np.column_stack([traj.t, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r])
     row = ",".join(["%.17g"] * body.shape[1]) + "\n"
     lines = path.read_bytes().split(b"\n", 1)
     assert lines[1] == "".join(row % tuple(values) for values in body.tolist()).encode()
@@ -721,7 +746,7 @@ def test_write_csv_matches_row_by_row_formatting(tmp_path, samples, n):
     assert header.count(b",") == 4 * n + 3
     want = []
     for k in range(samples):
-        row = [traj.tau[k], *traj.q[k], *traj.p[k], traj.eps[k], traj.t[k], *traj.v[k], *traj.f[k], traj.r[k]]
+        row = [traj.t[k], *traj.q[k], *traj.p[k], traj.eps[k], traj.t[k], *traj.v[k], *traj.f[k], traj.r[k]]
         want.append(",".join("%.17g" % x for x in row) + "\n")
     assert body == "".join(want).encode()
     assert b"-0," in body

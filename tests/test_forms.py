@@ -192,7 +192,7 @@ def test_numeric_jacobian_quadratic():
 
 
 def test_numeric_jacobian_accepts_handle_and_point():
-    handle = MapHandle(func=lambda z: 2.0 * z, n=1, name="doubling")
+    handle = MapHandle(func=lambda z: 2.0 * z, n=1)
     J = numeric_jacobian(handle, [1.0, 0.5, 0.0, 0.2])
     assert np.max(np.abs(J - 2.0 * np.eye(4))) < 1e-9
 

@@ -25,7 +25,7 @@ from jacobiflow import (
     random_symplectic,
     vfr_convert,
 )
-from jacobiflow.groups import VfrView, _realize, heisenberg_from_vfr
+from jacobiflow.groups import VfrView, _membership, _realize, heisenberg_from_vfr
 
 
 def test_heisenberg_half_cocycle():
@@ -202,7 +202,7 @@ def test_factor_rejects_bad_shape():
     with pytest.raises(ValueError):
         jacobi_factor(np.eye(5))
     for shape in ((3, 5, 5), (2, 3, 4, 4), (4,)):
-        with pytest.raises(ValueError, match="stack of them"):
+        with pytest.raises(ValueError, match="expected a square matrix of even dimension >= 4"):
             jacobi_factor(np.zeros(shape))
 
 
@@ -239,38 +239,45 @@ _FIRST_FAILURE = {
 }
 
 
-def test_stacked_factor_matches_the_calls_on_each_matrix():
+def test_stacked_membership_matches_the_calls_on_each_matrix():
     els = _member_stack(count=40)
     stack = np.array([g.matrix() for g in els])
-    factors = jacobi_factor(stack, tol=1e-9)
-    assert type(factors) is tuple and len(factors) == 40
-    for M, g, f in zip(stack, els, factors):
+    G, w, s = _membership(stack, 1e-9)
+    assert G.shape == stack.shape and w.shape == (40, 4) and s.shape == (40,)
+    assert not np.shares_memory(G, stack)
+    for i, (M, g) in enumerate(zip(stack, els)):
+        for a, b in zip((G[i], w[i], s[i]), _membership(M, 1e-9)):
+            assert np.shape(a) == np.shape(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+        # the factors jacobi_factor reads off the same entries
         one = jacobi_factor(M, tol=1e-9)
-        for a, b in ((f.sigma.sigma, one.sigma.sigma), (f.w, one.w)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-            assert not a.flags.writeable and not np.shares_memory(a, stack)
-        assert type(f.r) is float and f.r == one.r
-        assert type(f.tr) is int and f.tr == one.tr == g.tr
-        assert f.n == f.sigma.n == 2
-    assert jacobi_factor(stack[:0]) == ()
+        assert one.sigma.sigma.tobytes() == G[i, :4, :4].tobytes() and one.w.tobytes() == w[i].tobytes()
+        assert one.r == 0.5 * G[i, 4, -1] and one.tr == s[i] == g.tr
+    assert [a.shape for a in _membership(stack[:0], 1e-9)] == [(0, 6, 6), (0, 4), (0,)]
+
+
+def test_factor_takes_one_matrix_and_refuses_a_stack():
+    stack = np.array([g.matrix() for g in _member_stack()])
+    with pytest.raises(ValueError, match=r"^expected a square matrix .* got \(9, 6, 6\)$") as refused:
+        jacobi_factor(stack, tol=1e-9)
+    assert not isinstance(refused.value, FactorError)
 
 
 @pytest.mark.parametrize("kind", sorted(_FIRST_FAILURE))
-def test_stacked_factor_raises_the_failing_matrix_error(kind):
+def test_stacked_membership_raises_the_failing_matrix_error(kind):
     els = _member_stack()
     stack = np.array([g.matrix() for g in els])
     stack[4] = _broken(els[4], kind)
     with pytest.raises(FactorError) as alone:
         jacobi_factor(stack[4], tol=1e-9)
     with pytest.raises(FactorError) as stacked:
-        jacobi_factor(stack, tol=1e-9)
+        _membership(stack, 1e-9)
     assert type(alone.value) is type(stacked.value) is _FIRST_FAILURE[kind]
     assert str(stacked.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("first", sorted(_FIRST_FAILURE))
 @pytest.mark.parametrize("later", sorted(_FIRST_FAILURE))
-def test_stacked_factor_reports_the_first_failing_matrix(first, later):
+def test_stacked_membership_reports_the_first_failing_matrix(first, later):
     # a later matrix that fails an earlier check does not take its place
     els = _member_stack()
     stack = np.array([g.matrix() for g in els])
@@ -279,7 +286,7 @@ def test_stacked_factor_reports_the_first_failing_matrix(first, later):
     with pytest.raises(FactorError) as alone:
         jacobi_factor(stack[3], tol=1e-9)
     with pytest.raises(FactorError) as stacked:
-        jacobi_factor(stack, tol=1e-9)
+        _membership(stack, 1e-9)
     assert type(stacked.value) is _FIRST_FAILURE[first]
     assert str(stacked.value) == str(alone.value)
 

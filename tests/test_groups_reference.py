@@ -30,10 +30,9 @@ from jacobiflow import (
     jacobi_mul,
     noncommutativity_check,
     random_jacobi,
-    random_symplectic,
     zeta_reduced,
 )
-from jacobiflow.groups import SymplecticBlock, VfrView, _identity
+from jacobiflow.groups import SymplecticBlock, VfrView
 
 TOL = 1e-9
 
@@ -109,10 +108,10 @@ def _ref_factor(M, tol):
     return sigma, w, float(r), s
 
 
-def _ref_random_symplectic(n, rng, factors=4):
+def _ref_random_symplectic(n, rng):
     k = 2 * n
     M = np.eye(k)
-    for _ in range(factors):
+    for _ in range(4):
         kind = rng.integers(3)
         F = np.eye(k)
         if kind == 0:
@@ -130,11 +129,11 @@ def _ref_random_symplectic(n, rng, factors=4):
     return M
 
 
-def _ref_random_jacobi(n, rng, tr=None, factors=4):
+def _ref_random_jacobi(n, rng, tr=None):
     if tr is None:
         tr = int(rng.choice([-1, 1]))
     return JacobiElement(
-        sigma=SymplecticBlock(_ref_random_symplectic(n, rng, factors=factors), tol=1e-9),
+        sigma=SymplecticBlock(_ref_random_symplectic(n, rng), tol=1e-9),
         w=rng.uniform(-2.0, 2.0, 2 * n),
         r=float(rng.uniform(-2.0, 2.0)),
         tr=tr,
@@ -277,13 +276,13 @@ def test_from_parts_still_validates():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_random_jacobi_matches_reference_generator(n):
-    for factors in range(7):
+    for draw in range(7):
         for tr in (None, 1, -1):
-            seed = 500 + 10 * n + factors
+            seed = 500 + 10 * n + draw
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(8):
-                g = random_jacobi(n, rng, tr=tr, factors=factors)
-                _assert_element(g, _parts(_ref_random_jacobi(n, ref_rng, tr=tr, factors=factors)))
+                g = random_jacobi(n, rng, tr=tr)
+                _assert_element(g, _parts(_ref_random_jacobi(n, ref_rng, tr=tr)))
             # the same stream was drawn: the generators stand at the same state
             assert _same_bits(rng.random(), ref_rng.random())
 
@@ -308,13 +307,3 @@ def test_random_jacobi_field_types():
         assert g.sigma.n == g.n
         for arr in (g.sigma.sigma, g.w):
             assert not arr.flags.writeable
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_random_symplectic_without_factors_is_a_fresh_identity(n):
-    rng = np.random.default_rng(2)
-    M = random_symplectic(n, rng, factors=0)
-    assert M is not _identity(2 * n) and M.flags.writeable
-    assert _same_bits(M, np.eye(2 * n))
-    M[0, 0] = 5.0  # the shared identity is untouched
-    assert _identity(2 * n)[0, 0] == 1.0

@@ -35,9 +35,7 @@ def _probes(n=1, count=8, seed=7):
 
 
 def test_identity_is_jacobimorphism():
-    handle = MapHandle(
-        lambda z: z.copy(), 1, jacobian=lambda z: np.eye(4), name="identity"
-    )
+    handle = MapHandle(lambda z: z.copy(), 1, jacobian=lambda z: np.eye(4))
     report = check_invariance(handle, _probes())
     assert report.classification == "Jacobimorphism"
     assert report.omega_residual_max == 0.0
@@ -443,7 +441,7 @@ def test_rho_of_a_wrong_hamiltonian_fails_where_the_true_one_certifies(wrong, me
     assert 1e-10 < report.omega_residual_max < 1e-8
     if wrong == "value":
         # the analytic Jacobian is built from the gradients, so it is blind to this
-        analytic = MapHandle(rho, 1, jacobian=functools.partial(rho_jacobian, rho), name="rho")
+        analytic = MapHandle(rho, 1, jacobian=functools.partial(rho_jacobian, rho))
         assert check_invariance(analytic, probes, **tols).classification == "Jacobimorphism"
 
 
@@ -477,7 +475,7 @@ def test_rho_exact_at_table_ends(name, method):
     rho = make_rho(traj, sys)
     N = traj.n_samples
     ends = [traj.z[k] for k in (*range(5), *range(N - 5, N))]
-    analytic = MapHandle(rho, traj.n, jacobian=functools.partial(rho_jacobian, rho), name="rho")
+    analytic = MapHandle(rho, traj.n, jacobian=functools.partial(rho_jacobian, rho))
     assert check_invariance(analytic, ends, tol_omega=1e-5).omega_residual_max <= 1e-14
     near_ends = [traj.z[k] for k in (1, 2, N - 3, N - 2)]
     report = check_invariance(rho.as_map(), near_ends, tol_omega=1e-5, tol_lambda=1e-8)
