@@ -217,6 +217,8 @@ def _catalog_map(n, name):
     return MapHandle(func=lambda z: M @ z, n=n, jacobian=lambda z: M)
 
 
+# an overflow in a check leaves a non-finite residual, which fails every tolerance
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_flow(cfg, out_dir):
     system = builtin_system(cfg["system"], n=cfg["n"], **cfg["params"])
     z0 = block_to_interleaved(np.asarray(cfg["z0"], dtype=float))

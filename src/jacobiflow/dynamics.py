@@ -67,13 +67,15 @@ keeps only every `jac_every`-th J and the last one.  The certification layer
 factors those into the matrix group.  The full (steps + 1, d, d) stack is
 never stored.
 
-`write_csv` selects its columns from each sample's row of zX with one index,
-and formats each block of `_CSV_BLOCK` rows with one `%`.
+`write_csv` selects its columns from each sample's row of zX with one index
+and writes the bytes of '%.17g' % v, formatting about `_CSV_BLOCK` values at a
+time in numpy from a long-double significand; a value near a rounding tie, 0,
+inf, nan or far out of range takes '%.17g' % itself, one call per block.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -84,7 +86,8 @@ from .forms import MapHandle, complex_step_jacobian, eta_residual, zeta_residual
 # (stages, chunk, d, d) stack that stays near 1 MB at n = 16, and one
 # stacked residual pass per chunk
 _STAGE_CHUNK = 32
-_CSV_BLOCK = 256  # rows per block of write_csv's formatting
+_CSV_BLOCK = 4096  # values per block of write_csv's formatting
+_CSV_BAND = 2  # half-width, in eps y, of the band around a tie that '%.17g' % formats
 
 
 def _as_state(z, dtype=float):
@@ -506,22 +509,92 @@ def integrate_flow(sys, z0, t_end, dt, method="rk4", with_variational=False, jac
     )
 
 
+@cache
+def _csv_tables():
+    """`_format17`'s tables, built on its first call: 10^k for k in -300..300, correctly
+    rounded to long double and to double; long double's eps; each decimal exponent's
+    fixed slot bytes; and, per count of digits printed, the ASCII offsets of the digits."""
+    pow10 = np.array([np.longdouble(f"1e{k}") for k in range(-300, 301)])
+    layout = np.zeros((601, 45), np.uint8)
+    layout[:, -1] = ord(",")
+    for e, row in zip(range(-300, 301), layout):
+        if not -4 <= e <= 16:
+            tail = b"e%+03d" % e
+            row[7], row[39 : 39 + len(tail)] = ord("."), list(tail)
+        elif e < 0:
+            row[1 : 2 - e] = list(b"0.000"[: 1 - e])
+        elif e < 16:
+            row[7 + 2 * e] = ord(".")
+    base = np.where(np.arange(17) < np.arange(18)[:, None], ord("0"), 0).astype(np.uint8)
+    return pow10, pow10.astype(float), float(np.finfo(np.longdouble).eps), layout, base
+
+
+def _format17(block):
+    """The bytes of ','.join('%.17g' % v for v in row) + '\\n' for each row of a float64 block.
+
+    A value fills 45 slots: its sign; the "0.000" of fixed notation below 1; its
+    17 digits in even slots, the point in the odd slot after digit p; "e" and the
+    exponent; its separator.  Unused slots are NUL and are deleted at the end.
+    """
+    pow10, pow10_f, eps, layout, base = _csv_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    safe = (a >= 1e-280) & (a <= 1e280)  # false for 0, inf and nan
+    a[~safe] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    # e corrected once, so that y = |x| 10^(16 - e) lies in [1e16, 1e17)
+    y = a * np.take(pow10_f, 316 - e)
+    e = e + (y >= 1e17) - (y < 1e16)
+    y = a.astype(np.longdouble) * np.take(pow10, 316 - e)
+    N = np.rint(y)
+    # the table entry and the product are each rounded once, so y is within eps y of
+    # |x| 10^(16 - e) (eps = 2^-63 for x87's long double: 0.011 below 1e17), and N is
+    # the correctly rounded significand unless |y - N| lies within 2 eps y of 0.5;
+    # those values (exact ties too), unsafe ones and N outside [1e16, 1e17) go to '%'
+    ok = safe & (y >= 1e16) & (N < 1e17)
+    ok &= np.abs((np.abs(y - N) - 0.5).astype(float)) > _CSV_BAND * eps * y.astype(float)
+    # N's digits from its two halves below 10^9, one scalar // 10 per digit
+    halves = np.array(np.divmod(N.astype(np.uint64), 10**9), np.uint32)
+    digits = np.empty((2, 9, len(x)), np.uint8)
+    for i in range(8, -1, -1):
+        q = halves // 10
+        digits[:, i] = halves - q * 10
+        halves = q
+    d = digits.reshape(18, -1)[1:]  # the upper half's first digit is 0
+    s = np.max((d != 0) * np.arange(1, 18, dtype=np.uint8)[:, None], axis=0)  # without trailing zeros
+    # %g: fixed notation for -4 <= e <= 16, the point after digit p = e and every
+    # integer digit kept; else exponent notation, p = 0; no point before nothing
+    p = np.where((e >= -4) & (e <= 16), e, 0)
+    out = np.take(layout, e + 300, axis=0)
+    np.multiply(x < 0, np.uint8(ord("-")), out=out[:, 0])
+    np.add(d.T, np.take(base, np.maximum(s, p + 1), axis=0), out=out[:, 6:39:2])
+    bare = np.flatnonzero(s <= p + 1)
+    out[bare, 7 + 2 * p[bare]] = 0
+    out[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
+    bad = np.flatnonzero(~ok)
+    text = ("%.17g " * len(bad) % tuple(x[bad].tolist())).split()
+    out[bad, :-1] = np.array(text, "S44").view(np.uint8).reshape(len(bad), 44)
+    return out.tobytes().translate(None, b"\0")
+
+
 def write_csv(traj, path):
-    """Trajectory CSV: tau, q1..qn, p1..pn, eps, t, v1..vn, f1..fn, r at 17 significant digits."""
+    """Trajectory CSV: tau, q1..qn, p1..pn, eps, t, v1..vn, f1..fn, r, each value as '%.17g'.
+
+    17 significant digits round-trip every double.  The bytes are Python's '%.17g' % v:
+    `_format17` rounds a long-double significand, within eps of exact, and leaves
+    values within 2 eps of a tie, 0, inf, nan and |v| outside [1e-280, 1e280] to '%'.
+    """
     k, d = 2 * traj.n, 2 * traj.n + 2
     cols = ["tau", *[f"{c}{i + 1}" for c in "qp" for i in range(traj.n)], "eps", "t",
             *[f"{c}{i + 1}" for c in "vf" for i in range(traj.n)], "r"]
     # a sample's row of zX is its state z, then its field X at offset d
     index = np.r_[k + 1, 0:k:2, 1:k:2, k, k + 1, d : d + k : 2, d + 1 : d + k : 2, d + k]
     rows = traj.zX.reshape(traj.n_samples, 2 * d)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        # a block of rows at a time, formatted by one %: tolist() makes a Python
-        # float of every value, in row order
-        for a in range(0, traj.n_samples, _CSV_BLOCK):
-            body = rows[a : a + _CSV_BLOCK, index]
-            fh.write((row * len(body)) % tuple(body.ravel().tolist()))
+    per_block = max(1, _CSV_BLOCK // len(cols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(cols) + "\n").encode())
+        for a in range(0, traj.n_samples, per_block):
+            fh.write(_format17(rows[a : a + per_block, index]))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
 import dataclasses
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ from jacobiflow import (
     numeric_jacobian,
     write_csv,
 )
-from jacobiflow.dynamics import _CSV_BLOCK, step_count
+from jacobiflow import dynamics
+from jacobiflow.dynamics import _CSV_BLOCK, _format17, step_count
 from reference_helpers import rho_jacobian
 
 
@@ -722,7 +728,7 @@ def test_write_csv_in_blocks_matches_one_shot_formatting(tmp_path):
     # put, and so do the v and f columns they give
     sys = builtin_system("free_particle", n=2)
     traj = integrate_flow(sys, np.array([1.0, -0.0, 0.0, 0.5, 0.0, 0.0]), 2.5, 1e-3)
-    assert traj.n_samples > 2 * _CSV_BLOCK + 1
+    assert traj.n_samples > 2 * (_CSV_BLOCK // 12) + 1  # 12 columns at n = 2
     path = tmp_path / "traj.csv"
     write_csv(traj, path)
     body = np.column_stack([traj.t, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r])
@@ -732,11 +738,25 @@ def test_write_csv_in_blocks_matches_one_shot_formatting(tmp_path):
     assert b",-0," in lines[1] and b",0," in lines[1]
 
 
+def _percent17(values, cols=1):
+    """'%.17g' % v for every value, cols to a row, the oracle of _format17."""
+    rows = np.asarray(values, dtype=float).reshape(-1, cols).tolist()
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
+
+
+def _row_by_row(traj):
+    """write_csv's body formatted one value at a time from the trajectory's views, the oracle."""
+    body = np.column_stack([traj.t, traj.q, traj.p, traj.eps, traj.t, traj.v, traj.f, traj.r])
+    return _percent17(body, body.shape[1])
+
+
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("samples", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 7])
-def test_write_csv_matches_row_by_row_formatting(tmp_path, samples, n):
-    # sample counts on either side of a block boundary; the free particle keeps
-    # its -0.0 entries, q1 = -0.0 under p1 = -0.0, and eps = -0.0 under no power
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 7)])
+def test_write_csv_matches_row_by_row_formatting(tmp_path, blocks, extra, n):
+    # sample counts on either side of a block boundary (a block holds the whole
+    # rows that fit in _CSV_BLOCK values); the free particle keeps its -0.0
+    # entries, q1 = -0.0 under p1 = -0.0, and eps = -0.0 under no power
+    samples = blocks * (_CSV_BLOCK // (4 * n + 4)) + extra
     z0 = np.array([-0.0, -0.0] + [0.5, 0.1] * (n - 1) + [-0.0, 0.25])
     traj = integrate_flow(builtin_system("free_particle", n=n), z0, 0.25 + (samples - 1) / 64, 1 / 64)
     assert traj.n_samples == samples
@@ -744,9 +764,124 @@ def test_write_csv_matches_row_by_row_formatting(tmp_path, samples, n):
     write_csv(traj, path)
     header, body = path.read_bytes().split(b"\n", 1)
     assert header.count(b",") == 4 * n + 3
-    want = []
-    for k in range(samples):
-        row = [traj.t[k], *traj.q[k], *traj.p[k], traj.eps[k], traj.t[k], *traj.v[k], *traj.f[k], traj.r[k]]
-        want.append(",".join("%.17g" % x for x in row) + "\n")
-    assert body == "".join(want).encode()
+    assert body == _row_by_row(traj)
     assert b"-0," in body
+
+
+@pytest.mark.parametrize(
+    "name, n, z0, t_end, dt",
+    [
+        # a late start: times of 6 integer digits and 11 fraction digits
+        ("driven_oscillator", 3, [1.0, 0.0, 0.5, 0.0, -1.0, 0.0, 0.0, 1e5], 1e5 + 2.0, 1e-2),
+        # q and p in exponent notation, both small and large
+        ("harmonic_oscillator", 1, [1e-7, 1e20, 0.0, 0.0], 1.0, 1e-2),
+        # an autonomous system: its eps and r columns are all 0
+        ("harmonic_oscillator", 2, [1.0, 0.0, 0.5, 0.0, 0.0, 0.0], 1.0, 1e-2),
+        # near the top of the range, where the energy overflows in the checks
+        ("harmonic_oscillator", 1, [1e300, 0.0, 0.0, 0.0], 1.0, 1e-2),
+    ],
+)
+def test_write_csv_matches_row_by_row_formatting_across_notations(tmp_path, name, n, z0, t_end, dt):
+    traj = integrate_flow(builtin_system(name, n=n), np.array(z0), t_end, dt)
+    path = tmp_path / "traj.csv"
+    write_csv(traj, path)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body == _row_by_row(traj)
+    if name == "harmonic_oscillator" and n == 2:
+        assert not traj.eps.any() and not traj.r.any()
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_write_csv_peak_memory_stays_under_the_row_blocks(tmp_path, n):
+    # 1.21 MB is the peak of 256-row blocks formatted by one % at n = 16
+    z0 = np.zeros(2 * n + 2)
+    z0[0 : 2 * n : 2] = 1.0
+    traj = integrate_flow(builtin_system("driven_oscillator", n=n), z0, 5.0, 1e-3)
+    assert traj.n_samples == 5001
+    tracemalloc.start()
+    try:
+        write_csv(traj, tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.21e6
+
+
+def _formatted(values, cols=1):
+    rows = np.asarray(values, dtype=float).reshape(-1, cols)
+    step = max(1, _CSV_BLOCK // cols)
+    return b"".join(_format17(rows[a : a + step]) for a in range(0, len(rows), step))
+
+
+def _tens():
+    """Every 10^k for k in -323..308 as a double, and its two neighbours."""
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([p, np.nextafter(p, -np.inf), np.nextafter(p, np.inf)])
+
+
+def _format_cases():
+    rng = np.random.default_rng(36)
+    bits = rng.integers(-(2**63), 2**63, 200_000, dtype=np.int64, endpoint=False).view(np.float64)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**60, 99999999999999999.0]
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    # exact ties: odd m / 4 in [1e15, 2^51) ends in .25 or .75, a tie at the 17th digit
+    ties = (rng.integers(4 * 10**15, 2**53, 20_000) | 1) / 4.0
+    return {
+        "bits": (bits, 1),
+        "tens": (np.concatenate([_tens(), -_tens()]), 1),
+        "special": (special, 1),
+        "switches": (np.concatenate([switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf)]), 1),
+        "ties": (ties, 1),
+        # one significant digit where a double holds it: no point before the exponent
+        "one_digit": ([float(f"{d}e{k}") for d in range(1, 10) for k in range(-323, 308)], 1),
+        "rows": (rng.standard_normal(7 * 3000) * 10.0 ** rng.integers(-30, 30, 7 * 3000), 7),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_format_cases()))
+def test_format17_matches_percent_formatting(case):
+    values, cols = _format_cases()[case]
+    assert _formatted(values, cols) == _percent17(values, cols)
+
+
+def test_format17_rounds_exact_ties_to_even():
+    ties = np.array([[1000000000000000.25, 1000000000000000.75]])
+    assert _format17(ties) == b"1000000000000000.2,1000000000000000.8\n"
+    assert _format17(np.array([[99999999999999999.0]])) == b"1e+17\n"
+
+
+def test_format17_fallback_alone_gives_the_same_bytes(monkeypatch):
+    # an infinite band sends every value to '%.17g' % itself
+    monkeypatch.setattr(dynamics, "_CSV_BAND", np.inf)
+    values = np.concatenate([_tens(), np.random.default_rng(5).standard_normal(4002), [0.0, -0.0, np.nan]])
+    assert _formatted(values, 3) == _percent17(values, 3)
+
+
+def test_format17_matches_percent_formatting_on_any_float():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+    @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=40), st.integers(1, 4))
+    def check(values, cols):
+        values = values[: len(values) // cols * cols] or [0.0] * cols
+        assert _formatted(values, cols) == _percent17(values, cols)
+
+    check()
+
+
+def test_powers_of_ten_are_correctly_rounded_long_doubles():
+    pow10 = dynamics._csv_tables()[0]
+    for k, v in zip(range(-300, 301), pow10):
+        exact = Fraction(10) ** k
+        errors = [abs(Fraction(*w.as_integer_ratio()) - exact)
+                  for w in (v, np.nextafter(v, np.longdouble(0)), np.nextafter(v, np.longdouble(np.inf)))]
+        assert errors[0] < min(errors[1:]), k
+
+
+def test_import_builds_no_csv_table():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = "import jacobiflow.cli; from jacobiflow import dynamics; print(dynamics._csv_tables.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

@@ -68,11 +68,21 @@ def configs(draw):
 # one replaced value that the generator draws rarely: a drive of 1e300 passes
 # the config checks, and its power overflows at the first step
 BLOW_UP = {"system": "driven_oscillator", "amplitude": "1e300", "t_end": "2", "dt": "0.1", "mode": "flow"}
+# valid configs whose checks overflow: each exits 1 with its reports, and
+# numpy's warnings, which would break the one-stream contract, stay off
+OVERFLOWS = (
+    {"mode": "flow", "z0": "1e300 0 0 0"},
+    {"mode": "flow", "system": "driven_oscillator", "mass": "1e-300"},
+    {"mode": "flow", "system": "driven_oscillator", "drive_frequency": "1e150", "amplitude": "1e-150"},
+)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(cfg=configs(), flags=st.sampled_from(FLAGS))
 @example(cfg=BLOW_UP, flags=())
+@example(cfg=OVERFLOWS[0], flags=())
+@example(cfg=OVERFLOWS[1], flags=())
+@example(cfg=OVERFLOWS[2], flags=())
 def test_every_run_keeps_the_exit_code_contract(cfg, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.cfg")
